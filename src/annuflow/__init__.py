@@ -7,7 +7,7 @@ reduction with its Lyapunov coefficient and bifurcated vortex states, and
 cross-validates the reduction with a pseudo-spectral nonlinear simulator.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .bifurcation import (
     BifurcationReport,
@@ -34,6 +34,7 @@ from .domain import (
     ModalField,
     PhysicalField,
     analyze_modal,
+    synthesize_lattice,
     synthesize_physical,
     theta_lattice,
     validate,

@@ -28,14 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .domain import DomainParams, ModalField, PhysicalField, synthesize_physical, theta_lattice
+from .domain import DomainParams, ModalField, PhysicalField, synthesize_lattice
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
-    BoundaryConditionSet,
     ModalOperator,
     RadialGrid,
     bilaplacian_n,
@@ -62,16 +60,14 @@ class EigenResult:
     mu: float
 
 
-def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
-                    grid: RadialGrid, n: int = 1) -> float:
-    """Variational growth rate of a mode-n profile.
+def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
+                  n: int = 1) -> tuple[float, float, float]:
+    """Radial energy functionals (E3, E1, E2) of a mode-n profile.
 
-    lambda = (-mu E1 + (alpha - mu/a) E2) / E3 with E3 the kinetic energy,
-    E1 the gradient energy plus the outer-boundary tangential term, and E2
-    the inner-boundary tangential term. For an eigenfunction this is the
-    eigenvalue, accurate to second order in the eigenvector error (the
-    operator is self-adjoint in this pairing), so it is used to polish the
-    value returned by the dense eigensolver.
+    With v = (-i n psi / r, psi'), E3 = int |v|^2 r dr is the kinetic
+    energy, E1 the gradient energy plus the outer-boundary tangential
+    term, and E2 the inner-boundary tangential term. The field
+    psi e^{i n theta} + c.c. carries 4 pi times each.
     """
     r = grid.nodes
     d1 = grid.d1
@@ -86,6 +82,20 @@ def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
                           + np.abs(g3) ** 2 + np.abs(g4) ** 2)).real
     E1 += np.abs(vt[0]) ** 2
     E2 = params.a * np.abs(vt[-1]) ** 2
+    return E3, E1, E2
+
+
+def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
+                    grid: RadialGrid, n: int = 1) -> float:
+    """Variational growth rate of a mode-n profile.
+
+    lambda = (-mu E1 + (alpha - mu/a) E2) / E3 with the functionals of
+    :func:`mode_energies`. For an eigenfunction this is the eigenvalue,
+    accurate to second order in the eigenvector error (the operator is
+    self-adjoint in this pairing), so it is used to polish the value
+    returned by the dense eigensolver.
+    """
+    E3, E1, E2 = mode_energies(params, psi, grid, n)
     return float((-mu * E1 + (params.alpha - mu / params.a) * E2) / E3)
 
 
@@ -230,27 +240,28 @@ class BifurcationReport:
     psi1: ModalField = field(repr=False)
     g11: ModalField = field(repr=False)
 
-    def modal_state(self, s: complex) -> list[ModalField]:
-        """Modal coefficients of psi_s at phase point s (explicit +/- pairs)."""
-        m1 = ModalField(1, s * self.psi1.values)
-        m2 = ModalField(2, s**2 * self.g11.values)
-        return [m1, m1.conj(), m2, m2.conj()]
+    def _coeffs(self, s: complex) -> np.ndarray:
+        """Profiles of n = 1, 2 at phase point s, as rows."""
+        return np.array([s * self.psi1.values, s**2 * self.g11.values])
 
     def psi_s(self, s: complex, ntheta: int = 128) -> PhysicalField:
         """Bifurcated streamfunction on the physical lattice at phase s."""
-        return synthesize_physical(self.modal_state(s), ntheta)
+        return PhysicalField(synthesize_lattice(self._coeffs(s), ntheta))
 
     def velocity(self, s: complex, grid: RadialGrid,
                  ntheta: int = 128) -> tuple[np.ndarray, np.ndarray]:
         """Polar velocity components (v_r, v_theta) of the bifurcated state."""
-        theta = theta_lattice(ntheta)
-        vr = np.zeros((grid.N + 1, ntheta))
-        vt = np.zeros((grid.N + 1, ntheta))
-        for n, prof in ((1, s * self.psi1.values), (2, s**2 * self.g11.values)):
-            phase = np.exp(1j * n * theta)
-            vr += 2.0 * np.real(np.outer(-1j * n * prof / grid.nodes, phase))
-            vt += 2.0 * np.real(np.outer(grid.d1 @ prof, phase))
-        return vr, vt
+        return lattice_velocity(self._coeffs(s), grid, ntheta)
+
+
+def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
+                     ntheta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v_r, v_theta) on the (r, theta) lattice of the streamfunction
+    sum_n (c_n e^{i n theta} + c.c.), with c_n in row n - 1 of ``coeffs``:
+    v_r = (1/r) d psi / d theta and v_theta = d psi / dr."""
+    n = np.arange(1, len(coeffs) + 1)[:, None]
+    return (synthesize_lattice(-1j * n * coeffs / grid.nodes, ntheta),
+            synthesize_lattice(coeffs @ grid.d1.T, ntheta))
 
 
 def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
@@ -272,10 +283,16 @@ def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
                              psi1=eig.psi1, g11=mc.g11)
 
 
+def reduction(params: DomainParams, mu: float,
+              grid: RadialGrid) -> tuple[EigenResult, ManifoldCoeffs, float]:
+    """The reduction chain: leading eigenpair, G11, then l (unclassified)."""
+    eig = leading_eigenpair(params, mu, grid)
+    mc = solve_G11(params, mu, eig, grid)
+    return eig, mc, lyapunov_coeff(params, mu, eig, mc, grid)
+
+
 def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
     """One-call pipeline: eigenpair, G11, l, classification."""
-    eig = leading_eigenpair(params, mu, grid)
-    mc = solve_G11(params, mu, eig, grid)
-    l = lyapunov_coeff(params, mu, eig, mc, grid)
+    eig, mc, l = reduction(params, mu, grid)
     return classify_and_build(params, mu, eig, l, mc)

@@ -19,14 +19,15 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import (
+    EigenResult,
+    ManifoldCoeffs,
     bifurcation_report,
     leading_eigenpair,
     lyapunov_coeff_plain,
-    solve_G11,
 )
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
-from .domain import synthesize_physical, validate
+from .domain import PhysicalField, synthesize_lattice, theta_lattice, validate
 from .errors import (
     AnnuflowError,
     CFLViolation,
@@ -152,14 +153,13 @@ def cmd_bifurcate(args) -> int:
             f"no bifurcated branch at mu={mu}: lambda1={report.lambda1} and "
             f"l={report.l} have the same sign; the {report.classification.value} "
             f"branch lives on the other side of mu_c={muc}")
-    eig = leading_eigenpair(params, mu, grid)
-    mc = solve_G11(params, mu, eig, grid)
+    eig = EigenResult(lambda1=report.lambda1, psi1=report.psi1, mu=mu)
+    mc = ManifoldCoeffs(g11=report.g11)
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": mu,
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
            "l_plain_pairing": lyapunov_coeff_plain(params, mu, eig, mc, grid),
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
-    _emit(doc)
     out = _outdir(args)
     outputs = [os.path.join(out, "bifurcate.json")]
     write_json(outputs[0], doc)
@@ -170,9 +170,9 @@ def cmd_bifurcate(args) -> int:
         base = os.path.join(out, f"field_phase{j}")
         write_field_csv(base + ".csv", grid.nodes, psi, vr, vt)
         with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(psi, grid.nodes,
-                               2.0 * np.pi * np.arange(args.ntheta) / args.ntheta))
+            fh.write(field_svg(psi, grid.nodes, theta_lattice(args.ntheta)))
         outputs += [base + ".csv", base + ".svg"]
+    _emit(doc)
     write_manifest(out, "bifurcate", _args_dict(args), outputs)
     return EXIT_OK
 
@@ -181,13 +181,13 @@ def _sim_config(args) -> dict:
     cfg = {
         "a": 1.0, "b": 3.0, "alpha": 5.0, "mu": None, "N": 48, "ntheta": 32,
         "dt": 0.01, "steps": 1000, "delta": 1e-3, "nonlinear": True,
-        "sample_every": 10, "seed": 0,
+        "sample_every": 10,
     }
     if args.config:
         raw = read_config(args.config)
         casts = {"a": float, "b": float, "alpha": float, "mu": float,
                  "N": int, "ntheta": int, "dt": float, "steps": int,
-                 "delta": float, "sample_every": int, "seed": int,
+                 "delta": float, "sample_every": int,
                  "nonlinear": lambda s: s.lower() in ("1", "true", "yes")}
         for key, val in raw.items():
             if key not in casts:
@@ -260,16 +260,8 @@ def cmd_simulate(args) -> int:
     write_json(final, doc)
     outputs += [traj, final]
     if args.snapshot:
-        phys = synthesize_physical(
-            [m for f in state.modal_fields() for m in (f, f.conj())],
-            cfg["ntheta"])
-        vr = np.zeros((grid.N + 1, cfg["ntheta"]))
-        vt = np.zeros_like(vr)
-        theta = 2.0 * np.pi * np.arange(cfg["ntheta"]) / cfg["ntheta"]
-        for n, c in state.psi.items():
-            ph = np.exp(1j * n * theta)
-            vr += 2.0 * np.real(np.outer(-1j * n * c / grid.nodes, ph))
-            vt += 2.0 * np.real(np.outer(grid.d1 @ c, ph))
+        phys = PhysicalField(synthesize_lattice(state.stacked(), cfg["ntheta"]))
+        vr, vt = sim.velocity_lattice(state)
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, grid.nodes, phys, vr, vt)
         outputs.append(snap)
@@ -282,7 +274,7 @@ def _sweep_spec(path: str) -> SweepSpec:
     kwargs = {}
     casts = {"a": float, "alpha_min": float, "alpha_max": float,
              "alpha_samples": int, "b_min": float, "b_max": float,
-             "b_samples": int, "mu_offset": float, "N": int, "ntheta": int}
+             "b_samples": int, "mu_offset": float, "N": int}
     vals = {}
     for key, val in raw.items():
         if key not in casts:
@@ -292,7 +284,7 @@ def _sweep_spec(path: str) -> SweepSpec:
         kwargs["alpha_range"] = (vals.get("alpha_min", 5.0), vals.get("alpha_max", 15.0))
     if "b_min" in vals or "b_max" in vals:
         kwargs["b_range"] = (vals.get("b_min", 5.0), vals.get("b_max", 15.0))
-    for key in ("a", "alpha_samples", "b_samples", "mu_offset", "N", "ntheta"):
+    for key in ("a", "alpha_samples", "b_samples", "mu_offset", "N"):
         if key in vals:
             kwargs[key] = vals[key]
     return SweepSpec(**kwargs)

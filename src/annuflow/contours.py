@@ -17,11 +17,11 @@ from .domain import PhysicalField
 N_LEVELS = 11
 
 
-def contour_levels(values: np.ndarray, n_levels: int = N_LEVELS) -> np.ndarray:
+def contour_levels(values: np.ndarray) -> np.ndarray:
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         return np.array([lo])
-    return np.linspace(lo, hi, n_levels + 2)[1:-1] if n_levels > 0 else np.array([])
+    return np.linspace(lo, hi, N_LEVELS + 2)[1:-1]
 
 
 def _edge_point(p0, p1, f0, f1, level):
@@ -78,9 +78,9 @@ def polar_lattice_xy(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.n
     return xs, ys
 
 
-def field_svg(field: PhysicalField, r: np.ndarray, theta: np.ndarray,
-              *, size: int = 640, n_levels: int = N_LEVELS) -> str:
-    """Standalone SVG document with n_levels contours of the field."""
+def field_svg(field: PhysicalField, r: np.ndarray, theta: np.ndarray) -> str:
+    """Standalone SVG document with N_LEVELS contours of the field."""
+    size = 640  # canvas width and height in pixels
     vals = np.column_stack([field.values, field.values[:, :1]])
     xs, ys = polar_lattice_xy(r, theta)
     b = float(r.max())
@@ -102,7 +102,7 @@ def field_svg(field: PhysicalField, r: np.ndarray, theta: np.ndarray,
         f'<circle cx="{cx}" cy="{cy}" r="{scale * b:.2f}" '
         f'fill="none" stroke="black" stroke-width="1.5"/>',
     ]
-    levels = contour_levels(vals, n_levels)
+    levels = contour_levels(vals)
     lo, hi = float(vals.min()), float(vals.max())
     for level in levels:
         # blue for negative-side levels, red for positive-side, by rank

@@ -91,6 +91,27 @@ def theta_lattice(ntheta: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(ntheta) / ntheta
 
 
+def synthesize_lattice(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
+    """The real field sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice.
+
+    ``coeffs`` is the (M, nr) array whose row n - 1 is the profile c_n.
+    The sum is one inverse real FFT along theta. ``irfft`` counts the
+    Nyquist bin n = ntheta / 2 (present only for even ntheta) once and
+    every other bin twice, so that coefficient is doubled first. A mode
+    with n > ntheta / 2 cannot be represented on the lattice and raises
+    GridMismatch rather than aliasing onto a lower wavenumber.
+    """
+    M, nr = coeffs.shape
+    if 2 * M > ntheta:
+        raise GridMismatch(
+            f"mode {M} is not resolved by ntheta={ntheta} (need n <= ntheta/2)")
+    spec = np.zeros((nr, ntheta // 2 + 1), complex)
+    spec[:, 1:M + 1] = coeffs.T
+    if 2 * M == ntheta:
+        spec[:, M] *= 2.0
+    return ntheta * np.fft.irfft(spec, n=ntheta, axis=1)
+
+
 def synthesize_physical(modes: list[ModalField], ntheta: int) -> PhysicalField:
     """Reconstruct the real physical field from a modal set.
 
@@ -103,26 +124,25 @@ def synthesize_physical(modes: list[ModalField], ntheta: int) -> PhysicalField:
     if not modes:
         return PhysicalField(np.zeros((0, ntheta)))
     nr = len(modes[0])
-    theta = theta_lattice(ntheta)
     by_n: dict[int, np.ndarray] = {}
     for m in modes:
         if len(m) != nr:
             raise GridMismatch("modes sampled on different radial grids")
         by_n[m.n] = by_n.get(m.n, 0) + m.values
-    out = np.zeros((nr, ntheta))
-    done = set()
+    M = max(abs(n) for n in by_n)
+    coeffs = np.zeros((M, nr), complex)
     for n, c in by_n.items():
-        if n in done:
+        if n == 0 or (n < 0 and -n in by_n):
             continue
-        if -n in by_n and n != 0:
-            partner = by_n[-n]
-            if not np.allclose(partner, np.conj(c), atol=1e-12 * (1 + np.abs(c).max())):
-                raise GridMismatch(f"modes +/-{abs(n)} are not conjugate partners")
-            out += 2.0 * np.real(np.outer(c, np.exp(1j * n * theta)))
-            done.update((n, -n))
+        if -n in by_n:
+            if not np.allclose(by_n[-n], np.conj(c), atol=1e-12 * (1 + np.abs(c).max())):
+                raise GridMismatch(f"modes +/-{n} are not conjugate partners")
+            coeffs[n - 1] = c
         else:
-            out += np.real(np.outer(c, np.exp(1j * n * theta)))
-            done.add(n)
+            coeffs[abs(n) - 1] = 0.5 * (c if n > 0 else np.conj(c))
+    out = synthesize_lattice(coeffs, ntheta)
+    if 0 in by_n:
+        out += np.real(by_n[0])[:, None]
     return PhysicalField(out)
 
 

@@ -17,10 +17,6 @@ class GridMismatch(AnnuflowError):
     """Fields or operators built on different radial grids were combined."""
 
 
-class ModeMismatch(AnnuflowError):
-    """Operation requires matching angular wavenumbers."""
-
-
 class TooCoarse(AnnuflowError):
     """Requested radial resolution is below the supported minimum."""
 

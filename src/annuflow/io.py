@@ -62,16 +62,14 @@ def write_json(path: str, doc: dict) -> None:
 
 
 def write_manifest(outdir: str, command: str, inputs: dict,
-                   outputs: list[str]) -> str:
+                   outputs: list[str]) -> None:
     """Reproducibility record for one command invocation."""
-    path = os.path.join(outdir, "manifest.json")
-    write_json(path, {
+    write_json(os.path.join(outdir, "manifest.json"), {
         "command": command,
         "inputs": inputs,
         "outputs": sorted(outputs),
         "version": __version__,
     })
-    return path
 
 
 def load_schema(name: str) -> dict:

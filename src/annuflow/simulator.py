@@ -27,15 +27,15 @@ the zero-mean-swirl phase space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bifurcation import EigenResult
-from .domain import ModalField, DomainParams, synthesize_physical, theta_lattice
+from .bifurcation import EigenResult, lattice_velocity, mode_energies
+from .domain import ModalField, DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
-from .spectral import RadialGrid, laplacian_n, navier_slip_bcs, radial_integral
+from .spectral import RadialGrid, laplacian_n, navier_slip_bcs
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class SimState:
     psi: dict[int, np.ndarray] = field(repr=False)
     prev_nonlinear: dict[int, np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def n_max(self) -> int:
-        return max(self.psi)
+    def stacked(self) -> np.ndarray:
+        """The profiles as one (M, N+1) array, row n - 1 holding mode n."""
+        return np.array([self.psi[n] for n in sorted(self.psi)])
 
     def modal_fields(self) -> list[ModalField]:
         return [ModalField(n, c) for n, c in sorted(self.psi.items())]
@@ -110,26 +110,23 @@ class Simulator:
         self.nonlinear = nonlinear
         self.M = ntheta // 2
         self.K = (2 * self.M) // 3
-        self.theta = theta_lattice(ntheta)
         N = grid.N
         self._bc_idx = [0, 1, N - 1, N]
+        bc_rows = navier_slip_bcs(grid, params, mu=self.mu).rows
         self._lap = {}
         self._lhs = {}
         self._rhs = {}
-        bcs_rows_cache = None
         for n in range(1, self.M + 1):
             Ln = laplacian_n(grid, n).matrix
+            LL = Ln @ Ln
             self._lap[n] = Ln
-            A = Ln - 0.5 * self.dt * self.mu * (Ln @ Ln)
-            rows = navier_slip_bcs(grid, params, mu=self.mu).rows if bcs_rows_cache is None else bcs_rows_cache
-            bcs_rows_cache = rows
-            for i, rw in zip(self._bc_idx, rows):
-                A[i, :] = rw
+            A = Ln - 0.5 * self.dt * self.mu * LL
+            A[self._bc_idx, :] = bc_rows
             try:
                 self._lhs[n] = lu_factor(A)
             except Exception as exc:  # pragma: no cover
                 raise SolverFailure(f"implicit factorization failed for mode {n}: {exc}")
-            self._rhs[n] = Ln + 0.5 * self.dt * self.mu * (Ln @ Ln)
+            self._rhs[n] = Ln + 0.5 * self.dt * self.mu * LL
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -157,19 +154,7 @@ class Simulator:
 
     def velocity_lattice(self, state: SimState) -> tuple[np.ndarray, np.ndarray]:
         """(v_r, v_theta) of the real field on the (r, theta) lattice."""
-        r = self.grid.nodes
-        vr = np.zeros((self.grid.N + 1, self.ntheta))
-        vt = np.zeros_like(vr)
-        for n, c in state.psi.items():
-            phase = np.exp(1j * n * self.theta)
-            vr += 2.0 * np.real(np.outer(-1j * n * c / r, phase))
-            vt += 2.0 * np.real(np.outer(self.grid.d1 @ c, phase))
-        return vr, vt
-
-    def max_velocity(self, state: SimState) -> float:
-        """max over the lattice of max(|v_r|, |v_theta|)."""
-        vr, vt = self.velocity_lattice(state)
-        return float(max(np.abs(vr).max(), np.abs(vt).max()))
+        return lattice_velocity(state.stacked(), self.grid, self.ntheta)
 
     def cfl_limit(self, state: SimState) -> float:
         """Largest admissible dt: 0.5 / max crossing rate, where each
@@ -231,25 +216,14 @@ class Simulator:
 
     # -------------------------------------------------------- diagnostics
 
+    def _mode_energies(self, state: SimState) -> np.ndarray:
+        """(E3, E1, E2) of each mode of the field, one row per mode."""
+        return 4.0 * np.pi * np.array([mode_energies(self.params, c, self.grid, n)
+                                       for n, c in sorted(state.psi.items())])
+
     def energies(self, state: SimState) -> tuple[float, float, float]:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
-        grid = self.grid
-        r = grid.nodes
-        d1 = grid.d1
-        E3 = E1 = E2 = 0.0
-        for n, c in state.psi.items():
-            vr = -1j * n * c / r
-            vt = d1 @ c
-            E3 += 4.0 * np.pi * (grid.weights @ (np.abs(vr) ** 2 + np.abs(vt) ** 2)).real
-            g1 = d1 @ vr
-            g2 = d1 @ vt
-            g3 = (1j * n * vr - vt) / r
-            g4 = (1j * n * vt + vr) / r
-            E1 += 4.0 * np.pi * (grid.weights @ (np.abs(g1) ** 2 + np.abs(g2) ** 2
-                                                 + np.abs(g3) ** 2 + np.abs(g4) ** 2)).real
-            E1 += 4.0 * np.pi * np.abs(vt[0]) ** 2
-            E2 += 4.0 * np.pi * self.params.a * np.abs(vt[-1]) ** 2
-        return E3, E1, E2
+        return tuple(self._mode_energies(state).sum(axis=0).tolist())
 
     def energy_rhs(self, state: SimState) -> float:
         """Linear energy-balance right-hand side -mu E1 + (alpha - mu/a) E2."""
@@ -269,20 +243,13 @@ class Simulator:
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
 
     def max_psi(self, state: SimState) -> float:
-        phys = synthesize_physical(
-            [m for f in state.modal_fields() for m in (f, f.conj())], self.ntheta)
-        return float(np.abs(phys.values).max())
+        return float(np.abs(synthesize_lattice(state.stacked(), self.ntheta)).max())
 
     def diagnostics(self, state: SimState) -> Diagnostics:
-        E3, E1, E2 = self.energies(state)
-        mode_e = tuple(
-            4.0 * np.pi * radial_integral(
-                self.grid,
-                np.abs(-1j * n * state.psi[n] / self.grid.nodes) ** 2
-                + np.abs(self.grid.d1 @ state.psi[n]) ** 2).real
-            for n in range(1, self.M + 1))
-        return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2,
-                           max_psi=self.max_psi(state), mode_energies=mode_e)
+        per_mode = self._mode_energies(state)
+        E3, E1, E2 = per_mode.sum(axis=0).tolist()
+        return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2, max_psi=self.max_psi(state),
+                           mode_energies=tuple(per_mode[:, 0].tolist()))
 
     def run(self, state: SimState, nsteps: int,
             sample_every: int = 1) -> tuple[SimState, list[Diagnostics]]:

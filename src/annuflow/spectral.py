@@ -74,12 +74,7 @@ class RadialGrid:
     nodes: np.ndarray = field(repr=False)
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
-    d3: np.ndarray = field(repr=False)
-    d4: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    def same_as(self, other: "RadialGrid") -> bool:
-        return self.N == other.N and self.a == other.a and self.b == other.b
 
 
 def build_grid(a: float, b: float, N: int) -> RadialGrid:
@@ -93,13 +88,11 @@ def build_grid(a: float, b: float, N: int) -> RadialGrid:
     nodes = (a + b) / 2.0 + half * x
     d1 = D / half
     d2 = d1 @ d1
-    d3 = d2 @ d1
-    d4 = d2 @ d2
     weights = _clencurt_weights(N) * half * nodes
-    for m in (nodes, d1, d2, d3, d4, weights):
+    for m in (nodes, d1, d2, weights):
         m.setflags(write=False)
     return RadialGrid(a=float(a), b=float(b), N=N, nodes=nodes,
-                      d1=d1, d2=d2, d3=d3, d4=d4, weights=weights)
+                      d1=d1, d2=d2, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,7 @@ def _impose(matrix: np.ndarray, bcs: BoundaryConditionSet) -> np.ndarray:
 
 
 def solve_bvp(op: ModalOperator | np.ndarray, rhs: ModalField,
-              bcs: BoundaryConditionSet,
-              bc_values: np.ndarray | None = None) -> ModalField:
+              bcs: BoundaryConditionSet) -> ModalField:
     """Solve op x = rhs with boundary rows substituted into the matrix.
 
     ``op`` may carry a spectral shift already (e.g. mu Delta_n^2 - 2 lambda
@@ -190,7 +182,7 @@ def solve_bvp(op: ModalOperator | np.ndarray, rhs: ModalField,
     A = _impose(mat, bcs)
     f = rhs.values.copy()
     idx = list(bcs.resolve_indices(A.shape[0]))
-    f[idx] = 0.0 if bc_values is None else bc_values
+    f[idx] = 0.0
     # row-equilibrate before conditioning: boundary rows are O(1) while
     # interior high-order rows grow like N^8, so the raw condition number
     # reflects row scaling, not proximity to a resonant shift

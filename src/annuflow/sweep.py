@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .bifurcation import (
-    Classification,
-    classify_and_build,
-    leading_eigenpair,
-    lyapunov_coeff,
-    solve_G11,
-)
+from .bifurcation import classify_and_build, reduction
 from .critical import mu_c_closed
-from .domain import DomainParams, validate
-from .errors import AnnuflowError, InvalidPhysics, NoBracket
+from .domain import validate
+from .errors import AnnuflowError, InvalidPhysics
 from .spectral import RadialGrid, build_grid
 
 #: bisection iteration cap for the sign-flip boundary
@@ -49,7 +43,6 @@ class SweepSpec:
     b_samples: int = 6
     mu_offset: float = -1e-4
     N: int = 48
-    ntheta: int = 32
 
     def __post_init__(self):
         if self.alpha_samples < 1 or self.b_samples < 1:
@@ -78,7 +71,6 @@ class SweepSpec:
             "b_samples": self.b_samples,
             "mu_offset": self.mu_offset,
             "N": self.N,
-            "ntheta": self.ntheta,
         }
 
 
@@ -109,9 +101,7 @@ def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,
         muc = mu_c_closed(validate(a, b, alpha, 1.0))
         mu = muc * (1.0 + mu_offset)
         params = validate(a, b, alpha, mu)
-        eig = leading_eigenpair(params, mu, grid)
-        mc = solve_G11(params, mu, eig, grid)
-        l = lyapunov_coeff(params, mu, eig, mc, grid)
+        eig, mc, l = reduction(params, mu, grid)
         report = classify_and_build(params, mu, eig, l, mc)
         return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=eig.lambda1,
                         l=l, classification=report.classification.value,
@@ -155,10 +145,8 @@ def _l_at(a: float, b: float, alpha: float, mu_offset: float, N: int) -> float:
     grid = build_grid(a, b, N)
     muc = mu_c_closed(validate(a, b, alpha, 1.0))
     mu = muc * (1.0 + mu_offset)
-    params = validate(a, b, alpha, mu)
-    eig = leading_eigenpair(params, mu, grid)
-    mc = solve_G11(params, mu, eig, grid)
-    return lyapunov_coeff(params, mu, eig, mc, grid)
+    _, _, l = reduction(validate(a, b, alpha, mu), mu, grid)
+    return l
 
 
 def boundary_bisect(spec: SweepSpec, alpha: float, *,
@@ -201,8 +189,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 
 def write_sweep_manifest(spec: SweepSpec, path: str,
                          extra: dict | None = None) -> None:
-    doc = {"spec": spec.to_dict(), "resolution": {"N": spec.N, "ntheta": spec.ntheta},
-           "version": __version__}
+    doc = {"spec": spec.to_dict(), "version": __version__}
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:

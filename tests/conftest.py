@@ -42,3 +42,20 @@ def report_099(eig_099, grid48):
     mc = af.solve_G11(pr, mu, eig, grid48)
     l = af.lyapunov_coeff(pr, mu, eig, mc, grid48)
     return af.classify_and_build(pr, mu, eig, l, mc)
+
+
+def _literal_lattice_sum(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
+    """sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice, summed term by
+    term over every mode and every angle; row n - 1 of ``coeffs`` is c_n."""
+    theta = af.theta_lattice(ntheta)
+    out = np.zeros((coeffs.shape[1], ntheta))
+    for n, c in enumerate(coeffs, start=1):
+        for j in range(ntheta):
+            out[:, j] += 2.0 * np.real(c * np.exp(1j * n * theta[j]))
+    return out
+
+
+@pytest.fixture(scope="session")
+def lattice_reference():
+    """The literal double sum that the FFT lattice transform must reproduce."""
+    return _literal_lattice_sum

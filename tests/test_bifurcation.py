@@ -163,6 +163,22 @@ class TestBifurcatedState:
         f2 = rep2.psi_s(rep2.amplitude * np.exp(-1j * np.angle(c)), 64).values
         assert np.abs(f1 - f2).max() < 1e-8 * np.abs(f1).max()
 
+    @pytest.mark.parametrize("ntheta", [4, 7, 64])
+    def test_velocity_matches_literal_sum(self, report_099, grid48, ntheta,
+                                          lattice_reference):
+        rep = report_099
+        s = rep.amplitude * np.exp(0.4j)
+        c = np.array([s * rep.psi1.values, s**2 * rep.g11.values])
+        n = np.array([[1], [2]])
+        vr, vt = rep.velocity(s, grid48, ntheta)
+        ref_r = lattice_reference(-1j * n * c / grid48.nodes, ntheta)
+        ref_t = lattice_reference(np.array([grid48.d1 @ ck for ck in c]), ntheta)
+        assert np.abs(vr - ref_r).max() <= 1e-13 * np.abs(ref_r).max()
+        assert np.abs(vt - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+        psi = rep.psi_s(s, ntheta).values
+        ref = lattice_reference(c, ntheta)
+        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_velocity_divergence_free(self, report_099, grid48):
         # incompressibility in polar form: d(r v_r)/dr + d v_theta/d theta = 0
         rep = report_099

@@ -82,6 +82,30 @@ class TestBifurcate:
         # phase step 2 pi / 4 advances the n=1 pattern by a quarter turn
         assert np.abs(np.roll(f0, -8, axis=1) - f1).max() < 1e-10
 
+    def test_solves_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
+        import annuflow.bifurcation
+        import annuflow.cli
+        solve = annuflow.bifurcation.leading_eigenpair
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (annuflow.bifurcation, annuflow.cli):
+            monkeypatch.setattr(module, "leading_eigenpair", counted)
+        code, _ = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "1",
+                          "-N", "40", "-o", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_unresolved_ntheta_exit_2(self, tmp_path, capsys):
+        # psi_s carries modes 1 and 2, which three angles cannot resolve
+        code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "1",
+                            "-N", "40", "--ntheta", "3", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "GridMismatch"
+
     def test_wrong_side_exit_4(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--mu", "1.5",
                             "-N", "40", "-o", str(tmp_path))
@@ -124,6 +148,18 @@ class TestSimulate:
         code, doc = run_cli(capsys, "simulate", "--config", str(cfg),
                             "-o", str(tmp_path))
         assert code == 2
+
+
+@pytest.mark.parametrize("command,line", [("simulate", "seed = 0\n"),
+                                          ("sweep", "ntheta = 32\n")],
+                         ids=["simulate-seed", "sweep-ntheta"])
+def test_removed_keys_exit_2(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line)
+    argv = ["simulate", "--config", str(cfg)] if command == "simulate" else ["sweep", str(cfg)]
+    code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 2
+    assert "unknown" in doc["message"]
 
 
 class TestSweepCommands:

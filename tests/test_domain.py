@@ -42,13 +42,34 @@ class TestSynthesize:
         theta = af.theta_lattice(16)
         assert np.allclose(phys.values, np.cos(theta)[None, :])
 
-    def test_explicit_pair_sums_literally(self):
+    @pytest.mark.parametrize("n,ntheta", [(2, 32), (2, 4), (3, 7)])
+    def test_explicit_pair_sums_literally(self, n, ntheta):
+        # (2, 4) puts the pair on the Nyquist bin, (3, 7) on the top bin of
+        # an odd lattice, which has none
         c = np.array([0.3 + 0.4j])
-        f = af.ModalField(2, c)
-        phys = af.synthesize_physical([f, f.conj()], 32)
-        theta = af.theta_lattice(32)
-        expected = 2 * np.real(c[0] * np.exp(2j * theta))
+        f = af.ModalField(n, c)
+        phys = af.synthesize_physical([f, f.conj()], ntheta)
+        theta = af.theta_lattice(ntheta)
+        expected = 2 * np.real(c[0] * np.exp(1j * n * theta))
         assert np.allclose(phys.values[0], expected)
+
+    @pytest.mark.parametrize("ntheta", [4, 7, 8, 64])
+    def test_lattice_transform_matches_literal_sum(self, ntheta, lattice_reference):
+        # every resolvable mode populated, so even lattices fill the Nyquist bin
+        rng = np.random.default_rng(ntheta)
+        M = ntheta // 2
+        coeffs = rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
+        ref = lattice_reference(coeffs, ntheta)
+        out = af.synthesize_lattice(coeffs, ntheta)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n,ntheta", [(3, 5), (5, 8), (2, 3)])
+    def test_unresolved_mode_rejected(self, n, ntheta):
+        f = af.ModalField(n, np.ones(3))
+        with pytest.raises(af.GridMismatch):
+            af.synthesize_physical([f, f.conj()], ntheta)
+        with pytest.raises(af.GridMismatch):
+            af.synthesize_lattice(np.ones((n, 3)), ntheta)
 
     def test_non_conjugate_pair_rejected(self):
         f = af.ModalField(1, np.array([1.0 + 1j]))

@@ -173,6 +173,22 @@ class TestStructure:
         phys = af.synthesize_physical(modes, 16)
         assert np.isrealobj(phys.values)
 
+    def test_velocity_lattice_matches_literal_sum(self, unstable, lattice_reference):
+        # ntheta = 8 puts the top mode M = 4 on the Nyquist bin; advection
+        # forces only n <= K = 2, so mode 4 is filled by hand
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        st = sim.init_from_mode(eig, 1e-2)
+        st, _ = sim.run(st, 20, sample_every=20)
+        st.psi[4] = st.psi[4] + 1e-3 * eig.psi1.values
+        vr, vt = sim.velocity_lattice(st)
+        n = np.arange(1, 5)[:, None]
+        c = np.array([st.psi[k] for k in range(1, 5)])
+        ref_r = lattice_reference(-1j * n * c / g.nodes, 8)
+        ref_t = lattice_reference(np.array([g.d1 @ ck for ck in c]), 8)
+        assert np.abs(vr - ref_r).max() <= 1e-13 * np.abs(ref_r).max()
+        assert np.abs(vt - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+
     def test_boundary_rows_after_step(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
