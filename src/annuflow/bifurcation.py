@@ -61,27 +61,29 @@ class EigenResult:
 
 
 def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
-                  n: int = 1) -> tuple[float, float, float]:
+                  n: int | np.ndarray = 1) -> tuple:
     """Radial energy functionals (E3, E1, E2) of a mode-n profile.
 
     With v = (-i n psi / r, psi'), E3 = int |v|^2 r dr is the kinetic
     energy, E1 the gradient energy plus the outer-boundary tangential
     term, and E2 the inner-boundary tangential term. The field
-    psi e^{i n theta} + c.c. carries 4 pi times each.
+    psi e^{i n theta} + c.c. carries 4 pi times each. Stacked profiles,
+    one per row, with ``n`` a column of their wavenumbers give one array
+    of values per functional.
     """
     r = grid.nodes
     d1 = grid.d1
     vr = -1j * n * psi / r
-    vt = d1 @ psi
-    E3 = (grid.weights @ (np.abs(vr) ** 2 + np.abs(vt) ** 2)).real
-    g1 = d1 @ vr
-    g2 = d1 @ vt
+    vt = (d1 @ psi.T).T
+    E3 = ((np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights).real
+    g1 = (d1 @ vr.T).T
+    g2 = (d1 @ vt.T).T
     g3 = (1j * n * vr - vt) / r
     g4 = (1j * n * vt + vr) / r
-    E1 = (grid.weights @ (np.abs(g1) ** 2 + np.abs(g2) ** 2
-                          + np.abs(g3) ** 2 + np.abs(g4) ** 2)).real
-    E1 += np.abs(vt[0]) ** 2
-    E2 = params.a * np.abs(vt[-1]) ** 2
+    E1 = ((np.abs(g1) ** 2 + np.abs(g2) ** 2
+           + np.abs(g3) ** 2 + np.abs(g4) ** 2) @ grid.weights).real
+    E1 += np.abs(vt[..., 0]) ** 2
+    E2 = params.a * np.abs(vt[..., -1]) ** 2
     return E3, E1, E2
 
 
@@ -258,7 +260,8 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
                      ntheta: int) -> tuple[np.ndarray, np.ndarray]:
     """(v_r, v_theta) on the (r, theta) lattice of the streamfunction
     sum_n (c_n e^{i n theta} + c.c.), with c_n in row n - 1 of ``coeffs``:
-    v_r = (1/r) d psi / d theta and v_theta = d psi / dr."""
+    v_r = -(1/r) d psi / d theta and v_theta = d psi / dr, as in
+    :func:`mode_energies`."""
     n = np.arange(1, len(coeffs) + 1)[:, None]
     return (synthesize_lattice(-1j * n * coeffs / grid.nodes, ntheta),
             synthesize_lattice(coeffs @ grid.d1.T, ntheta))

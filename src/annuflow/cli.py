@@ -260,7 +260,7 @@ def cmd_simulate(args) -> int:
     write_json(final, doc)
     outputs += [traj, final]
     if args.snapshot:
-        phys = PhysicalField(synthesize_lattice(state.stacked(), cfg["ntheta"]))
+        phys = PhysicalField(synthesize_lattice(state.psi, cfg["ntheta"]))
         vr, vt = sim.velocity_lattice(state)
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, grid.nodes, phys, vr, vt)

@@ -18,10 +18,18 @@ N_LEVELS = 11
 
 
 def contour_levels(values: np.ndarray) -> np.ndarray:
+    """N_LEVELS evenly spaced interior levels of the field's range.
+
+    A level within rounding (8 eps of the range) of zero is set to exactly
+    0, so that the zero contour does not depend on the last bits of the
+    field wherever the field is exactly 0, as along the Dirichlet circles.
+    """
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         return np.array([lo])
-    return np.linspace(lo, hi, N_LEVELS + 2)[1:-1]
+    levels = np.linspace(lo, hi, N_LEVELS + 2)[1:-1]
+    levels[np.abs(levels) <= 8 * np.finfo(float).eps * (hi - lo)] = 0.0
+    return levels
 
 
 def _edge_point(p0, p1, f0, f1, level):
@@ -103,10 +111,9 @@ def field_svg(field: PhysicalField, r: np.ndarray, theta: np.ndarray) -> str:
         f'fill="none" stroke="black" stroke-width="1.5"/>',
     ]
     levels = contour_levels(vals)
-    lo, hi = float(vals.min()), float(vals.max())
-    for level in levels:
+    for k, level in enumerate(levels):
         # blue for negative-side levels, red for positive-side, by rank
-        frac = 0.5 if hi == lo else (level - lo) / (hi - lo)
+        frac = (k + 1) / (len(levels) + 1)
         hue = 240 if frac < 0.5 else 0
         sat = int(100 * abs(2 * frac - 1))
         color = f"hsl({hue},{sat}%,45%)"

@@ -2,27 +2,30 @@
 
 The streamfunction perturbation is expanded as
 
-    psi(r, theta, t) = sum_{n=1}^{M} psi_n(r, t) e^{i n theta} + c.c.
+    psi(r, theta, t) = sum_{n=1}^{M} psi_n(r, t) e^{i n theta} + c.c.,
 
-and each mode evolves by
+with M = ntheta / 2, and the state is one (M, N+1) complex array whose
+row n - 1 holds psi_n. Each mode evolves by
 
     d/dt Delta_n psi_n = mu Delta_n^2 psi_n + N_n(psi),
 
-where N_n collects the advection contributions from all mode pairs with
-n1 + n2 = n. Time stepping is IMEX: Crank-Nicolson on the stiff viscous
-term, second-order Adams-Bashforth on the advection (one Euler startup
-step), with the four boundary rows replaced directly in the per-mode
-implicit system so psi stays the prognostic variable:
+where N_n is mode n of the advection -v . grad omega, omega = Delta psi.
+Time stepping is IMEX: Crank-Nicolson on the stiff viscous term,
+second-order Adams-Bashforth on the advection (one Euler startup step),
+with the four boundary rows replaced directly in the per-mode implicit
+system so psi stays the prognostic variable:
 
     (Delta_n - dt mu / 2 Delta_n^2) psi^{k+1}
         = (Delta_n + dt mu / 2 Delta_n^2) psi^k + dt (3/2 N^k - 1/2 N^{k-1}).
 
-The advection sum is a direct modal convolution with 2/3 output truncation
-(modes above K = 2M/3 receive no nonlinear forcing), which controls
-aliasing exactly at desk-scale angular resolutions. The mean (n = 0) mode
-is projected out each step by construction: the state stores n >= 1 only
-and convolution output at n = 0 is discarded, keeping the dynamics inside
-the zero-mean-swirl phase space.
+The advection is a pseudo-spectral product: velocity and vorticity
+gradient are synthesized on the doubled lattice of L = 2 ntheta angles,
+multiplied pointwise and transformed back with one real FFT. Only modes
+n <= K = 2M/3 are kept (the rest receive no nonlinear forcing); since
+L = 4M >= 2M + K + 1, those modes are free of aliasing (Orszag's rule).
+The mean (n = 0) mode is dropped the same way, keeping the dynamics
+inside the zero-mean-swirl phase space. The CFL check reads the same
+velocity on the even columns, which form the ntheta lattice.
 """
 
 from __future__ import annotations
@@ -40,28 +43,22 @@ from .spectral import RadialGrid, laplacian_n, navier_slip_bcs
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot: time, modal profiles for n = 1..M, and the
-    previous step's advection terms (None before the first step)."""
+    """Immutable snapshot: time, the (M, N+1) modal profiles (row n - 1
+    holds mode n), and the previous step's advection terms in the same
+    layout (None before the first step)."""
 
     t: float
-    psi: dict[int, np.ndarray] = field(repr=False)
-    prev_nonlinear: dict[int, np.ndarray] | None = field(default=None, repr=False)
-
-    def stacked(self) -> np.ndarray:
-        """The profiles as one (M, N+1) array, row n - 1 holding mode n."""
-        return np.array([self.psi[n] for n in sorted(self.psi)])
+    psi: np.ndarray = field(repr=False)
+    prev_nonlinear: np.ndarray | None = field(default=None, repr=False)
 
     def modal_fields(self) -> list[ModalField]:
-        return [ModalField(n, c) for n, c in sorted(self.psi.items())]
+        return [ModalField(n, c) for n, c in enumerate(self.psi, start=1)]
 
     def rotated(self, theta0: float) -> "SimState":
         """The state rotated by theta0: mode n picks up e^{i n theta0}."""
-        psi = {n: c * np.exp(1j * n * theta0) for n, c in self.psi.items()}
-        prev = None
-        if self.prev_nonlinear is not None:
-            prev = {n: c * np.exp(1j * n * theta0)
-                    for n, c in self.prev_nonlinear.items()}
-        return SimState(t=self.t, psi=psi, prev_nonlinear=prev)
+        phase = np.exp(1j * np.arange(1, len(self.psi) + 1) * theta0)[:, None]
+        prev = None if self.prev_nonlinear is None else phase * self.prev_nonlinear
+        return SimState(t=self.t, psi=phase * self.psi, prev_nonlinear=prev)
 
 
 @dataclass(frozen=True)
@@ -112,21 +109,17 @@ class Simulator:
         self.K = (2 * self.M) // 3
         N = grid.N
         self._bc_idx = [0, 1, N - 1, N]
-        bc_rows = navier_slip_bcs(grid, params, mu=self.mu).rows
-        self._lap = {}
-        self._lhs = {}
-        self._rhs = {}
-        for n in range(1, self.M + 1):
-            Ln = laplacian_n(grid, n).matrix
-            LL = Ln @ Ln
-            self._lap[n] = Ln
-            A = Ln - 0.5 * self.dt * self.mu * LL
-            A[self._bc_idx, :] = bc_rows
-            try:
-                self._lhs[n] = lu_factor(A)
-            except Exception as exc:  # pragma: no cover
-                raise SolverFailure(f"implicit factorization failed for mode {n}: {exc}")
-            self._rhs[n] = Ln + 0.5 * self.dt * self.mu * LL
+        self._n = np.arange(1, self.M + 1)[:, None]
+        self._lap = np.array([laplacian_n(grid, n).matrix
+                              for n in range(1, self.M + 1)])
+        LL = self._lap @ self._lap
+        lhs = self._lap - 0.5 * self.dt * self.mu * LL
+        lhs[:, self._bc_idx, :] = navier_slip_bcs(grid, params, mu=self.mu).rows
+        try:
+            self._lhs = [lu_factor(A) for A in lhs]
+        except Exception as exc:  # pragma: no cover
+            raise SolverFailure(f"implicit factorization failed: {exc}")
+        self._rhs = self._lap + 0.5 * self.dt * self.mu * LL
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -137,98 +130,74 @@ class Simulator:
     # ------------------------------------------------------------- state
 
     def zero_state(self) -> SimState:
-        psi = {n: np.zeros(self.grid.N + 1, complex) for n in range(1, self.M + 1)}
-        return SimState(t=0.0, psi=psi)
+        return SimState(t=0.0, psi=np.zeros((self.M, self.grid.N + 1), complex))
 
     def init_from_mode(self, eig: EigenResult, delta: float) -> SimState:
-        """State delta * Psi_1 in the n = 1 slot, all other modes zero."""
+        """State delta * Psi_1 in the n = 1 row, all other modes zero."""
         if delta < 0:
             raise ValueError(f"amplitude must be nonnegative, got {delta}")
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
         st = self.zero_state()
-        st.psi[1] = delta * eig.psi1.values.astype(complex)
+        st.psi[0] = delta * eig.psi1.values
         return st
 
     # ----------------------------------------------------------- physics
 
     def velocity_lattice(self, state: SimState) -> tuple[np.ndarray, np.ndarray]:
         """(v_r, v_theta) of the real field on the (r, theta) lattice."""
-        return lattice_velocity(state.stacked(), self.grid, self.ntheta)
+        return lattice_velocity(state.psi, self.grid, self.ntheta)
 
     def cfl_limit(self, state: SimState) -> float:
         """Largest admissible dt: 0.5 / max crossing rate, where each
         velocity component is measured against the cell size it crosses
         (radial spacing for v_r, local arc length for v_theta). Infinite
         for the zero state."""
-        vr, vt = self.velocity_lattice(state)
+        return self._cfl(*self.velocity_lattice(state))
+
+    def _cfl(self, vr: np.ndarray, vt: np.ndarray) -> float:
+        """:meth:`cfl_limit` of the velocity on the ntheta lattice."""
         rate_r = (np.abs(vr) / self._dr_local[:, None]).max()
         rate_t = (np.abs(vt) / self._arc_local[:, None]).max()
         rate = max(rate_r, rate_t)
         return float(0.5 / rate) if rate > 0 else float("inf")
 
-    def _advection(self, psi: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Modal convolution of -v . grad omega, truncated to n <= K."""
-        r = self.grid.nodes
-        d1 = self.grid.d1
-        prof, dprof, om, dom = {}, {}, {}, {}
-        for n in range(1, self.M + 1):
-            c = psi[n]
-            prof[n] = c
-            dprof[n] = d1 @ c
-            o = self._lap[n] @ c
-            om[n] = o
-            dom[n] = d1 @ o
-            prof[-n] = np.conj(c)
-            dprof[-n] = np.conj(dprof[n])
-            om[-n] = np.conj(o)
-            dom[-n] = np.conj(dom[n])
-        out = {n: np.zeros(self.grid.N + 1, complex) for n in range(1, self.K + 1)}
-        rng = list(range(-self.M, 0)) + list(range(1, self.M + 1))
-        for n1 in rng:
-            for n2 in rng:
-                n = n1 + n2
-                if 1 <= n <= self.K:
-                    out[n] += 1j * (n1 * prof[n1] / r * dom[n2]
-                                    - n2 * dprof[n1] / r * om[n2])
-        return out
-
     def step(self, state: SimState) -> SimState:
         """Advance one dt. Raises CFLViolation when dt exceeds the
         per-cell advective limit (see :meth:`cfl_limit`)."""
-        limit = self.cfl_limit(state)
+        psi = state.psi
+        L = 2 * self.ntheta
+        vr, vt = lattice_velocity(psi, self.grid, L)
+        limit = self._cfl(vr[:, ::2], vt[:, ::2])
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
-        nl = self._advection(state.psi) if self.nonlinear else None
-        new = {}
-        for n in range(1, self.M + 1):
-            rhs = self._rhs[n] @ state.psi[n]
-            if nl is not None and n <= self.K:
-                if state.prev_nonlinear is None:
-                    rhs = rhs + self.dt * nl[n]
-                else:
-                    rhs = rhs + self.dt * (1.5 * nl[n]
-                                           - 0.5 * state.prev_nonlinear[n])
-            rhs[self._bc_idx] = 0.0
-            new[n] = lu_solve(self._lhs[n], rhs)
+        rhs = (self._rhs @ psi[:, :, None])[:, :, 0]
+        nl = None
+        if self.nonlinear:
+            omega = (self._lap @ psi[:, :, None])[:, :, 0]
+            adv = -(vr * synthesize_lattice(omega @ self.grid.d1.T, L)
+                    + vt * synthesize_lattice(1j * self._n * omega, L)
+                    / self.grid.nodes[:, None])
+            nl = np.zeros_like(psi)
+            nl[:self.K] = (np.fft.rfft(adv, axis=1)[:, 1:self.K + 1] / L).T
+            force = nl if state.prev_nonlinear is None else (
+                1.5 * nl - 0.5 * state.prev_nonlinear)
+            rhs = rhs + self.dt * force
+        rhs[:, self._bc_idx] = 0.0
+        new = np.array([lu_solve(lu, b) for lu, b in zip(self._lhs, rhs)])
         return SimState(t=state.t + self.dt, psi=new, prev_nonlinear=nl)
 
     # -------------------------------------------------------- diagnostics
 
     def _mode_energies(self, state: SimState) -> np.ndarray:
         """(E3, E1, E2) of each mode of the field, one row per mode."""
-        return 4.0 * np.pi * np.array([mode_energies(self.params, c, self.grid, n)
-                                       for n, c in sorted(state.psi.items())])
+        return 4.0 * np.pi * np.column_stack(
+            mode_energies(self.params, state.psi, self.grid, self._n))
 
     def energies(self, state: SimState) -> tuple[float, float, float]:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
         return tuple(self._mode_energies(state).sum(axis=0).tolist())
-
-    def energy_rhs(self, state: SimState) -> float:
-        """Linear energy-balance right-hand side -mu E1 + (alpha - mu/a) E2."""
-        E3, E1, E2 = self.energies(state)
-        return -self.mu * E1 + (self.params.alpha - self.mu / self.params.a) * E2
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
         """Relative defect of d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2 across
@@ -237,13 +206,14 @@ class Simulator:
         dt = after.t - before.t
         if dt <= 0:
             raise GridMismatch("states are not consecutive")
-        e0 = self.energies(before)[0]
-        e1 = self.energies(after)[0]
-        rhs = 0.5 * (self.energy_rhs(before) + self.energy_rhs(after))
+        e0, E1a, E2a = self.energies(before)
+        e1, E1b, E2b = self.energies(after)
+        gain = self.params.alpha - self.mu / self.params.a
+        rhs = 0.5 * ((-self.mu * E1a + gain * E2a) + (-self.mu * E1b + gain * E2b))
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
 
     def max_psi(self, state: SimState) -> float:
-        return float(np.abs(synthesize_lattice(state.stacked(), self.ntheta)).max())
+        return float(np.abs(synthesize_lattice(state.psi, self.ntheta)).max())
 
     def diagnostics(self, state: SimState) -> Diagnostics:
         per_mode = self._mode_energies(state)

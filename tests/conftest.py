@@ -59,3 +59,30 @@ def _literal_lattice_sum(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
 def lattice_reference():
     """The literal double sum that the FFT lattice transform must reproduce."""
     return _literal_lattice_sum
+
+
+def _literal_advection(psi: np.ndarray, grid, K: int) -> np.ndarray:
+    """Modes n <= K of -v . grad omega as the literal sum over every mode
+    pair (n1, n2), n1 + n2 = n, with n1 and n2 in +-1..M; row n - 1 of
+    ``psi`` is the profile of mode n, and rows above K of the result are 0."""
+    r, d1 = grid.nodes, grid.d1
+    prof, dprof, om, dom = {}, {}, {}, {}
+    for n, c in enumerate(psi, start=1):
+        o = af.laplacian_n(grid, n).matrix @ c
+        prof[n], dprof[n], om[n], dom[n] = c, d1 @ c, o, d1 @ o
+        for d in (prof, dprof, om, dom):
+            d[-n] = np.conj(d[n])
+    out = np.zeros_like(psi)
+    for n1 in prof:
+        for n2 in prof:
+            n = n1 + n2
+            if 1 <= n <= K:
+                out[n - 1] += 1j * (n1 * prof[n1] / r * dom[n2]
+                                    - n2 * dprof[n1] / r * om[n2])
+    return out
+
+
+@pytest.fixture(scope="session")
+def advection_reference():
+    """The mode-pair convolution that the simulator's FFT advection replaces."""
+    return _literal_advection

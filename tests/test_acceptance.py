@@ -433,7 +433,7 @@ def test_criterion_12_equivariance_suite(sat_setup, grid48, capsys):
         s2 = sim.step(s2)
     s1r = s1.rotated(0.9)
     err_b = max(np.abs(s1r.psi[n] - s2.psi[n]).max()
-                / max(np.abs(s1r.psi[n]).max(), 1.0) for n in s1.psi)
+                / max(np.abs(s1r.psi[n]).max(), 1.0) for n in range(len(s1.psi)))
     # (c) normalization invariance of the physical bifurcated field
     c = 2.3 * np.exp(0.7j)
     scaled = af.EigenResult(lambda1=eig.lambda1,

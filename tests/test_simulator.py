@@ -53,7 +53,7 @@ class TestZeroState:
         st = sim.zero_state()
         for _ in range(1000):
             st = sim.step(st)
-        assert all(np.abs(c).max() == 0.0 for c in st.psi.values())
+        assert all(np.abs(c).max() == 0.0 for c in st.psi)
 
     def test_zero_amplitude_init(self, stable):
         pr, mu, g, eig = stable
@@ -90,7 +90,7 @@ class TestLinearRates:
         lam2, vec2 = pairs[0]
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
         st = sim.zero_state()
-        st.psi[2] = 1e-4 * vec2.values / np.abs(vec2.values).max()
+        st.psi[1] = 1e-4 * vec2.values / np.abs(vec2.values).max()
         _, diags = sim.run(st, 100, sample_every=10)
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
@@ -130,6 +130,22 @@ class TestEnergyBalance:
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.3)
         assert res[1] / res[2] == pytest.approx(4.0, rel=0.3)
 
+    def test_residual_evaluates_each_state_once(self, unstable, monkeypatch):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        s0 = sim.init_from_mode(eig, 1e-3)
+        s1 = sim.step(s0)
+        calls = []
+        orig = af.simulator.mode_energies
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(af.simulator, "mode_energies", counted)
+        sim.energy_residual(s0, s1)
+        assert len(calls) == 2
+
     def test_energies_nonnegative(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
@@ -157,7 +173,7 @@ class TestStructure:
             a_state = sim.step(a_state)
             b_state = sim.step(b_state)
         rotated_after = a_state.rotated(theta0)
-        for n in a_state.psi:
+        for n in range(len(a_state.psi)):
             scale = max(np.abs(rotated_after.psi[n]).max(), 1e-30)
             diff = np.abs(rotated_after.psi[n] - b_state.psi[n]).max()
             assert diff < 1e-8 * max(scale, 1.0)
@@ -180,14 +196,32 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
-        st.psi[4] = st.psi[4] + 1e-3 * eig.psi1.values
+        st.psi[3] = st.psi[3] + 1e-3 * eig.psi1.values
         vr, vt = sim.velocity_lattice(st)
         n = np.arange(1, 5)[:, None]
-        c = np.array([st.psi[k] for k in range(1, 5)])
+        c = st.psi
         ref_r = lattice_reference(-1j * n * c / g.nodes, 8)
         ref_t = lattice_reference(np.array([g.d1 @ ck for ck in c]), 8)
         assert np.abs(vr - ref_r).max() <= 1e-13 * np.abs(ref_r).max()
         assert np.abs(vt - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+
+    @pytest.mark.parametrize("ntheta", [4, 6, 8, 32])
+    def test_advection_matches_mode_pair_loop(self, unstable, advection_reference,
+                                              ntheta):
+        # every mode up to n = M (the Nyquist mode of the ntheta lattice)
+        # is populated, so any aliasing onto n <= K would show
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=1e-6, ntheta=ntheta)
+        rng = np.random.default_rng(ntheta)
+        r = g.nodes
+        psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
+                        * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1.values
+                        for n in range(1, sim.M + 1)])
+        nl = sim.step(af.SimState(0.0, psi)).prev_nonlinear
+        ref = advection_reference(psi, g, sim.K)
+        K = sim.K
+        assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(nl[K:] == 0.0)
 
     def test_boundary_rows_after_step(self, unstable):
         pr, mu, g, eig = unstable
@@ -195,7 +229,7 @@ class TestStructure:
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 10, sample_every=10)
         rows = af.navier_slip_bcs(g, pr, mu=mu).rows
-        for n, c in st.psi.items():
+        for c in st.psi:
             scale = max(np.abs(c).max(), 1e-30)
             assert np.abs(rows @ c).max() < 1e-8 * max(scale, 1.0)
 

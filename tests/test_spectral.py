@@ -46,7 +46,7 @@ class TestOperators:
         B = af.bilaplacian_n(grid64, 1).matrix
         for u in (r**3, r, r * np.log(r), 1.0 / r):
             floor = np.finfo(float).eps * (np.abs(B) @ np.abs(u)).max()
-            assert np.abs(B @ u).max() < 100 * floor
+            assert np.abs(B @ u).max() < 10 * floor
 
 
 class TestBoundaryRows:
