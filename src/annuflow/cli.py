@@ -4,8 +4,9 @@ Subcommands: mu-c, eigen, bifurcate, simulate, sweep, boundary. Every
 command writes its primary report to stdout as JSON and, into the output
 directory, the report plus a manifest sufficient to reproduce the run.
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure, 4 degenerate or
-nonexistent bifurcation branch, 5 CFL violation.
+Exit codes: 0 success, 2 invalid input, 3 solver failure (a non-finite
+simulator state included), 4 degenerate or nonexistent bifurcation branch,
+5 CFL violation. Each error class in :mod:`annuflow.errors` carries its code.
 """
 
 from __future__ import annotations
@@ -28,20 +29,7 @@ from .bifurcation import (
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import PhysicalField, synthesize_lattice, theta_lattice, validate
-from .errors import (
-    AnnuflowError,
-    CFLViolation,
-    DegenerateCoefficient,
-    EigSolverFailure,
-    GridMismatch,
-    InvalidGeometry,
-    InvalidPhysics,
-    NoBracket,
-    NoEscape,
-    SingularSystem,
-    SolverFailure,
-    TooCoarse,
-)
+from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (
     read_config,
     write_field_csv,
@@ -58,31 +46,6 @@ from .sweep import (
     write_sweep_csv,
     write_sweep_manifest,
 )
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_SOLVER = 3
-EXIT_DEGENERATE = 4
-EXIT_CFL = 5
-
-_EXIT_BY_ERROR = {
-    InvalidGeometry: EXIT_INPUT,
-    InvalidPhysics: EXIT_INPUT,
-    TooCoarse: EXIT_INPUT,
-    GridMismatch: EXIT_INPUT,
-    EigSolverFailure: EXIT_SOLVER,
-    SolverFailure: EXIT_SOLVER,
-    SingularSystem: EXIT_SOLVER,
-    NoBracket: EXIT_SOLVER,
-    NoEscape: EXIT_SOLVER,
-    DegenerateCoefficient: EXIT_DEGENERATE,
-    CFLViolation: EXIT_CFL,
-}
-
-
-class NoBranch(DegenerateCoefficient):
-    """Requested a bifurcated state on the side of mu_c where none exists."""
-
 
 def _args_dict(args) -> dict:
     """Serializable view of the parsed arguments for the manifest."""
@@ -116,7 +79,7 @@ def cmd_mu_c(args) -> int:
     path = os.path.join(out, "mu_c.json")
     write_json(path, doc)
     write_manifest(out, "mu-c", _args_dict(args), [path])
-    return EXIT_OK
+    return 0
 
 
 def cmd_eigen(args) -> int:
@@ -139,7 +102,7 @@ def cmd_eigen(args) -> int:
                 fh.write(f"{s['r']:.17g},{s['re']:.17g},{s['im']:.17g}\n")
         outputs.append(path)
     write_manifest(out, "eigen", _args_dict(args), outputs)
-    return EXIT_OK
+    return 0
 
 
 def cmd_bifurcate(args) -> int:
@@ -174,7 +137,18 @@ def cmd_bifurcate(args) -> int:
         outputs += [base + ".csv", base + ".svg"]
     _emit(doc)
     write_manifest(out, "bifurcate", _args_dict(args), outputs)
-    return EXIT_OK
+    return 0
+
+
+def _read_typed(path: str, casts: dict) -> dict:
+    """The key = value file at path, each value cast by its entry in casts;
+    a key without an entry raises InvalidPhysics."""
+    vals = {}
+    for key, val in read_config(path).items():
+        if key not in casts:
+            raise InvalidPhysics(f"unknown config key {key!r}")
+        vals[key] = casts[key](val)
+    return vals
 
 
 def _sim_config(args) -> dict:
@@ -184,15 +158,11 @@ def _sim_config(args) -> dict:
         "sample_every": 10,
     }
     if args.config:
-        raw = read_config(args.config)
-        casts = {"a": float, "b": float, "alpha": float, "mu": float,
-                 "N": int, "ntheta": int, "dt": float, "steps": int,
-                 "delta": float, "sample_every": int,
-                 "nonlinear": lambda s: s.lower() in ("1", "true", "yes")}
-        for key, val in raw.items():
-            if key not in casts:
-                raise InvalidPhysics(f"unknown config key {key!r}")
-            cfg[key] = casts[key](val)
+        cfg.update(_read_typed(args.config, {
+            "a": float, "b": float, "alpha": float, "mu": float, "N": int,
+            "ntheta": int, "dt": float, "steps": int, "delta": float,
+            "sample_every": int,
+            "nonlinear": lambda s: s.lower() in ("1", "true", "yes")}))
     for key in ("a", "b", "alpha", "mu", "dt", "steps", "delta", "N",
                 "ntheta", "sample_every"):
         arg = getattr(args, key, None)
@@ -230,17 +200,11 @@ def cmd_simulate(args) -> int:
         outputs.append(path)
         write_manifest(out, "simulate", cfg | {"escape": args.escape,
                                                "eps_thr": args.eps_thr}, outputs)
-        return EXIT_OK
+        return 0
 
-    state = sim.init_from_mode(eig, cfg["delta"])
-    diags = [sim.diagnostics(state)]
-    residual_max = 0.0
-    for k in range(1, cfg["steps"] + 1):
-        new = sim.step(state)
-        if k % cfg["sample_every"] == 0 or k == cfg["steps"]:
-            residual_max = max(residual_max, sim.energy_residual(state, new))
-            diags.append(sim.diagnostics(new))
-        state = new
+    state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
+                           cfg["sample_every"])
+    residual_max = max((d.energy_residual for d in diags[1:]), default=0.0)
     try:
         sat = diags[-1].max_psi if cfg["nonlinear"] else None
         growth = fit_growth_rate(diags, saturation=None if sat in (None, 0.0) else sat)
@@ -266,20 +230,15 @@ def cmd_simulate(args) -> int:
         write_field_csv(snap, grid.nodes, phys, vr, vt)
         outputs.append(snap)
     write_manifest(out, "simulate", cfg, outputs)
-    return EXIT_OK
+    return 0
 
 
 def _sweep_spec(path: str) -> SweepSpec:
-    raw = read_config(path)
+    vals = _read_typed(path, {
+        "a": float, "alpha_min": float, "alpha_max": float, "alpha_samples": int,
+        "b_min": float, "b_max": float, "b_samples": int, "mu_offset": float,
+        "N": int})
     kwargs = {}
-    casts = {"a": float, "alpha_min": float, "alpha_max": float,
-             "alpha_samples": int, "b_min": float, "b_max": float,
-             "b_samples": int, "mu_offset": float, "N": int}
-    vals = {}
-    for key, val in raw.items():
-        if key not in casts:
-            raise InvalidPhysics(f"unknown sweep key {key!r}")
-        vals[key] = casts[key](val)
     if "alpha_min" in vals or "alpha_max" in vals:
         kwargs["alpha_range"] = (vals.get("alpha_min", 5.0), vals.get("alpha_max", 15.0))
     if "b_min" in vals or "b_max" in vals:
@@ -300,13 +259,13 @@ def cmd_sweep(args) -> int:
             prev = json.load(fh)
         if prev.get("spec") == spec.to_dict():
             _emit({"status": "resume-noop", "csv": csv_path})
-            return EXIT_OK
+            return 0
     rows = sweep_l(spec)
     write_sweep_csv(rows, csv_path)
     write_sweep_manifest(spec, man_path, extra={"rows": len(rows)})
     classes = sorted({r.classification for r in rows if r.status == "ok"})
     _emit({"rows": len(rows), "classes_present": classes, "csv": csv_path})
-    return EXIT_OK
+    return 0
 
 
 def cmd_boundary(args) -> int:
@@ -324,7 +283,7 @@ def cmd_boundary(args) -> int:
                          extra={"alphas": [float(a) for a in alphas]})
     _emit({"points": [{"alpha": r.alpha, "b_star": r.b_star, "status": r.status}
                       for r in results], "csv": csv_path})
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------- parser
@@ -414,15 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AnnuflowError as exc:
+    except (AnnuflowError, ValueError, OSError) as exc:
+        # ValueError and OSError come from malformed config files and casts
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        for cls, code in _EXIT_BY_ERROR.items():
-            if isinstance(exc, cls):
-                return code
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

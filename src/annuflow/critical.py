@@ -4,12 +4,13 @@ The zero-eigenvalue problem Delta_1^2 Psi = 0 has the general solution
 Psi = a1 r + a2 r ln r + a3 / r + a4 r^3; requiring the four boundary
 conditions to admit a nontrivial combination gives a 4x4 determinant that
 vanishes exactly at the critical viscosity. The determinant is transcribed
-verbatim (it is affine in mu, so it brackets a single root); the closed form
+verbatim; only its slip row depends on mu, and affinely, so the determinant
+is affine in mu and has a single root; the closed form
 
     mu_c = a alpha (1 + 3 s^4 - 4 s^2 - 4 s^4 ln s) / (2 (s^4 - 1 - 4 s^4 ln s)),
     s = b / a,
 
-must agree with the bracketed root to 1e-8 relative, which is the primary
+must agree with that root to 1e-8 relative, which is the primary
 cross-check between the two routes.
 """
 
@@ -22,10 +23,6 @@ import numpy as np
 from .domain import DomainParams
 from .errors import NoBracket
 from .spectral import RadialGrid, laplacian_n
-
-#: bisection/secant iteration counts for the determinant root
-_BISECT_STEPS = 80
-_SECANT_STEPS = 5
 
 
 def mu_c_closed(params: DomainParams) -> float:
@@ -60,42 +57,18 @@ def det_condition(params: DomainParams, mu: float) -> float:
 
 
 def mu_c_oracle(params: DomainParams) -> float:
-    """Critical viscosity by bracketed bisection of the determinant.
+    """Critical viscosity as the root of the determinant, affine in mu.
 
-    Searches (1e-6 a alpha, 10 a alpha) for a sign change, bisects, then
-    polishes with a few secant steps. Independent of the closed form.
+    The determinant's values at the ends of (1e-6 a alpha, 10 a alpha) fix
+    the line and so its root; they must differ in sign. Independent of the
+    closed form.
     """
     lo = 1e-6 * params.a * params.alpha
     hi = 10.0 * params.a * params.alpha
-    grid = np.linspace(lo, hi, 256)
-    vals = [det_condition(params, m) for m in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if np.sign(vals[i]) != np.sign(vals[i + 1]):
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    f_lo, f_hi = det_condition(params, lo), det_condition(params, hi)
+    if np.sign(f_lo) == np.sign(f_hi):
         raise NoBracket("determinant has no sign change in (1e-6 a alpha, 10 a alpha)")
-    x0, x1 = bracket
-    f0, f1 = det_condition(params, x0), det_condition(params, x1)
-    for _ in range(_BISECT_STEPS):
-        xm = 0.5 * (x0 + x1)
-        fm = det_condition(params, xm)
-        if fm == 0.0:
-            return float(xm)
-        if np.sign(fm) == np.sign(f0):
-            x0, f0 = xm, fm
-        else:
-            x1, f1 = xm, fm
-    for _ in range(_SECANT_STEPS):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x0, f0 = x1, f1
-        x1, f1 = x2, det_condition(params, x2)
-    return float(x1)
+    return float(lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
 def gamma_n(params: DomainParams, n: int, grid: RadialGrid) -> float:

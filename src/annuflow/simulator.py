@@ -30,7 +30,7 @@ velocity on the even columns, which form the ntheta lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -68,7 +68,10 @@ class Diagnostics:
     E3 is the kinetic energy integral |v|^2; E1 is the gradient energy
     plus the outer-boundary tangential term; E2 is the inner-boundary
     tangential term. All are nonnegative; the linear balance is
-    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2.
+    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2. ``energy_residual`` is
+    that balance's relative defect across the step that ended here (see
+    :meth:`Simulator.energy_residual`); :meth:`Simulator.run` fills it in
+    on every sample but the initial one.
     """
 
     t: float
@@ -77,6 +80,7 @@ class Diagnostics:
     E2: float
     max_psi: float
     mode_energies: tuple[float, ...]
+    energy_residual: float | None = None
 
     @property
     def vnorm(self) -> float:
@@ -107,18 +111,15 @@ class Simulator:
         self.nonlinear = nonlinear
         self.M = ntheta // 2
         self.K = (2 * self.M) // 3
-        N = grid.N
-        self._bc_idx = [0, 1, N - 1, N]
         self._n = np.arange(1, self.M + 1)[:, None]
         self._lap = np.array([laplacian_n(grid, n).matrix
                               for n in range(1, self.M + 1)])
         LL = self._lap @ self._lap
         lhs = self._lap - 0.5 * self.dt * self.mu * LL
-        lhs[:, self._bc_idx, :] = navier_slip_bcs(grid, params, mu=self.mu).rows
-        try:
-            self._lhs = [lu_factor(A) for A in lhs]
-        except Exception as exc:  # pragma: no cover
-            raise SolverFailure(f"implicit factorization failed: {exc}")
+        bcs = navier_slip_bcs(grid, params, mu=self.mu)
+        self._bc_idx = list(bcs.indices)
+        lhs[:, self._bc_idx, :] = bcs.rows
+        self._lhs = [lu_factor(A) for A in lhs]
         self._rhs = self._lap + 0.5 * self.dt * self.mu * LL
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
@@ -164,7 +165,9 @@ class Simulator:
 
     def step(self, state: SimState) -> SimState:
         """Advance one dt. Raises CFLViolation when dt exceeds the
-        per-cell advective limit (see :meth:`cfl_limit`)."""
+        per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
+        when the new state is not finite (a singular implicit matrix or a
+        blown-up run)."""
         psi = state.psi
         L = 2 * self.ntheta
         vr, vt = lattice_velocity(psi, self.grid, L)
@@ -185,7 +188,10 @@ class Simulator:
                 1.5 * nl - 0.5 * state.prev_nonlinear)
             rhs = rhs + self.dt * force
         rhs[:, self._bc_idx] = 0.0
-        new = np.array([lu_solve(lu, b) for lu, b in zip(self._lhs, rhs)])
+        new = np.array([lu_solve(lu, b, check_finite=False)
+                        for lu, b in zip(self._lhs, rhs)])
+        if not np.isfinite(new).all():
+            raise SolverFailure(f"non-finite state at t={state.t + self.dt:.6g}")
         return SimState(t=state.t + self.dt, psi=new, prev_nonlinear=nl)
 
     # -------------------------------------------------------- diagnostics
@@ -206,8 +212,11 @@ class Simulator:
         dt = after.t - before.t
         if dt <= 0:
             raise GridMismatch("states are not consecutive")
-        e0, E1a, E2a = self.energies(before)
-        e1, E1b, E2b = self.energies(after)
+        return self._balance_defect(self.energies(before), self.energies(after), dt)
+
+    def _balance_defect(self, before: tuple, after: tuple, dt: float) -> float:
+        """:meth:`energy_residual` from the (E3, E1, E2) of both states."""
+        (e0, E1a, E2a), (e1, E1b, E2b) = before, after
         gain = self.params.alpha - self.mu / self.params.a
         rhs = 0.5 * ((-self.mu * E1a + gain * E2a) + (-self.mu * E1b + gain * E2b))
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
@@ -224,12 +233,16 @@ class Simulator:
     def run(self, state: SimState, nsteps: int,
             sample_every: int = 1) -> tuple[SimState, list[Diagnostics]]:
         """Advance nsteps, sampling diagnostics every sample_every steps
-        (the initial state is always sampled)."""
+        and after the last (the initial state is always sampled). Each
+        sample but the initial one carries the energy residual of the step
+        that ended there."""
         diags = [self.diagnostics(state)]
         for k in range(1, nsteps + 1):
-            state = self.step(state)
+            prev, state = state, self.step(state)
             if k % sample_every == 0 or k == nsteps:
-                diags.append(self.diagnostics(state))
+                d = self.diagnostics(state)
+                diags.append(replace(d, energy_residual=self._balance_defect(
+                    self.energies(prev), (d.E3, d.E1, d.E2), d.t - prev.t)))
         return state, diags
 
 

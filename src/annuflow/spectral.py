@@ -128,9 +128,6 @@ class BoundaryConditionSet:
     rows: np.ndarray = field(repr=False)
     indices: tuple[int, ...] = (0, 1, -2, -1)
 
-    def resolve_indices(self, size: int) -> tuple[int, ...]:
-        return tuple(i % size for i in self.indices)
-
 
 def navier_slip_bcs(grid: RadialGrid, params: DomainParams,
                     mu: float | None = None) -> BoundaryConditionSet:
@@ -163,8 +160,7 @@ def dirichlet_bcs(grid: RadialGrid) -> BoundaryConditionSet:
 
 def _impose(matrix: np.ndarray, bcs: BoundaryConditionSet) -> np.ndarray:
     out = matrix.copy()
-    for i, row in zip(bcs.resolve_indices(matrix.shape[0]), bcs.rows):
-        out[i, :] = row
+    out[list(bcs.indices)] = bcs.rows
     return out
 
 
@@ -181,8 +177,7 @@ def solve_bvp(op: ModalOperator | np.ndarray, rhs: ModalField,
     n = getattr(op, "n", rhs.n)
     A = _impose(mat, bcs)
     f = rhs.values.copy()
-    idx = list(bcs.resolve_indices(A.shape[0]))
-    f[idx] = 0.0
+    f[list(bcs.indices)] = 0.0
     # row-equilibrate before conditioning: boundary rows are O(1) while
     # interior high-order rows grow like N^8, so the raw condition number
     # reflects row scaling, not proximity to a resonant shift
@@ -212,8 +207,7 @@ def generalized_eig(Aop: ModalOperator, Bop: ModalOperator,
         raise GridMismatch("operators built for different wavenumbers")
     A = _impose(Aop.matrix, bcs)
     B = Bop.matrix.copy()
-    for i in bcs.resolve_indices(A.shape[0]):
-        B[i, :] = 0.0
+    B[list(bcs.indices)] = 0.0
     try:
         lam, V = sla.eig(A, B)
     except sla.LinAlgError as exc:  # pragma: no cover

@@ -5,6 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import annuflow.cli
+import annuflow.critical
+import annuflow.simulator
+from annuflow import errors
 from annuflow.cli import main
 from annuflow.io import load_schema, read_config, validate_against_schema
 
@@ -28,6 +32,13 @@ class TestMuC:
                             "-o", str(tmp_path))
         assert code == 0
         assert doc["discrepancy"] < 1e-8
+
+    def test_oracle_without_sign_change_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(annuflow.critical, "det_condition", lambda p, mu: 1.0)
+        code, doc = run_cli(capsys, "mu-c", "1", "3", "5", "--oracle",
+                            "-o", str(tmp_path))
+        assert code == 3
+        assert doc["error"] == "NoBracket"
 
     def test_invalid_geometry_exit_2(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "mu-c", "1", "1", "5", "-o", str(tmp_path))
@@ -133,6 +144,32 @@ class TestSimulate:
         assert code == 5
         assert doc["error"] == "CFLViolation"
 
+    def test_non_finite_state_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(annuflow.simulator, "lu_solve",
+                            lambda lu, b, **kw: np.full_like(b, np.nan))
+        code, doc = run_cli(capsys, "simulate", "--steps", "5", "--ntheta", "8",
+                            "-N", "32", "--mu", "1.2", "-o", str(tmp_path))
+        assert code == 3
+        assert doc["error"] == "SolverFailure"
+        validate_against_schema(doc, "error")
+
+    def test_energies_twice_per_sample(self, tmp_path, capsys, monkeypatch):
+        # one initial evaluation, then the sample and the state before it
+        calls = []
+        orig = annuflow.simulator.mode_energies
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(annuflow.simulator, "mode_energies", counted)
+        code, doc = run_cli(capsys, "simulate", "--steps", "100", "--sample-every",
+                            "10", "--ntheta", "8", "-N", "32", "--mu", "1.2",
+                            "--dt", "0.005", "-o", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 21
+        assert doc["energy_residual_max"] > 0
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 4.0\nsteps = 50\ndt = 0.005\nntheta = 8\n"
@@ -160,6 +197,24 @@ def test_removed_keys_exit_2(tmp_path, capsys, command, line):
     code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
     assert code == 2
     assert "unknown" in doc["message"]
+
+
+@pytest.mark.parametrize("exc,code", [
+    (errors.AnnuflowError, 2), (errors.InvalidGeometry, 2),
+    (errors.InvalidPhysics, 2), (errors.GridMismatch, 2), (errors.TooCoarse, 2),
+    (errors.SingularSystem, 3), (errors.EigSolverFailure, 3),
+    (errors.SolverFailure, 3), (errors.NoBracket, 3), (errors.NoEscape, 3),
+    (errors.DegenerateCoefficient, 4), (errors.NoBranch, 4),
+    (errors.CFLViolation, 5), (ValueError, 2), (OSError, 2),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_exit_code_by_error(capsys, monkeypatch, exc, code):
+    def fail(args):
+        raise exc("planted")
+
+    monkeypatch.setattr(annuflow.cli, "cmd_mu_c", fail)
+    got, doc = run_cli(capsys, "mu-c", "1", "3", "5")
+    assert got == code
+    assert doc == {"error": exc.__name__, "message": "planted"}
 
 
 class TestSweepCommands:

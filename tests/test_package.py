@@ -1,11 +1,15 @@
-"""Package-level checks: one version number and no unused imports."""
+"""Package-level checks: one version number, no unused imports, and exit
+codes documented as the error classes define them."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import annuflow as af
+import annuflow.cli
+from annuflow import errors
 from annuflow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +56,18 @@ MODULES = sorted(p for p in (ROOT / "src" / "annuflow").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _documented_codes(text: str) -> set[int]:
+    """The numbers in the sentence of text that starts 'Exit codes:'."""
+    sentence = re.search(r"Exit codes:(.*?)\.(\s|$)", text, re.S).group(1)
+    return {int(c) for c in re.findall(r"\b\d+\b", sentence)}
+
+
+@pytest.mark.parametrize("doc", ["cli docstring", "README"])
+def test_exit_codes_documented(doc):
+    text = (annuflow.cli.__doc__ if doc == "cli docstring"
+            else (ROOT / "README.md").read_text())
+    codes = {cls.exit_code for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.AnnuflowError)}
+    assert _documented_codes(text) == {0} | codes

@@ -146,6 +146,19 @@ class TestEnergyBalance:
         sim.energy_residual(s0, s1)
         assert len(calls) == 2
 
+    def test_run_samples_carry_the_step_residual(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        s0 = sim.init_from_mode(eig, 1e-3)
+        _, diags = sim.run(s0, 7, sample_every=3)
+        assert [d.t for d in diags] == pytest.approx([0.0, 0.03, 0.06, 0.07])
+        assert diags[0].energy_residual is None
+        states = [s0]
+        for _ in range(7):
+            states.append(sim.step(states[-1]))
+        for d, k in zip(diags[1:], (3, 6, 7)):
+            assert d.energy_residual == sim.energy_residual(states[k - 1], states[k])
+
     def test_energies_nonnegative(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
@@ -161,6 +174,14 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=50.0, ntheta=8)
         st = sim.init_from_mode(eig, 1.0)
         with pytest.raises(af.CFLViolation):
+            sim.step(st)
+
+    def test_non_finite_state_raises_solver_failure(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        st = sim.init_from_mode(eig, 1e-2)
+        st.psi[0] = np.nan
+        with pytest.raises(af.SolverFailure):
             sim.step(st)
 
     def test_rotational_equivariance_100_steps(self, unstable):
