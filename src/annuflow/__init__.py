@@ -13,7 +13,6 @@ from .bifurcation import (
     BifurcationReport,
     Classification,
     EigenResult,
-    ManifoldCoeffs,
     bifurcation_report,
     classify_and_build,
     interaction,
@@ -62,15 +61,15 @@ from .simulator import (
     fit_growth_rate,
 )
 from .spectral import (
-    BoundaryConditionSet,
-    ModalOperator,
+    BC_ROWS,
+    ModePencil,
     RadialGrid,
     bilaplacian_n,
     build_grid,
-    dirichlet_bcs,
     generalized_eig,
     inner_product,
     laplacian_n,
+    mode_pencil,
     navier_slip_bcs,
     radial_integral,
     solve_bvp,

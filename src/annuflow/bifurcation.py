@@ -31,16 +31,14 @@ from enum import Enum
 
 import numpy as np
 
+from .critical import mu_c_closed
 from .domain import DomainParams, ModalField, PhysicalField, synthesize_lattice
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
-    ModalOperator,
     RadialGrid,
-    bilaplacian_n,
-    dirichlet_bcs,
     generalized_eig,
     laplacian_n,
-    navier_slip_bcs,
+    mode_pencil,
     radial_integral,
     solve_bvp,
 )
@@ -108,11 +106,8 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     with alpha/mu evaluated at the requested viscosity. The eigenvalue is
     polished by the variational quotient of the computed eigenvector.
     """
-    bcs = navier_slip_bcs(grid, params, mu=mu)
-    L1 = laplacian_n(grid, 1)
-    A = ModalOperator(n=1, matrix=mu * bilaplacian_n(grid, 1).matrix, order=2)
-    pairs = generalized_eig(A, L1, bcs, cap=eig_cap(params, mu))
-    lam, vec = pairs[0]
+    lam, vec = generalized_eig(mode_pencil(grid, params, mu, 1),
+                               eig_cap(params, mu))[0]
     if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
         raise EigSolverFailure(f"leading eigenvalue is not real: {lam}")
     psi = _normalize(vec.values, grid)
@@ -145,7 +140,7 @@ def interaction(f: ModalField, g: ModalField, grid: RadialGrid) -> ModalField:
         raise GridMismatch("interaction operands on different grids")
     r = grid.nodes
     F, G = f.values, g.values
-    om = laplacian_n(grid, g.n).matrix @ G
+    om = laplacian_n(grid, g.n) @ G
     profile = 1j * (f.n * F / r * (grid.d1 @ om) - g.n * (grid.d1 @ F) / r * om)
     return ModalField(f.n + g.n, profile)
 
@@ -154,40 +149,35 @@ def ainv(fld: ModalField, grid: RadialGrid) -> ModalField:
     """Invert the modal Laplacian with homogeneous Dirichlet data.
 
     This is the streamfunction-space A^{-1}: for n != 0 the phase-space
-    constraint at the radii forces the profile to vanish there.
+    constraint at the radii forces the profile to vanish there, so the
+    solve runs on the interior nodes.
     """
-    op = laplacian_n(grid, fld.n)
-    return solve_bvp(op, fld, dirichlet_bcs(grid))
-
-
-@dataclass(frozen=True)
-class ManifoldCoeffs:
-    """Quadratic center-manifold coefficient; g12 = 0 and g22 = conj(g11)."""
-
-    g11: ModalField
+    x = np.zeros(grid.N + 1, complex)
+    x[1:-1] = np.linalg.solve(laplacian_n(grid, fld.n)[1:-1, 1:-1],
+                              fld.values[1:-1])
+    return ModalField(fld.n, x)
 
 
 def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
-              grid: RadialGrid) -> ManifoldCoeffs:
-    """Solve mu Delta_2^2 G11 - 2 lambda_1 Delta_2 G11 = -G(psi1, psi1)
-    with the same four boundary rows at wavenumber 2."""
+              grid: RadialGrid) -> ModalField:
+    """The quadratic center-manifold coefficient G11 (g12 = 0 and
+    g22 = conj(g11)): mu Delta_2^2 G11 - 2 lambda_1 Delta_2 G11 =
+    -G(psi1, psi1), with the mode-2 pencil's boundary rows."""
     quad = interaction(eig.psi1, eig.psi1, grid)
-    rhs = ModalField(2, -quad.values)
-    L2 = laplacian_n(grid, 2).matrix
-    shifted = ModalOperator(n=2, matrix=mu * (L2 @ L2) - 2.0 * eig.lambda1 * L2, order=2)
-    g11 = solve_bvp(shifted, rhs, navier_slip_bcs(grid, params, mu=mu))
-    return ManifoldCoeffs(g11=g11)
+    p = mode_pencil(grid, params, mu, 2)
+    return solve_bvp(p.matrix - 2.0 * eig.lambda1 * p.mass,
+                     ModalField(2, -quad.values))
 
 
 def lyapunov_coeff(params: DomainParams, mu: float, eig: EigenResult,
-                   mc: ManifoldCoeffs, grid: RadialGrid) -> float:
+                   g11: ModalField, grid: RadialGrid) -> float:
     """Cubic coefficient of the reduced amplitude equation (real part)."""
-    l, _ = lyapunov_coeff_full(params, mu, eig, mc, grid)
+    l, _ = lyapunov_coeff_full(params, mu, eig, g11, grid)
     return l
 
 
 def lyapunov_coeff_full(params: DomainParams, mu: float, eig: EigenResult,
-                        mc: ManifoldCoeffs, grid: RadialGrid) -> tuple[float, float]:
+                        g11: ModalField, grid: RadialGrid) -> tuple[float, float]:
     """Lyapunov coefficient and its (diagnostic) imaginary residue.
 
     l = <A^{-1} G(conj(psi1), g11) + A^{-1} G(g11, conj(psi1)), psi1>
@@ -198,22 +188,22 @@ def lyapunov_coeff_full(params: DomainParams, mu: float, eig: EigenResult,
     <psi1, psi1> = -int (Delta_1 Psi_1) conj(Psi_1) r dr.
     """
     psi1 = eig.psi1
-    t1 = interaction(psi1.conj(), mc.g11, grid)
-    t2 = interaction(mc.g11, psi1.conj(), grid)
+    t1 = interaction(psi1.conj(), g11, grid)
+    t2 = interaction(g11, psi1.conj(), grid)
     total = t1.values + t2.values
     num = -radial_integral(grid, total * np.conj(psi1.values))
-    L1 = laplacian_n(grid, 1).matrix
+    L1 = laplacian_n(grid, 1)
     den = -radial_integral(grid, (L1 @ psi1.values) * np.conj(psi1.values))
     val = num / den
     return float(val.real), float(val.imag)
 
 
 def lyapunov_coeff_plain(params: DomainParams, mu: float, eig: EigenResult,
-                         mc: ManifoldCoeffs, grid: RadialGrid) -> float:
+                         g11: ModalField, grid: RadialGrid) -> float:
     """Diagnostic variant using the plain L^2(r dr) pairing for the projection."""
     psi1 = eig.psi1
-    t1 = ainv(interaction(psi1.conj(), mc.g11, grid), grid)
-    t2 = ainv(interaction(mc.g11, psi1.conj(), grid), grid)
+    t1 = ainv(interaction(psi1.conj(), g11, grid), grid)
+    t2 = ainv(interaction(g11, psi1.conj(), grid), grid)
     num = radial_integral(grid, (t1.values + t2.values) * np.conj(psi1.values))
     den = radial_integral(grid, np.abs(psi1.values) ** 2)
     return float((num / den).real)
@@ -268,7 +258,7 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
 
 
 def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
-                       l: float, mc: ManifoldCoeffs) -> BifurcationReport:
+                       l: float, g11: ModalField) -> BifurcationReport:
     """Classify the pitchfork by sign(l) and attach the branch constructor.
 
     The amplitude |s| = sqrt(-lambda_1 / l) is defined only when lambda_1
@@ -283,19 +273,29 @@ def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
         amplitude = float(np.sqrt(-eig.lambda1 / l))
     return BifurcationReport(lambda1=eig.lambda1, l=l, classification=cls,
                              amplitude=amplitude, mu=mu,
-                             psi1=eig.psi1, g11=mc.g11)
+                             psi1=eig.psi1, g11=g11)
 
 
 def reduction(params: DomainParams, mu: float,
-              grid: RadialGrid) -> tuple[EigenResult, ManifoldCoeffs, float]:
-    """The reduction chain: leading eigenpair, G11, then l (unclassified)."""
+              grid: RadialGrid) -> tuple[EigenResult, ModalField, float]:
+    """The reduction chain: leading eigenpair, G11, then l (unclassified).
+
+    The closed-form mu_c is exact, so lambda_1 must be positive below it
+    and negative above it; a lambda_1 of the other sign means the grid
+    does not resolve the problem, and raises EigSolverFailure.
+    """
     eig = leading_eigenpair(params, mu, grid)
-    mc = solve_G11(params, mu, eig, grid)
-    return eig, mc, lyapunov_coeff(params, mu, eig, mc, grid)
+    muc = mu_c_closed(params)
+    if eig.lambda1 * (muc - mu) < 0:
+        raise EigSolverFailure(
+            f"lambda1 = {eig.lambda1} has the wrong sign for mu = {mu} and "
+            f"mu_c = {muc}: the N = {grid.N} grid does not resolve the problem")
+    g11 = solve_G11(params, mu, eig, grid)
+    return eig, g11, lyapunov_coeff(params, mu, eig, g11, grid)
 
 
 def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
     """One-call pipeline: eigenpair, G11, l, classification."""
-    eig, mc, l = reduction(params, mu, grid)
-    return classify_and_build(params, mu, eig, l, mc)
+    eig, g11, l = reduction(params, mu, grid)
+    return classify_and_build(params, mu, eig, l, g11)

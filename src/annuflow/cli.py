@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .bifurcation import (
     EigenResult,
-    ManifoldCoeffs,
     bifurcation_report,
     leading_eigenpair,
     lyapunov_coeff_plain,
@@ -117,10 +116,9 @@ def cmd_bifurcate(args) -> int:
             f"l={report.l} have the same sign; the {report.classification.value} "
             f"branch lives on the other side of mu_c={muc}")
     eig = EigenResult(lambda1=report.lambda1, psi1=report.psi1, mu=mu)
-    mc = ManifoldCoeffs(g11=report.g11)
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": mu,
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
-           "l_plain_pairing": lyapunov_coeff_plain(params, mu, eig, mc, grid),
+           "l_plain_pairing": lyapunov_coeff_plain(params, mu, eig, report.g11, grid),
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
     out = _outdir(args)

@@ -82,7 +82,7 @@ def gamma_n(params: DomainParams, n: int, grid: RadialGrid) -> float:
     if n < 1:
         raise ValueError("gamma_n is defined for n >= 1")
     N = grid.N
-    B = laplacian_n(grid, n).matrix[:, 1:N]  # interior columns: Psi(a)=Psi(b)=0
+    B = laplacian_n(grid, n)[:, 1:N]  # interior columns: Psi(a)=Psi(b)=0
     M = B.T @ (grid.weights[:, None] * B)
     d = grid.d1[N, 1:N]
     y = np.linalg.solve(M, d)

@@ -12,8 +12,9 @@ row n - 1 holds psi_n. Each mode evolves by
 where N_n is mode n of the advection -v . grad omega, omega = Delta psi.
 Time stepping is IMEX: Crank-Nicolson on the stiff viscous term,
 second-order Adams-Bashforth on the advection (one Euler startup step),
-with the four boundary rows replaced directly in the per-mode implicit
-system so psi stays the prognostic variable:
+with the per-mode implicit system formed from the mode's pencil
+(:func:`annuflow.spectral.mode_pencil`), whose four boundary rows it keeps
+at unit scale, so psi stays the prognostic variable:
 
     (Delta_n - dt mu / 2 Delta_n^2) psi^{k+1}
         = (Delta_n + dt mu / 2 Delta_n^2) psi^k + dt (3/2 N^k - 1/2 N^{k-1}).
@@ -38,7 +39,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .bifurcation import EigenResult, lattice_velocity, mode_energies
 from .domain import ModalField, DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
-from .spectral import RadialGrid, laplacian_n, navier_slip_bcs
+from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,17 @@ class Simulator:
         self.M = ntheta // 2
         self.K = (2 * self.M) // 3
         self._n = np.arange(1, self.M + 1)[:, None]
-        self._lap = np.array([laplacian_n(grid, n).matrix
-                              for n in range(1, self.M + 1)])
-        LL = self._lap @ self._lap
-        lhs = self._lap - 0.5 * self.dt * self.mu * LL
-        bcs = navier_slip_bcs(grid, params, mu=self.mu)
-        self._bc_idx = list(bcs.indices)
-        lhs[:, self._bc_idx, :] = bcs.rows
-        self._lhs = [lu_factor(A) for A in lhs]
-        self._rhs = self._lap + 0.5 * self.dt * self.mu * LL
+        modes = range(1, self.M + 1)
+        # omega needs the boundary-node rows of Delta_n that the mass zeroes
+        self._lap = np.array([laplacian_n(grid, n) for n in modes])
+        pencils = [mode_pencil(grid, params, self.mu, n) for n in modes]
+        A = np.array([p.matrix for p in pencils])
+        B = np.array([p.mass for p in pencils])
+        lhs = B - 0.5 * self.dt * A
+        # unit-scale boundary rows: scaled by dt/2, the LU meets them 1,000x worse
+        lhs[:, BC_ROWS] = A[:, BC_ROWS]
+        self._lhs = [lu_factor(m) for m in lhs]
+        self._rhs = B + 0.5 * self.dt * A
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -187,7 +190,7 @@ class Simulator:
             force = nl if state.prev_nonlinear is None else (
                 1.5 * nl - 0.5 * state.prev_nonlinear)
             rhs = rhs + self.dt * force
-        rhs[:, self._bc_idx] = 0.0
+        rhs[:, BC_ROWS] = 0.0
         new = np.array([lu_solve(lu, b, check_finite=False)
                         for lu, b in zip(self._lhs, rhs)])
         if not np.isfinite(new).all():
@@ -236,6 +239,8 @@ class Simulator:
         and after the last (the initial state is always sampled). Each
         sample but the initial one carries the energy residual of the step
         that ended there."""
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         diags = [self.diagnostics(state)]
         for k in range(1, nsteps + 1):
             prev, state = state, self.step(state)

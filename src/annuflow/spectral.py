@@ -5,9 +5,12 @@ dense differentiation matrices, the modal operators
 
     Delta_n = d^2/dr^2 + (1/r) d/dr - n^2/r^2,
 
-Clenshaw-Curtis quadrature with the polar r-weight folded in, boundary
-condition imposition by row replacement, boundary value solves, and the
-generalized eigenvalue solve for the linearized operator.
+and Clenshaw-Curtis quadrature with the polar r-weight folded in. The
+boundary conditions enter every mode-n system in one place,
+:func:`mode_pencil`: mu Delta_n^2 with the four slip and stress-free rows
+in BC_ROWS, against Delta_n with those rows zeroed. The generalized
+eigenvalue solve, the boundary value solve and the simulator's implicit
+matrices all start from that pencil.
 """
 
 from __future__ import annotations
@@ -95,131 +98,97 @@ def build_grid(a: float, b: float, N: int) -> RadialGrid:
                       d1=d1, d2=d2, weights=weights)
 
 
-@dataclass(frozen=True)
-class ModalOperator:
-    """Dense discretization of Delta_n (order 1) or Delta_n^2 (order 2)."""
-
-    n: int
-    matrix: np.ndarray = field(repr=False)
-    order: int = 1
-
-
-def laplacian_n(grid: RadialGrid, n: int) -> ModalOperator:
+def laplacian_n(grid: RadialGrid, n: int) -> np.ndarray:
     """The modal Laplacian Delta_n on the grid."""
     r = grid.nodes
-    mat = grid.d2 + (1.0 / r)[:, None] * grid.d1 - np.diag(n**2 / r**2)
-    return ModalOperator(n=n, matrix=mat, order=1)
+    return grid.d2 + (1.0 / r)[:, None] * grid.d1 - np.diag(n**2 / r**2)
 
 
-def bilaplacian_n(grid: RadialGrid, n: int) -> ModalOperator:
+def bilaplacian_n(grid: RadialGrid, n: int) -> np.ndarray:
     """Delta_n^2, composed as a matrix square of the modal Laplacian."""
-    L = laplacian_n(grid, n).matrix
-    return ModalOperator(n=n, matrix=L @ L, order=2)
+    L = laplacian_n(grid, n)
+    return L @ L
 
 
-@dataclass(frozen=True)
-class BoundaryConditionSet:
-    """Four boundary rows and the matrix rows they replace.
+#: matrix rows that carry the boundary conditions: 0, 1 at r = b, N-1, N at r = a
+BC_ROWS = [0, 1, -2, -1]
 
-    Row order matches ``indices``: the replaced rows are the two nearest
-    each endpoint (0, 1 at r = b and N-1, N at r = a).
+
+def navier_slip_bcs(grid: RadialGrid, params: DomainParams, mu: float) -> np.ndarray:
+    """The (4, N+1) boundary rows, for the matrix rows BC_ROWS:
+
+    Psi = 0 and the stress-free row Psi'' + Psi'/b = 0 at r = b,
+    the Navier-slip row Psi'' - (1/a - alpha/mu) Psi' = 0 and Psi = 0 at r = a.
     """
-
-    rows: np.ndarray = field(repr=False)
-    indices: tuple[int, ...] = (0, 1, -2, -1)
-
-
-def navier_slip_bcs(grid: RadialGrid, params: DomainParams,
-                    mu: float | None = None) -> BoundaryConditionSet:
-    """Dirichlet rows at both radii plus the two second-order rows:
-
-    stress-free outer boundary  Psi'' + Psi'/b = 0 at r = b,
-    Navier-slip inner boundary  Psi'' - (1/a - alpha/mu) Psi' = 0 at r = a.
-    """
-    if mu is None:
-        mu = params.mu
     N = grid.N
     rows = np.zeros((4, N + 1))
     rows[0, 0] = 1.0
     rows[1, :] = grid.d2[0, :] + grid.d1[0, :] / grid.b
     rows[2, :] = grid.d2[N, :] - (1.0 / grid.a - params.alpha / mu) * grid.d1[N, :]
     rows[3, N] = 1.0
-    rows.setflags(write=False)
-    return BoundaryConditionSet(rows=rows)
+    return rows
 
 
-def dirichlet_bcs(grid: RadialGrid) -> BoundaryConditionSet:
-    """Plain Dirichlet rows at r = a and r = b (for second-order solves)."""
-    N = grid.N
-    rows = np.zeros((2, N + 1))
-    rows[0, 0] = 1.0
-    rows[1, N] = 1.0
-    rows.setflags(write=False)
-    return BoundaryConditionSet(rows=rows, indices=(0, -1))
+@dataclass(frozen=True)
+class ModePencil:
+    """Mode n's ``matrix`` mu Delta_n^2, rows BC_ROWS replaced by
+    :func:`navier_slip_bcs`, against its ``mass`` Delta_n, those rows zeroed:
+    the eigenproblem, the G11 solve (matrix - 2 lambda_1 mass) and the
+    simulator's implicit matrices (mass -+ dt/2 matrix) all use it."""
+
+    n: int
+    matrix: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
 
 
-def _impose(matrix: np.ndarray, bcs: BoundaryConditionSet) -> np.ndarray:
-    out = matrix.copy()
-    out[list(bcs.indices)] = bcs.rows
-    return out
+def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
+                n: int) -> ModePencil:
+    """The :class:`ModePencil` of mode n at viscosity mu."""
+    matrix = mu * bilaplacian_n(grid, n)
+    matrix[BC_ROWS] = navier_slip_bcs(grid, params, mu)
+    mass = laplacian_n(grid, n)
+    mass[BC_ROWS] = 0.0
+    for m in (matrix, mass):
+        m.setflags(write=False)
+    return ModePencil(n=n, matrix=matrix, mass=mass)
 
 
-def solve_bvp(op: ModalOperator | np.ndarray, rhs: ModalField,
-              bcs: BoundaryConditionSet) -> ModalField:
-    """Solve op x = rhs with boundary rows substituted into the matrix.
-
-    ``op`` may carry a spectral shift already (e.g. mu Delta_n^2 - 2 lambda
-    Delta_n); only its matrix is used. Raises SingularSystem when the
-    row-replaced matrix is numerically singular, which typically signals a
-    shift sitting on an eigenvalue.
-    """
-    mat = op.matrix if isinstance(op, ModalOperator) else op
-    n = getattr(op, "n", rhs.n)
-    A = _impose(mat, bcs)
+def solve_bvp(matrix: np.ndarray, rhs: ModalField) -> ModalField:
+    """Solve matrix x = rhs, whose boundary rows BC_ROWS (e.g. of a shifted
+    :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
+    the matrix is numerically singular, which typically signals a shift
+    sitting on an eigenvalue."""
     f = rhs.values.copy()
-    f[list(bcs.indices)] = 0.0
+    f[BC_ROWS] = 0.0
     # row-equilibrate before conditioning: boundary rows are O(1) while
     # interior high-order rows grow like N^8, so the raw condition number
     # reflects row scaling, not proximity to a resonant shift
-    scale = np.abs(A).max(axis=1)
+    scale = np.abs(matrix).max(axis=1)
     if not np.all(scale > 0):
         raise SingularSystem("operator has an identically zero row")
-    As = A / scale[:, None]
+    As = matrix / scale[:, None]
     if np.linalg.cond(As) > COND_LIMIT:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")
-    x = np.linalg.solve(As, f / scale)
-    return ModalField(n, x)
+    return ModalField(rhs.n, np.linalg.solve(As, f / scale))
 
 
-def generalized_eig(Aop: ModalOperator, Bop: ModalOperator,
-                    bcs: BoundaryConditionSet,
-                    cap: float | None = None) -> list[tuple[complex, ModalField]]:
-    """Finite eigenpairs of A x = lambda B x with boundary rows on A.
-
-    Boundary rows are substituted into A with companion zero rows on B,
-    which parks the spurious pairs at infinity; anything with |lambda|
-    above ``cap`` is discarded as row-replacement debris. Eigenvalues are
-    returned sorted by descending real part.
-    """
-    if Aop.n != Bop.n:
-        raise GridMismatch("operators built for different wavenumbers")
-    A = _impose(Aop.matrix, bcs)
-    B = Bop.matrix.copy()
-    B[list(bcs.indices)] = 0.0
+def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, ModalField]]:
+    """Finite eigenpairs of matrix x = lambda mass x, sorted by descending
+    real part. The zero boundary rows of ``mass`` park the spurious pairs
+    at infinity; anything with |lambda| above ``cap`` is discarded as
+    row-replacement debris."""
     try:
-        lam, V = sla.eig(A, B)
+        lam, V = sla.eig(pencil.matrix, pencil.mass)
     except sla.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
-    if cap is None:
-        cap = 1e6
     keep = np.isfinite(lam) & (np.abs(lam) < cap)
     if not keep.any():
         raise EigSolverFailure("all eigenvalues filtered as spurious")
     lam, V = lam[keep], V[:, keep]
     order = np.argsort(-lam.real)
-    return [(complex(lam[i]), ModalField(Aop.n, V[:, i])) for i in order]
+    return [(complex(lam[i]), ModalField(pencil.n, V[:, i])) for i in order]
 
 
 def inner_product(f: ModalField, g: ModalField, grid: RadialGrid) -> complex:

@@ -101,8 +101,8 @@ def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,
         muc = mu_c_closed(validate(a, b, alpha, 1.0))
         mu = muc * (1.0 + mu_offset)
         params = validate(a, b, alpha, mu)
-        eig, mc, l = reduction(params, mu, grid)
-        report = classify_and_build(params, mu, eig, l, mc)
+        eig, g11, l = reduction(params, mu, grid)
+        report = classify_and_build(params, mu, eig, l, g11)
         return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=eig.lambda1,
                         l=l, classification=report.classification.value,
                         status="ok")

@@ -68,7 +68,7 @@ def _literal_advection(psi: np.ndarray, grid, K: int) -> np.ndarray:
     r, d1 = grid.nodes, grid.d1
     prof, dprof, om, dom = {}, {}, {}, {}
     for n, c in enumerate(psi, start=1):
-        o = af.laplacian_n(grid, n).matrix @ c
+        o = af.laplacian_n(grid, n) @ c
         prof[n], dprof[n], om[n], dom[n] = c, d1 @ c, o, d1 @ o
         for d in (prof, dprof, om, dom):
             d[-n] = np.conj(d[n])

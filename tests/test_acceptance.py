@@ -128,7 +128,7 @@ def test_criterion_04_kernel_residuals(grid64, capsys):
     float64 rounding floor of the product, row by row.
 
     Asserted: |B u|_i <= 10 eps (|B| |u|)_i in every row i, with
-    B = bilaplacian_n(grid64, 1).matrix. Measured ratios: 3.96 to 5.00.
+    B = bilaplacian_n(grid64, 1). Measured ratios: 3.96 to 5.00.
 
     The literal ||B u||_inf < 1e-8 ||u||_inf is below what float64 allows:
     B has entries up to 5.4e11, so a one-ulp perturbation of u alone moves
@@ -146,8 +146,8 @@ def test_criterion_04_kernel_residuals(grid64, capsys):
     lets pass.
     """
     r = grid64.nodes
-    B = af.bilaplacian_n(grid64, 1).matrix
-    B_wrong_n = af.bilaplacian_n(grid64, 2).matrix
+    B = af.bilaplacian_n(grid64, 1)
+    B_wrong_n = af.bilaplacian_n(grid64, 2)
     B_corrupt = B.copy()
     B_corrupt[np.unravel_index(np.abs(B).argmax(), B.shape)] *= 1 + 1e-10
     bound = 10.0

@@ -117,6 +117,15 @@ class TestBifurcate:
         assert code == 2
         assert doc["error"] == "GridMismatch"
 
+    def test_unresolved_sign_of_lambda1_exit_3(self, tmp_path, capsys):
+        # at b/a = 1000 the N = 48 grid gives lambda1 < 0 below mu_c, which
+        # the parent reported as a Subcritical branch of amplitude 1e4
+        code, doc = run_cli(capsys, "bifurcate", "1", "1000", "5", "-N", "48",
+                            "-o", str(tmp_path))
+        assert code == 3
+        assert doc["error"] == "EigSolverFailure"
+        assert "wrong sign" in doc["message"]
+
     def test_wrong_side_exit_4(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--mu", "1.5",
                             "-N", "40", "-o", str(tmp_path))
@@ -169,6 +178,13 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 21
         assert doc["energy_residual_max"] > 0
+
+    def test_sample_every_zero_exit_2(self, tmp_path, capsys):
+        code, doc = run_cli(capsys, "simulate", "--steps", "2", "--sample-every", "0",
+                            "--ntheta", "8", "-N", "32", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "ValueError"
+        validate_against_schema(doc, "error")
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

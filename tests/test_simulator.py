@@ -29,6 +29,16 @@ def unstable():
     return pr, 1.2, g, eig
 
 
+class TestRun:
+    @pytest.mark.parametrize("sample_every", [0, -1])
+    def test_sample_every_below_one_rejected(self, stable, sample_every):
+        pr, mu, g, eig = stable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        sim.step = lambda state: pytest.fail("stepped before validating")
+        with pytest.raises(ValueError, match="sample_every"):
+            sim.run(sim.init_from_mode(eig, 1e-3), 5, sample_every=sample_every)
+
+
 class TestConstruction:
     def test_bad_ntheta(self, stable):
         pr, mu, g, _ = stable
@@ -83,10 +93,7 @@ class TestLinearRates:
     def test_mode2_rate(self, stable):
         # with nonlinearity off every mode evolves under its own operator
         pr, mu, g, _ = stable
-        A = af.ModalOperator(2, mu * af.bilaplacian_n(g, 2).matrix, 2)
-        B = af.laplacian_n(g, 2)
-        pairs = af.generalized_eig(A, B, af.navier_slip_bcs(g, pr, mu=mu),
-                                   cap=1e6 * mu / 4.0)
+        pairs = af.generalized_eig(af.mode_pencil(g, pr, mu, 2), 1e6 * mu / 4.0)
         lam2, vec2 = pairs[0]
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
         st = sim.zero_state()
@@ -249,10 +256,24 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 10, sample_every=10)
-        rows = af.navier_slip_bcs(g, pr, mu=mu).rows
+        rows = af.navier_slip_bcs(g, pr, mu=mu)
         for c in st.psi:
             scale = max(np.abs(c).max(), 1e-30)
             assert np.abs(rows @ c).max() < 1e-8 * max(scale, 1.0)
+
+
+    def test_boundary_rows_at_unit_scale(self):
+        # criterion 7's setup; implicit matrices whose boundary rows are
+        # scaled by dt/2 meet them only to ~1e-8 of max|psi| (~1e-11 here)
+        mu = 0.99 * af.mu_c_closed(af.validate(1, 3, 5, 1))
+        pr = af.validate(1, 3, 5, mu)
+        g = af.build_grid(1, 3, 48)
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        st = sim.init_from_mode(af.leading_eigenpair(pr, mu, g), 0.2)
+        rows = af.navier_slip_bcs(g, pr, mu)
+        for _ in range(300):
+            st = sim.step(st)
+            assert np.abs(st.psi @ rows.T).max() <= 1e-10 * np.abs(st.psi).max()
 
 
 class TestEscape:

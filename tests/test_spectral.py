@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
+from annuflow.bifurcation import ainv
 
 
 class TestGrid:
@@ -34,7 +35,7 @@ class TestOperators:
         # Delta_n kills r^n and r^{-n}
         r = grid64.nodes
         for n in (1, 2, 3):
-            L = af.laplacian_n(grid64, n).matrix
+            L = af.laplacian_n(grid64, n)
             assert np.abs(L @ r**n).max() < 1e-8 * np.abs(r**n).max()
             assert np.abs(L @ r**(-float(n))).max() < 1e-7
 
@@ -43,7 +44,7 @@ class TestOperators:
         # to grid accuracy: the matrix has entries ~1e11, so the achievable
         # floor is the rounding of the matrix-vector product, eps * |B| |u|.
         r = grid64.nodes
-        B = af.bilaplacian_n(grid64, 1).matrix
+        B = af.bilaplacian_n(grid64, 1)
         for u in (r**3, r, r * np.log(r), 1.0 / r):
             floor = np.finfo(float).eps * (np.abs(B) @ np.abs(u)).max()
             assert np.abs(B @ u).max() < 10 * floor
@@ -51,10 +52,10 @@ class TestOperators:
 
 class TestBoundaryRows:
     def test_navier_slip_rows_act_correctly(self, grid32, params135):
-        bcs = af.navier_slip_bcs(grid32, params135, mu=2.0)
+        rows = af.navier_slip_bcs(grid32, params135, mu=2.0)
         r = grid32.nodes
         u = r**2  # u'' = 2, u' = 2r
-        vals = bcs.rows @ u
+        vals = rows @ u
         assert vals[0] == pytest.approx(9.0)          # u(b) = 9
         assert vals[1] == pytest.approx(2 + 6 / 3.0)  # u'' + u'/b at b
         assert vals[2] == pytest.approx(2 - (1 - 5 / 2.0) * 2)  # slip row at a
@@ -64,7 +65,7 @@ class TestBoundaryRows:
         # Delta_1 u = r with u(a) = u(b) = 0 has u = r^3/8 + c1 r + c2 / r
         grid = grid32
         rhs = af.ModalField(1, grid.nodes.astype(complex))
-        sol = af.solve_bvp(af.laplacian_n(grid, 1), rhs, af.dirichlet_bcs(grid))
+        sol = ainv(rhs, grid)
         a, b = 1.0, 3.0
         A = np.array([[a, 1 / a], [b, 1 / b]])
         c = np.linalg.solve(A, [-a**3 / 8, -b**3 / 8])
@@ -73,11 +74,24 @@ class TestBoundaryRows:
         assert np.allclose(sol.values.imag, 0.0, atol=1e-12)
 
     def test_singular_system_detected(self, grid32):
-        op = af.ModalOperator(n=1, matrix=np.zeros((grid32.N + 1, grid32.N + 1)),
-                              order=1)
         with pytest.raises(af.SingularSystem):
-            af.solve_bvp(op, af.ModalField(1, np.ones(grid32.N + 1)),
-                         af.dirichlet_bcs(grid32))
+            af.solve_bvp(np.zeros((grid32.N + 1, grid32.N + 1)),
+                         af.ModalField(1, np.ones(grid32.N + 1)))
+
+
+class TestModePencil:
+    def test_boundary_rows_only_in_bc_rows(self, grid32, params135):
+        mu = 2.0
+        rows = af.navier_slip_bcs(grid32, params135, mu)
+        interior = slice(2, -2)
+        for n in (1, 2, 3):
+            p = af.mode_pencil(grid32, params135, mu, n)
+            assert p.n == n
+            assert np.array_equal(p.matrix[af.BC_ROWS], rows)
+            assert np.all(p.mass[af.BC_ROWS] == 0.0)
+            assert np.array_equal(p.matrix[interior],
+                                  (mu * af.bilaplacian_n(grid32, n))[interior])
+            assert np.array_equal(p.mass[interior], af.laplacian_n(grid32, n)[interior])
 
 
 class TestInnerProduct:
@@ -98,18 +112,10 @@ class TestInnerProduct:
 
 
 class TestGeneralizedEig:
-    def test_wavenumber_mismatch(self, grid32, params135):
-        A = af.bilaplacian_n(grid32, 1)
-        B = af.laplacian_n(grid32, 2)
-        with pytest.raises(af.GridMismatch):
-            af.generalized_eig(A, B, af.navier_slip_bcs(grid32, params135))
-
     def test_sorted_descending(self, grid48, params135, muc135):
         mu = 2.0
-        A = af.ModalOperator(1, mu * af.bilaplacian_n(grid48, 1).matrix, 2)
-        B = af.laplacian_n(grid48, 1)
-        pairs = af.generalized_eig(A, B, af.navier_slip_bcs(grid48, params135, mu=mu),
-                                   cap=1e6 * mu / 4.0)
+        pairs = af.generalized_eig(af.mode_pencil(grid48, params135, mu, 1),
+                                   1e6 * mu / 4.0)
         lams = [lam.real for lam, _ in pairs]
         assert lams == sorted(lams, reverse=True)
         assert all(abs(lam) < 1e6 * mu / 4.0 for lam, _ in pairs)

@@ -69,6 +69,23 @@ class TestSweep:
         assert abs(ls[0] - ls[1]) / abs(ls[1]) < 1e-4
 
 
+class TestSignGate:
+    def test_wrong_sign_of_lambda1_is_a_failure(self):
+        # lambda1 must be positive below mu_c, whose closed form is exact;
+        # at b/a = 1000 and N = 48 it is -7.0e-5
+        row = af.evaluate_point(1.0, 1000.0, 5.0, -1e-4,
+                                af.build_grid(1.0, 1000.0, 48))
+        assert row.status.startswith("EigSolverFailure")
+        assert row.l is None
+
+    def test_reference_point_passes_on_both_sides(self):
+        grid = af.build_grid(1.0, 3.0, 48)
+        for offset in (-1e-2, -1e-4, 1e-4, 1e-2):
+            row = af.evaluate_point(1.0, 3.0, 5.0, offset, grid)
+            assert row.status == "ok"
+            assert np.sign(row.lambda1) == -np.sign(offset)
+
+
 class TestBoundary:
     def test_noflip_reported_not_thrown(self):
         spec = af.SweepSpec(alpha_range=(5.0, 5.0), alpha_samples=1,
