@@ -81,6 +81,4 @@ from .sweep import (
     boundary_bisect,
     evaluate_point,
     sweep_l,
-    write_sweep_csv,
-    write_sweep_manifest,
 )

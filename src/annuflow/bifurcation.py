@@ -169,15 +169,14 @@ def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
                      ModalField(2, -quad.values))
 
 
-def lyapunov_coeff(params: DomainParams, mu: float, eig: EigenResult,
-                   g11: ModalField, grid: RadialGrid) -> float:
+def lyapunov_coeff(psi1: ModalField, g11: ModalField, grid: RadialGrid) -> float:
     """Cubic coefficient of the reduced amplitude equation (real part)."""
-    l, _ = lyapunov_coeff_full(params, mu, eig, g11, grid)
+    l, _ = lyapunov_coeff_full(psi1, g11, grid)
     return l
 
 
-def lyapunov_coeff_full(params: DomainParams, mu: float, eig: EigenResult,
-                        g11: ModalField, grid: RadialGrid) -> tuple[float, float]:
+def lyapunov_coeff_full(psi1: ModalField, g11: ModalField,
+                        grid: RadialGrid) -> tuple[float, float]:
     """Lyapunov coefficient and its (diagnostic) imaginary residue.
 
     l = <A^{-1} G(conj(psi1), g11) + A^{-1} G(g11, conj(psi1)), psi1>
@@ -187,7 +186,6 @@ def lyapunov_coeff_full(params: DomainParams, mu: float, eig: EigenResult,
     r-weighted integral of the interaction profiles, with
     <psi1, psi1> = -int (Delta_1 Psi_1) conj(Psi_1) r dr.
     """
-    psi1 = eig.psi1
     t1 = interaction(psi1.conj(), g11, grid)
     t2 = interaction(g11, psi1.conj(), grid)
     total = t1.values + t2.values
@@ -198,10 +196,9 @@ def lyapunov_coeff_full(params: DomainParams, mu: float, eig: EigenResult,
     return float(val.real), float(val.imag)
 
 
-def lyapunov_coeff_plain(params: DomainParams, mu: float, eig: EigenResult,
-                         g11: ModalField, grid: RadialGrid) -> float:
+def lyapunov_coeff_plain(psi1: ModalField, g11: ModalField,
+                         grid: RadialGrid) -> float:
     """Diagnostic variant using the plain L^2(r dr) pairing for the projection."""
-    psi1 = eig.psi1
     t1 = ainv(interaction(psi1.conj(), g11, grid), grid)
     t2 = ainv(interaction(g11, psi1.conj(), grid), grid)
     num = radial_integral(grid, (t1.values + t2.values) * np.conj(psi1.values))
@@ -291,7 +288,7 @@ def reduction(params: DomainParams, mu: float,
             f"lambda1 = {eig.lambda1} has the wrong sign for mu = {mu} and "
             f"mu_c = {muc}: the N = {grid.N} grid does not resolve the problem")
     g11 = solve_G11(params, mu, eig, grid)
-    return eig, g11, lyapunov_coeff(params, mu, eig, g11, grid)
+    return eig, g11, lyapunov_coeff(eig.psi1, g11, grid)
 
 
 def bifurcation_report(params: DomainParams, mu: float,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: mu-c, eigen, bifurcate, simulate, sweep, boundary. Every
-command writes its primary report to stdout as JSON and, into the output
-directory, the report plus a manifest sufficient to reproduce the run.
+Subcommands: mu-c, eigen, bifurcate, simulate, sweep, boundary. Each
+command writes its files into the output directory, among them a manifest
+sufficient to reproduce the run, and returns its report; :func:`main`
+prints exactly one JSON document: the report, or the error document if
+anything failed, writing the files included.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure (a non-finite
 simulator state included), 4 degenerate or nonexistent bifurcation branch,
@@ -15,22 +17,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
 from . import __version__
-from .bifurcation import (
-    EigenResult,
-    bifurcation_report,
-    leading_eigenpair,
-    lyapunov_coeff_plain,
-)
+from .bifurcation import bifurcation_report, leading_eigenpair, lyapunov_coeff_plain
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import PhysicalField, synthesize_lattice, theta_lattice, validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (
+    json_text,
     read_config,
+    write_csv,
     write_field_csv,
     write_json,
     write_manifest,
@@ -38,13 +38,8 @@ from .io import (
 )
 from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
-from .sweep import (
-    SweepSpec,
-    boundary_bisect,
-    sweep_l,
-    write_sweep_csv,
-    write_sweep_manifest,
-)
+from .sweep import SWEEP_HEADER, SweepSpec, boundary_bisect, sweep_l
+
 
 def _args_dict(args) -> dict:
     """Serializable view of the parsed arguments for the manifest."""
@@ -57,15 +52,20 @@ def _outdir(args) -> str:
     return out
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _finish(out: str, name: str, doc: dict, command: str, inputs: dict,
+            outputs: list[str]) -> dict:
+    """Write the report as name.json and the manifest; return the report."""
+    path = os.path.join(out, f"{name}.json")
+    write_json(path, doc)
+    write_manifest(os.path.join(out, "manifest.json"), command, inputs,
+                   outputs + [path])
+    return doc
 
 
 # ------------------------------------------------------------- commands
 
 
-def cmd_mu_c(args) -> int:
+def cmd_mu_c(args) -> dict:
     params = validate(args.a, args.b, args.alpha, 1.0)
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha,
            "mu_c_closed": mu_c_closed(params)}
@@ -73,15 +73,10 @@ def cmd_mu_c(args) -> int:
         doc["mu_c_oracle"] = mu_c_oracle(params)
         doc["discrepancy"] = (abs(doc["mu_c_oracle"] - doc["mu_c_closed"])
                               / doc["mu_c_closed"])
-    _emit(doc)
-    out = _outdir(args)
-    path = os.path.join(out, "mu_c.json")
-    write_json(path, doc)
-    write_manifest(out, "mu-c", _args_dict(args), [path])
-    return 0
+    return _finish(_outdir(args), "mu_c", doc, "mu-c", _args_dict(args), [])
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> dict:
     params = validate(args.a, args.b, args.alpha, args.mu)
     grid = build_grid(params.a, params.b, args.N)
     eig = leading_eigenpair(params, params.mu, grid)
@@ -89,22 +84,17 @@ def cmd_eigen(args) -> int:
                for r, v in zip(grid.nodes, eig.psi1.values)]
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": params.mu,
            "N": args.N, "lambda1": eig.lambda1, "psi1_samples": samples}
-    _emit(doc)
     out = _outdir(args)
-    outputs = [os.path.join(out, "eigen.json")]
-    write_json(outputs[0], doc)
+    outputs = []
     if args.profile_csv:
         path = os.path.join(out, args.profile_csv)
-        with open(path, "w") as fh:
-            fh.write("r,psi1_re,psi1_im\n")
-            for s in samples:
-                fh.write(f"{s['r']:.17g},{s['re']:.17g},{s['im']:.17g}\n")
+        write_csv(path, ["r", "psi1_re", "psi1_im"],
+                  ((s["r"], s["re"], s["im"]) for s in samples))
         outputs.append(path)
-    write_manifest(out, "eigen", _args_dict(args), outputs)
-    return 0
+    return _finish(out, "eigen", doc, "eigen", _args_dict(args), outputs)
 
 
-def cmd_bifurcate(args) -> int:
+def cmd_bifurcate(args) -> dict:
     muc = mu_c_closed(validate(args.a, args.b, args.alpha, 1.0))
     mu = args.mu if args.mu is not None else muc * (1.0 - 1e-4)
     params = validate(args.a, args.b, args.alpha, mu)
@@ -115,15 +105,13 @@ def cmd_bifurcate(args) -> int:
             f"no bifurcated branch at mu={mu}: lambda1={report.lambda1} and "
             f"l={report.l} have the same sign; the {report.classification.value} "
             f"branch lives on the other side of mu_c={muc}")
-    eig = EigenResult(lambda1=report.lambda1, psi1=report.psi1, mu=mu)
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": mu,
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
-           "l_plain_pairing": lyapunov_coeff_plain(params, mu, eig, report.g11, grid),
+           "l_plain_pairing": lyapunov_coeff_plain(report.psi1, report.g11, grid),
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
     out = _outdir(args)
-    outputs = [os.path.join(out, "bifurcate.json")]
-    write_json(outputs[0], doc)
+    outputs = []
     for j in range(args.phases):
         s = report.amplitude * np.exp(2j * np.pi * j / args.phases)
         psi = report.psi_s(s, args.ntheta)
@@ -133,9 +121,7 @@ def cmd_bifurcate(args) -> int:
         with open(base + ".svg", "w") as fh:
             fh.write(field_svg(psi, grid.nodes, theta_lattice(args.ntheta)))
         outputs += [base + ".csv", base + ".svg"]
-    _emit(doc)
-    write_manifest(out, "bifurcate", _args_dict(args), outputs)
-    return 0
+    return _finish(out, "bifurcate", doc, "bifurcate", _args_dict(args), outputs)
 
 
 def _read_typed(path: str, casts: dict) -> dict:
@@ -171,7 +157,7 @@ def _sim_config(args) -> dict:
     return cfg
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     cfg = _sim_config(args)
     muc = mu_c_closed(validate(cfg["a"], cfg["b"], cfg["alpha"], 1.0))
     mu = cfg["mu"] if cfg["mu"] is not None else 2.0 * muc
@@ -182,7 +168,6 @@ def cmd_simulate(args) -> int:
                     nonlinear=cfg["nonlinear"])
     eig = leading_eigenpair(params, mu, grid)
     out = _outdir(args)
-    outputs = []
 
     if args.escape:
         deltas = [float(s) for s in args.escape.split(",")]
@@ -192,13 +177,8 @@ def cmd_simulate(args) -> int:
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": slope,
                "inverse_lambda1": 1.0 / eig.lambda1}
-        _emit(doc)
-        path = os.path.join(out, "escape.json")
-        write_json(path, doc)
-        outputs.append(path)
-        write_manifest(out, "simulate", cfg | {"escape": args.escape,
-                                               "eps_thr": args.eps_thr}, outputs)
-        return 0
+        return _finish(out, "escape", doc, "simulate",
+                       cfg | {"escape": args.escape, "eps_thr": args.eps_thr}, [])
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
@@ -215,20 +195,16 @@ def cmd_simulate(args) -> int:
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
            "growth_rate": growth, "saturation_max_psi": sat,
            "energy_residual_max": residual_max}
-    _emit(doc)
     traj = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, diags)
-    final = os.path.join(out, "simulate.json")
-    write_json(final, doc)
-    outputs += [traj, final]
+    outputs = [traj]
     if args.snapshot:
         phys = PhysicalField(synthesize_lattice(state.psi, cfg["ntheta"]))
         vr, vt = sim.velocity_lattice(state)
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, grid.nodes, phys, vr, vt)
         outputs.append(snap)
-    write_manifest(out, "simulate", cfg, outputs)
-    return 0
+    return _finish(out, "simulate", doc, "simulate", cfg, outputs)
 
 
 def _sweep_spec(path: str) -> SweepSpec:
@@ -247,41 +223,34 @@ def _sweep_spec(path: str) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     spec = _sweep_spec(args.spec)
     out = _outdir(args)
     csv_path = os.path.join(out, "sweep.csv")
     man_path = os.path.join(out, "sweep_manifest.json")
     if args.resume and os.path.exists(csv_path) and os.path.exists(man_path):
         with open(man_path) as fh:
-            prev = json.load(fh)
-        if prev.get("spec") == spec.to_dict():
-            _emit({"status": "resume-noop", "csv": csv_path})
-            return 0
+            if json.load(fh).get("inputs") == spec.to_dict():
+                return {"status": "resume-noop", "csv": csv_path}
     rows = sweep_l(spec)
-    write_sweep_csv(rows, csv_path)
-    write_sweep_manifest(spec, man_path, extra={"rows": len(rows)})
+    write_csv(csv_path, SWEEP_HEADER, map(astuple, rows))
+    write_manifest(man_path, "sweep", spec.to_dict(), [csv_path])
     classes = sorted({r.classification for r in rows if r.status == "ok"})
-    _emit({"rows": len(rows), "classes_present": classes, "csv": csv_path})
-    return 0
+    return {"rows": len(rows), "classes_present": classes, "csv": csv_path}
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args) -> dict:
     spec = _sweep_spec(args.spec)
     out = _outdir(args)
     alphas = [args.alpha] if args.alpha is not None else list(spec.alphas())
     results = [boundary_bisect(spec, float(al)) for al in alphas]
     csv_path = os.path.join(out, "boundary.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("alpha,b_star,status\n")
-        for res in results:
-            bs = "" if res.b_star is None else f"{res.b_star:.17g}"
-            fh.write(f"{res.alpha:.17g},{bs},{res.status}\n")
-    write_sweep_manifest(spec, os.path.join(out, "boundary_manifest.json"),
-                         extra={"alphas": [float(a) for a in alphas]})
-    _emit({"points": [{"alpha": r.alpha, "b_star": r.b_star, "status": r.status}
-                      for r in results], "csv": csv_path})
-    return 0
+    write_csv(csv_path, ["alpha", "b_star", "status"],
+              ((r.alpha, r.b_star, r.status) for r in results))
+    write_manifest(os.path.join(out, "boundary_manifest.json"), "boundary",
+                   spec.to_dict() | {"alpha": args.alpha}, [csv_path])
+    return {"points": [{"alpha": r.alpha, "b_star": r.b_star, "status": r.status}
+                       for r in results], "csv": csv_path}
 
 
 # --------------------------------------------------------------- parser
@@ -370,11 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args), 0
     except (AnnuflowError, ValueError, OSError) as exc:
-        # ValueError and OSError come from malformed config files and casts
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return getattr(exc, "exit_code", 2)
+        # ValueError and OSError come from malformed config files and casts,
+        # and from output files that cannot be written
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+        code = getattr(exc, "exit_code", 2)
+    sys.stdout.write(json_text(doc))
+    return code
 
 
 if __name__ == "__main__":

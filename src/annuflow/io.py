@@ -1,17 +1,21 @@
-"""File output: field dumps, trajectory tables, JSON reports, manifests.
+"""Run output: every CSV table, JSON document and manifest annuflow writes.
 
-All floating-point values in CSV output are printed with 17 significant
-digits so round-tripping through text is exact for doubles. Field dumps
-are row-major with r as the outer index. Every command-level run writes a
-manifest recording inputs, resolution, and code version, sufficient to
-reproduce the outputs bit-identically.
+CSV tables use the csv module's default dialect (comma-separated, fields
+quoted where they need it, CRLF line ends). Numbers are printed with 17
+significant digits, so round-tripping through text is exact for doubles,
+and None is an empty cell. Field dumps are row-major with r as the outer
+index. JSON documents, on stdout and on disk alike, come from
+:func:`json_text`: two-space indent, sorted keys, one trailing newline.
+Every command-level run writes a manifest ``{command, inputs, outputs,
+version}`` recording what is needed to reproduce its outputs
+bit-identically.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
+from collections.abc import Iterable
 from importlib import resources
 
 import numpy as np
@@ -24,47 +28,57 @@ FIELD_HEADER = ["r", "theta", "psi", "v_r", "v_theta"]
 TRAJECTORY_HEADER_FIXED = ["t", "E3", "E1", "E2", "max_psi"]
 
 
-def _fmt(x: float) -> str:
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """A header row, then one row per item of rows: numbers at .17g,
+    None as an empty cell, strings as they are."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
 
 
 def write_field_csv(path: str, r: np.ndarray, psi: PhysicalField,
                     v_r: np.ndarray, v_theta: np.ndarray) -> None:
     """Dump (r, theta, psi, v_r, v_theta) rows, r outer, theta in radians."""
-    theta = theta_lattice(psi.ntheta)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FIELD_HEADER)
-        for i in range(psi.nr):
-            for j in range(psi.ntheta):
-                w.writerow([_fmt(r[i]), _fmt(theta[j]), _fmt(psi.values[i, j]),
-                            _fmt(v_r[i, j]), _fmt(v_theta[i, j])])
+    nr, nt = psi.nr, psi.ntheta
+    write_csv(path, FIELD_HEADER, zip(
+        np.repeat(r, nt).tolist(), np.tile(theta_lattice(nt), nr).tolist(),
+        psi.values.ravel().tolist(), v_r.ravel().tolist(),
+        v_theta.ravel().tolist()))
 
 
 def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:
-    """Newline-delimited diagnostics: fixed columns then per-mode energies."""
+    """One row per diagnostics sample: fixed columns then per-mode energies."""
     if not diags:
         raise ValueError("empty trajectory")
     n_modes = len(diags[0].mode_energies)
     header = TRAJECTORY_HEADER_FIXED + [f"E_mode{n}" for n in range(1, n_modes + 1)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for d in diags:
-            w.writerow([_fmt(d.t), _fmt(d.E3), _fmt(d.E1), _fmt(d.E2),
-                        _fmt(d.max_psi)] + [_fmt(e) for e in d.mode_energies])
+    write_csv(path, header, ([d.t, d.E3, d.E1, d.E2, d.max_psi, *d.mode_energies]
+                             for d in diags))
+
+
+def json_text(doc: dict) -> str:
+    """The one JSON rendering of a report, an error document or a manifest."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc))
 
 
-def write_manifest(outdir: str, command: str, inputs: dict,
+def write_manifest(path: str, command: str, inputs: dict,
                    outputs: list[str]) -> None:
     """Reproducibility record for one command invocation."""
-    write_json(os.path.join(outdir, "manifest.json"), {
+    write_json(path, {
         "command": command,
         "inputs": inputs,
         "outputs": sorted(outputs),

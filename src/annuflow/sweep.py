@@ -9,13 +9,10 @@ the sweep.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .bifurcation import classify_and_build, reduction
 from .critical import mu_c_closed
 from .domain import validate
@@ -76,6 +73,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep.csv row; the fields are the SWEEP_HEADER columns in order."""
+
     alpha: float
     b: float
     mu_c: float | None
@@ -83,12 +82,6 @@ class SweepRow:
     l: float | None
     classification: str
     status: str
-
-    def as_csv(self) -> list[str]:
-        def fmt(x):
-            return "" if x is None else format(x, ".17g")
-        return [fmt(self.alpha), fmt(self.b), fmt(self.mu_c),
-                fmt(self.lambda1), fmt(self.l), self.classification, self.status]
 
 
 SWEEP_HEADER = ["alpha", "b", "mu_c", "lambda1", "l", "class", "status"]
@@ -177,21 +170,3 @@ def boundary_bisect(spec: SweepSpec, alpha: float, *,
             hi, f_hi = mid, f_mid
     return BoundaryResult(alpha=alpha, b_star=0.5 * (lo + hi), status="ok",
                           l_lo=f_lo, l_hi=f_hi)
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_HEADER)
-        for row in rows:
-            w.writerow(row.as_csv())
-
-
-def write_sweep_manifest(spec: SweepSpec, path: str,
-                         extra: dict | None = None) -> None:
-    doc = {"spec": spec.to_dict(), "version": __version__}
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

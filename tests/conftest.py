@@ -40,7 +40,7 @@ def eig_099(params135, muc135, grid48):
 def report_099(eig_099, grid48):
     pr, mu, eig = eig_099
     mc = af.solve_G11(pr, mu, eig, grid48)
-    l = af.lyapunov_coeff(pr, mu, eig, mc, grid48)
+    l = af.lyapunov_coeff(eig.psi1, mc, grid48)
     return af.classify_and_build(pr, mu, eig, l, mc)
 
 

@@ -58,7 +58,7 @@ def sat_setup(muc, grid48):
     pr = af.validate(1, 3, 5, mu)
     eig = af.leading_eigenpair(pr, mu, grid48)
     mc = af.solve_G11(pr, mu, eig, grid48)
-    l = af.lyapunov_coeff(pr, mu, eig, mc, grid48)
+    l = af.lyapunov_coeff(eig.psi1, mc, grid48)
     rep = af.classify_and_build(pr, mu, eig, l, mc)
     return pr, mu, eig, rep
 
@@ -227,8 +227,8 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     pr = af.validate(1, 3, 5, mu)
     eig = af.leading_eigenpair(pr, mu, grid48)
     mc = af.solve_G11(pr, mu, eig, grid48)
-    l_ref = af.lyapunov_coeff(pr, mu, eig, mc, grid48)
-    l_plain = lyapunov_coeff_plain(pr, mu, eig, mc, grid48)
+    l_ref = af.lyapunov_coeff(eig.psi1, mc, grid48)
+    l_plain = lyapunov_coeff_plain(eig.psi1, mc, grid48)
     part1 = l_ref < 0
 
     # the window: one class, fixed by b/a
@@ -253,7 +253,7 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     grid_s = af.build_grid(1, 15, 48)
     eig_s = af.leading_eigenpair(pr_s, mu_s, grid_s)
     mc_s = af.solve_G11(pr_s, mu_s, eig_s, grid_s)
-    l_s = af.lyapunov_coeff(pr_s, mu_s, eig_s, mc_s, grid_s)
+    l_s = af.lyapunov_coeff(eig_s.psi1, mc_s, grid_s)
     rep_s = af.classify_and_build(pr_s, mu_s, eig_s, l_s, mc_s)
     amp = np.sqrt(abs(eig_s.lambda1 / l_s))
     pred = np.abs(rep_s.psi_s(amp, 128).values).max()
@@ -439,7 +439,7 @@ def test_criterion_12_equivariance_suite(sat_setup, grid48, capsys):
     scaled = af.EigenResult(lambda1=eig.lambda1,
                             psi1=af.ModalField(1, c * eig.psi1.values), mu=mu)
     mc2 = af.solve_G11(pr, mu, scaled, grid48)
-    l2 = af.lyapunov_coeff(pr, mu, scaled, mc2, grid48)
+    l2 = af.lyapunov_coeff(scaled.psi1, mc2, grid48)
     rep2 = af.classify_and_build(pr, mu, scaled, l2, mc2)
     f2 = rep2.psi_s(rep2.amplitude * np.exp(-1j * np.angle(c)), ntheta).values
     err_c = np.abs(base - f2).max() / np.abs(base).max()

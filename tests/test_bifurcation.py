@@ -94,14 +94,14 @@ class TestLyapunovCoefficient:
     def test_imaginary_residue_small(self, eig_099, grid48):
         pr, mu, eig = eig_099
         mc = af.solve_G11(pr, mu, eig, grid48)
-        l, resid = lyapunov_coeff_full(pr, mu, eig, mc, grid48)
+        l, resid = lyapunov_coeff_full(eig.psi1, mc, grid48)
         assert abs(resid) < 1e-8 * abs(l)
 
     def test_plain_pairing_same_sign(self, eig_099, grid48):
         pr, mu, eig = eig_099
         mc = af.solve_G11(pr, mu, eig, grid48)
-        l_plain = lyapunov_coeff_plain(pr, mu, eig, mc, grid48)
-        l_energy = af.lyapunov_coeff(pr, mu, eig, mc, grid48)
+        l_plain = lyapunov_coeff_plain(eig.psi1, mc, grid48)
+        l_energy = af.lyapunov_coeff(eig.psi1, mc, grid48)
         assert np.sign(l_plain) == np.sign(l_energy)
 
     def test_resolution_stable(self, muc135, grid48, grid64):
@@ -111,7 +111,7 @@ class TestLyapunovCoefficient:
         for grid in (grid48, grid64):
             eig = af.leading_eigenpair(pr, mu, grid)
             mc = af.solve_G11(pr, mu, eig, grid)
-            ls.append(af.lyapunov_coeff(pr, mu, eig, mc, grid))
+            ls.append(af.lyapunov_coeff(eig.psi1, mc, grid))
         assert ls[0] == pytest.approx(ls[1], rel=1e-6)
 
 
@@ -155,7 +155,7 @@ class TestBifurcatedState:
         scaled = af.EigenResult(lambda1=eig.lambda1,
                                 psi1=af.ModalField(1, c * eig.psi1.values), mu=mu)
         mc = af.solve_G11(pr, mu, scaled, grid48)
-        l = af.lyapunov_coeff(pr, mu, scaled, mc, grid48)
+        l = af.lyapunov_coeff(scaled.psi1, mc, grid48)
         rep2 = af.classify_and_build(pr, mu, scaled, l, mc)
         f1 = report_099.psi_s(report_099.amplitude, 64).values
         # the scaled eigenvector carries an extra phase angle(c) that the

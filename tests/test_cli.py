@@ -233,6 +233,56 @@ def test_exit_code_by_error(capsys, monkeypatch, exc, code):
     assert doc == {"error": exc.__name__, "message": "planted"}
 
 
+@pytest.mark.parametrize("argv,taken", [
+    (["mu-c", "1", "3", "5"], None),
+    (["eigen", "1", "3", "5", "1.2", "-N", "24"], None),
+    (["simulate", "--steps", "2", "--ntheta", "8", "-N", "24", "--mu", "1.2"],
+     "trajectory.csv"),
+], ids=["mu-c", "eigen", "simulate"])
+def test_failed_write_prints_only_the_error(tmp_path, capsys, argv, taken):
+    # -o names a file, or a directory sits where an output file goes;
+    # run_cli fails unless stdout is exactly one JSON document
+    out = tmp_path / "out"
+    if taken is None:
+        out.write_text("")
+    else:
+        (out / taken).mkdir(parents=True)
+    code, doc = run_cli(capsys, *argv, "-o", str(out))
+    assert code == 2
+    assert doc["error"] in ("FileExistsError", "IsADirectoryError")
+    validate_against_schema(doc, "error")
+
+
+SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"
+        "b_min = 3\nb_max = 6\nb_samples = 2\nN = 32\n")
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["mu-c", "1", "3", "5", "--oracle"], "manifest.json"),
+    (["eigen", "1", "3", "5", "1.2", "-N", "24", "--profile-csv", "p.csv"],
+     "manifest.json"),
+    (["bifurcate", "1", "3", "5", "--phases", "1", "-N", "32", "--ntheta", "16"],
+     "manifest.json"),
+    (["simulate", "--steps", "20", "--ntheta", "8", "-N", "24", "--mu", "1.2",
+      "--dt", "0.005", "--snapshot"], "manifest.json"),
+    (["simulate", "--mu", "1.2", "--escape", "1e-4,1e-3", "--ntheta", "8",
+      "-N", "24", "--dt", "0.005"], "manifest.json"),
+    (["sweep", "SPEC"], "sweep_manifest.json"),
+    (["boundary", "SPEC", "--alpha", "5"], "boundary_manifest.json"),
+], ids=["mu-c", "eigen", "bifurcate", "simulate", "escape", "sweep", "boundary"])
+def test_manifest_matches_schema(tmp_path, capsys, argv, manifest):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(SPEC)
+    out = tmp_path / "out"
+    code, _ = run_cli(capsys, *[str(spec) if a == "SPEC" else a for a in argv],
+                      "-o", str(out))
+    assert code == 0
+    doc = json.loads((out / manifest).read_text())
+    validate_against_schema(doc, "manifest")
+    assert doc["command"] == argv[0]
+    assert doc["outputs"] and all(os.path.exists(p) for p in doc["outputs"])
+
+
 class TestSweepCommands:
     @pytest.fixture()
     def spec_file(self, tmp_path):
@@ -259,6 +309,17 @@ class TestSweepCommands:
         assert doc["status"] == "resume-noop"
         assert (out / "sweep.csv").read_bytes() == before
 
+    def test_resume_reruns_changed_spec(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(capsys, "sweep", spec_file, "-o", str(out))
+        with open(spec_file, "a") as fh:
+            fh.write("mu_offset = -1e-3\n")
+        code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out), "--resume")
+        assert code == 0
+        assert doc["rows"] == 4
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["inputs"]["mu_offset"] == -1e-3
+
     def test_boundary_noflip(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         code, doc = run_cli(capsys, "boundary", spec_file, "--alpha", "5",
@@ -266,6 +327,20 @@ class TestSweepCommands:
         assert code == 0
         assert doc["points"][0]["status"] == "NoFlip"
         assert (out / "boundary.csv").exists()
+
+    def test_boundary_csv_quotes_failure_status(self, tmp_path, capsys):
+        # b_min < a fails the grid with a status that holds commas
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("alpha_min = 5\nalpha_max = 5\nalpha_samples = 1\n"
+                        "b_min = 0.5\nb_max = 6\nN = 32\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "boundary", str(spec), "-o", str(out))
+        assert code == 0
+        assert doc["points"][0]["status"].startswith("GridMismatch: ")
+        with open(out / "boundary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3, 3]
+        assert rows[1][2] == doc["points"][0]["status"]
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

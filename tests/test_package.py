@@ -1,5 +1,6 @@
-"""Package-level checks: one version number, no unused imports, and exit
-codes documented as the error classes define them."""
+"""Package-level checks: one version number, no unused imports, CSV and
+JSON written only by annuflow.io, and exit codes documented as the error
+classes define them."""
 
 import ast
 import re
@@ -56,6 +57,34 @@ MODULES = sorted(p for p in (ROOT / "src" / "annuflow").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _output_writes(source: str) -> list[str]:
+    """Imports of csv and calls of json.dump or json.dumps in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append("csv")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "json"
+              and node.func.attr in ("dump", "dumps")):
+            found.append(f"json.{node.func.attr}")
+    return found
+
+
+def test_output_write_detector():
+    src = "import csv, json\nfrom csv import writer\njson.dump({}, fh)\n" \
+          "json.load(fh)\ntext = json.dumps({})\n"
+    assert _output_writes(src) == ["csv", "csv", "json.dump", "json.dumps"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io.py"],
+                         ids=lambda p: p.name)
+def test_only_io_writes_csv_and_json(path):
+    assert _output_writes(path.read_text()) == []
 
 
 def _documented_codes(text: str) -> set[int]:

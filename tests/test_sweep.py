@@ -1,9 +1,13 @@
 import csv
+import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import annuflow as af
+from annuflow.io import write_csv, write_manifest
+from annuflow.sweep import SWEEP_HEADER
 
 
 class TestSweepSpec:
@@ -49,13 +53,13 @@ class TestSweep:
 
     def test_deterministic(self, small_spec, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        af.write_sweep_csv(af.sweep_l(small_spec), str(p1))
-        af.write_sweep_csv(af.sweep_l(small_spec), str(p2))
+        write_csv(str(p1), SWEEP_HEADER, map(astuple, af.sweep_l(small_spec)))
+        write_csv(str(p2), SWEEP_HEADER, map(astuple, af.sweep_l(small_spec)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_header(self, small_spec, tmp_path):
         path = tmp_path / "sweep.csv"
-        af.write_sweep_csv(af.sweep_l(small_spec), str(path))
+        write_csv(str(path), SWEEP_HEADER, map(astuple, af.sweep_l(small_spec)))
         with open(path) as fh:
             header = next(csv.reader(fh))
         assert header == ["alpha", "b", "mu_c", "lambda1", "l", "class", "status"]
@@ -98,8 +102,7 @@ class TestBoundary:
     def test_manifest_written(self, tmp_path):
         spec = af.SweepSpec()
         path = tmp_path / "manifest.json"
-        af.write_sweep_manifest(spec, str(path))
-        import json
+        write_manifest(str(path), "sweep", spec.to_dict(), [])
         doc = json.loads(path.read_text())
-        assert doc["spec"]["a"] == 1.0
+        assert doc["inputs"]["a"] == 1.0
         assert "version" in doc
