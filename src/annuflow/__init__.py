@@ -30,9 +30,7 @@ from .critical import (
 )
 from .domain import (
     DomainParams,
-    ModalField,
     PhysicalField,
-    analyze_modal,
     synthesize_lattice,
     synthesize_physical,
     theta_lattice,
@@ -67,7 +65,6 @@ from .spectral import (
     bilaplacian_n,
     build_grid,
     generalized_eig,
-    inner_product,
     laplacian_n,
     mode_pencil,
     navier_slip_bcs,

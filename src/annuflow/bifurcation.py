@@ -13,9 +13,10 @@ classifies the pitchfork, and constructs the bifurcated streamfunction
 
 with |s| = sqrt(-lambda_1 / l) when the branch exists.
 
-The eigenfunction is normalized to unit L^2(r dr) norm with Psi_1'(a) > 0;
-l scales with the square of the normalization, but the physical bifurcated
-field does not, and only normalization-invariant quantities are asserted.
+Every profile is a complex array over the radial nodes, its wavenumber an
+argument of the function that needs it; Psi_1 and G11 come back read-only.
+Psi_1 has unit L^2(r dr) norm and Psi_1'(a) > 0; l scales with the square
+of that normalization, but the physical bifurcated field does not.
 
 The projection onto the critical mode is taken in the velocity (energy)
 pairing <u, v> = int grad-pairing, which for profiles vanishing at both
@@ -32,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .critical import mu_c_closed
-from .domain import DomainParams, ModalField, PhysicalField, synthesize_lattice
+from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
     RadialGrid,
@@ -54,7 +55,7 @@ class EigenResult:
     """Leading growth rate and its unit-norm mode-1 eigenfunction."""
 
     lambda1: float
-    psi1: ModalField
+    psi1: np.ndarray
     mu: float
 
 
@@ -110,14 +111,15 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
                                eig_cap(params, mu))[0]
     if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
         raise EigSolverFailure(f"leading eigenvalue is not real: {lam}")
-    psi = _normalize(vec.values, grid)
+    psi = _normalize(vec, grid)
+    psi.setflags(write=False)
     polished = energy_rayleigh(params, mu, psi, grid)
     scale = params.a * params.alpha / (grid.b - grid.a) ** 2
     if abs(polished - lam.real) > 1e-2 * (abs(lam.real) + scale):
         raise EigSolverFailure(
             f"eigenvalue {lam.real} inconsistent with its variational "
             f"quotient {polished}")
-    return EigenResult(lambda1=polished, psi1=ModalField(1, psi), mu=mu)
+    return EigenResult(lambda1=polished, psi1=psi, mu=mu)
 
 
 def _normalize(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -129,53 +131,51 @@ def _normalize(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return v
 
 
-def interaction(f: ModalField, g: ModalField, grid: RadialGrid) -> ModalField:
-    """Advection bilinear form on modal profiles.
+def interaction(f: np.ndarray, nf: int, g: np.ndarray, ng: int,
+                grid: RadialGrid) -> np.ndarray:
+    """Advection bilinear form on the profiles f of mode nf and g of mode ng.
 
-    G(f, g) at wavenumber n_f + n_g with radial profile
-    i (n_f F / r (Delta_{n_g} G)' - n_g F' / r Delta_{n_g} G).
-    Vanishes identically when G is Delta_{n_g}-harmonic.
+    G(f, g) is the mode nf + ng profile i (nf f / r (Delta_ng g)'
+    - ng f' / r Delta_ng g); it vanishes when g is Delta_ng-harmonic.
     """
     if len(f) != grid.N + 1 or len(g) != grid.N + 1:
         raise GridMismatch("interaction operands on different grids")
     r = grid.nodes
-    F, G = f.values, g.values
-    om = laplacian_n(grid, g.n) @ G
-    profile = 1j * (f.n * F / r * (grid.d1 @ om) - g.n * (grid.d1 @ F) / r * om)
-    return ModalField(f.n + g.n, profile)
+    om = laplacian_n(grid, ng) @ g
+    return 1j * (nf * f / r * (grid.d1 @ om) - ng * (grid.d1 @ f) / r * om)
 
 
-def ainv(fld: ModalField, grid: RadialGrid) -> ModalField:
-    """Invert the modal Laplacian with homogeneous Dirichlet data.
+def ainv(values: np.ndarray, n: int, grid: RadialGrid) -> np.ndarray:
+    """Invert the modal Laplacian Delta_n with homogeneous Dirichlet data.
 
     This is the streamfunction-space A^{-1}: for n != 0 the phase-space
     constraint at the radii forces the profile to vanish there, so the
     solve runs on the interior nodes.
     """
     x = np.zeros(grid.N + 1, complex)
-    x[1:-1] = np.linalg.solve(laplacian_n(grid, fld.n)[1:-1, 1:-1],
-                              fld.values[1:-1])
-    return ModalField(fld.n, x)
+    x[1:-1] = np.linalg.solve(laplacian_n(grid, n)[1:-1, 1:-1], values[1:-1])
+    return x
 
 
 def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
-              grid: RadialGrid) -> ModalField:
+              grid: RadialGrid) -> np.ndarray:
     """The quadratic center-manifold coefficient G11 (g12 = 0 and
     g22 = conj(g11)): mu Delta_2^2 G11 - 2 lambda_1 Delta_2 G11 =
     -G(psi1, psi1), with the mode-2 pencil's boundary rows."""
-    quad = interaction(eig.psi1, eig.psi1, grid)
+    quad = interaction(eig.psi1, 1, eig.psi1, 1, grid)
     p = mode_pencil(grid, params, mu, 2)
-    return solve_bvp(p.matrix - 2.0 * eig.lambda1 * p.mass,
-                     ModalField(2, -quad.values))
+    g11 = solve_bvp(p.matrix - 2.0 * eig.lambda1 * p.mass, -quad)
+    g11.setflags(write=False)
+    return g11
 
 
-def lyapunov_coeff(psi1: ModalField, g11: ModalField, grid: RadialGrid) -> float:
+def lyapunov_coeff(psi1: np.ndarray, g11: np.ndarray, grid: RadialGrid) -> float:
     """Cubic coefficient of the reduced amplitude equation (real part)."""
     l, _ = lyapunov_coeff_full(psi1, g11, grid)
     return l
 
 
-def lyapunov_coeff_full(psi1: ModalField, g11: ModalField,
+def lyapunov_coeff_full(psi1: np.ndarray, g11: np.ndarray,
                         grid: RadialGrid) -> tuple[float, float]:
     """Lyapunov coefficient and its (diagnostic) imaginary residue.
 
@@ -186,23 +186,22 @@ def lyapunov_coeff_full(psi1: ModalField, g11: ModalField,
     r-weighted integral of the interaction profiles, with
     <psi1, psi1> = -int (Delta_1 Psi_1) conj(Psi_1) r dr.
     """
-    t1 = interaction(psi1.conj(), g11, grid)
-    t2 = interaction(g11, psi1.conj(), grid)
-    total = t1.values + t2.values
-    num = -radial_integral(grid, total * np.conj(psi1.values))
-    L1 = laplacian_n(grid, 1)
-    den = -radial_integral(grid, (L1 @ psi1.values) * np.conj(psi1.values))
+    c = np.conj(psi1)
+    total = interaction(c, -1, g11, 2, grid) + interaction(g11, 2, c, -1, grid)
+    num = -radial_integral(grid, total * c)
+    den = -radial_integral(grid, (laplacian_n(grid, 1) @ psi1) * c)
     val = num / den
     return float(val.real), float(val.imag)
 
 
-def lyapunov_coeff_plain(psi1: ModalField, g11: ModalField,
+def lyapunov_coeff_plain(psi1: np.ndarray, g11: np.ndarray,
                          grid: RadialGrid) -> float:
     """Diagnostic variant using the plain L^2(r dr) pairing for the projection."""
-    t1 = ainv(interaction(psi1.conj(), g11, grid), grid)
-    t2 = ainv(interaction(g11, psi1.conj(), grid), grid)
-    num = radial_integral(grid, (t1.values + t2.values) * np.conj(psi1.values))
-    den = radial_integral(grid, np.abs(psi1.values) ** 2)
+    c = np.conj(psi1)
+    t1 = ainv(interaction(c, -1, g11, 2, grid), 1, grid)
+    t2 = ainv(interaction(g11, 2, c, -1, grid), 1, grid)
+    num = radial_integral(grid, (t1 + t2) * c)
+    den = radial_integral(grid, np.abs(psi1) ** 2)
     return float((num / den).real)
 
 
@@ -226,16 +225,16 @@ class BifurcationReport:
     classification: Classification
     amplitude: float | None
     mu: float
-    psi1: ModalField = field(repr=False)
-    g11: ModalField = field(repr=False)
+    psi1: np.ndarray = field(repr=False)
+    g11: np.ndarray = field(repr=False)
 
     def _coeffs(self, s: complex) -> np.ndarray:
         """Profiles of n = 1, 2 at phase point s, as rows."""
-        return np.array([s * self.psi1.values, s**2 * self.g11.values])
+        return np.array([s * self.psi1, s**2 * self.g11])
 
     def psi_s(self, s: complex, ntheta: int = 128) -> PhysicalField:
         """Bifurcated streamfunction on the physical lattice at phase s."""
-        return PhysicalField(synthesize_lattice(self._coeffs(s), ntheta))
+        return synthesize_physical(self._coeffs(s), ntheta)
 
     def velocity(self, s: complex, grid: RadialGrid,
                  ntheta: int = 128) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +254,7 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
 
 
 def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
-                       l: float, g11: ModalField) -> BifurcationReport:
+                       l: float, g11: np.ndarray) -> BifurcationReport:
     """Classify the pitchfork by sign(l) and attach the branch constructor.
 
     The amplitude |s| = sqrt(-lambda_1 / l) is defined only when lambda_1
@@ -274,7 +273,7 @@ def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
 
 
 def reduction(params: DomainParams, mu: float,
-              grid: RadialGrid) -> tuple[EigenResult, ModalField, float]:
+              grid: RadialGrid) -> tuple[EigenResult, np.ndarray, float]:
     """The reduction chain: leading eigenpair, G11, then l (unclassified).
 
     The closed-form mu_c is exact, so lambda_1 must be positive below it

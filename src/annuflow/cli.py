@@ -25,7 +25,7 @@ from . import __version__
 from .bifurcation import bifurcation_report, leading_eigenpair, lyapunov_coeff_plain
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
-from .domain import PhysicalField, synthesize_lattice, theta_lattice, validate
+from .domain import synthesize_physical, theta_lattice, validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (
     json_text,
@@ -81,7 +81,7 @@ def cmd_eigen(args) -> dict:
     grid = build_grid(params.a, params.b, args.N)
     eig = leading_eigenpair(params, params.mu, grid)
     samples = [{"r": float(r), "re": float(v.real), "im": float(v.imag)}
-               for r, v in zip(grid.nodes, eig.psi1.values)]
+               for r, v in zip(grid.nodes, eig.psi1)]
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": params.mu,
            "N": args.N, "lambda1": eig.lambda1, "psi1_samples": samples}
     out = _outdir(args)
@@ -177,8 +177,11 @@ def cmd_simulate(args) -> dict:
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": slope,
                "inverse_lambda1": 1.0 / eig.lambda1}
+        # the escape run starts from each delta and steps to its own cap
+        read = {k: v for k, v in cfg.items()
+                if k not in ("steps", "delta", "sample_every")}
         return _finish(out, "escape", doc, "simulate",
-                       cfg | {"escape": args.escape, "eps_thr": args.eps_thr}, [])
+                       read | {"escape": args.escape, "eps_thr": args.eps_thr}, [])
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
@@ -199,7 +202,7 @@ def cmd_simulate(args) -> dict:
     write_trajectory_csv(traj, diags)
     outputs = [traj]
     if args.snapshot:
-        phys = PhysicalField(synthesize_lattice(state.psi, cfg["ntheta"]))
+        phys = synthesize_physical(state.psi, cfg["ntheta"])
         vr, vt = sim.velocity_lattice(state)
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, grid.nodes, phys, vr, vt)

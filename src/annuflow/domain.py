@@ -1,10 +1,11 @@
 """Parameter records and the modal representation of fields on the annulus.
 
 Perturbation streamfunctions are expanded in the angular basis e^{i n theta}.
-A :class:`ModalField` carries the complex radial profile of one wavenumber.
-Physical (real-valued) fields on the (r, theta) lattice are reconstructed by
-summing modes; the zero-mean condition over theta excludes the n = 0 mode
-for streamfunction perturbations.
+A modal profile is a plain complex array over the radial nodes; a set of
+modes is one (M, nr) array whose row n - 1 holds mode n, and its real
+field sum_n (c_n e^{i n theta} + c.c.) on the (r, theta) lattice is one
+inverse real FFT along theta. The zero-mean condition over theta excludes
+the n = 0 mode for streamfunction perturbations.
 """
 
 from __future__ import annotations
@@ -45,26 +46,6 @@ def validate(a: float, b: float, alpha: float, mu: float) -> DomainParams:
     if not (mu > 0.0) or not np.isfinite(mu):
         raise InvalidPhysics(f"viscosity must be positive, got mu={mu}")
     return DomainParams(a=a, b=b, alpha=alpha, mu=mu)
-
-
-@dataclass(frozen=True)
-class ModalField:
-    """Complex radial profile attached to one angular wavenumber."""
-
-    n: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def conj(self) -> "ModalField":
-        """The conjugate partner at wavenumber -n."""
-        return ModalField(-self.n, np.conj(self.values))
 
 
 @dataclass(frozen=True)
@@ -112,49 +93,7 @@ def synthesize_lattice(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
     return ntheta * np.fft.irfft(spec, n=ntheta, axis=1)
 
 
-def synthesize_physical(modes: list[ModalField], ntheta: int) -> PhysicalField:
-    """Reconstruct the real physical field from a modal set.
-
-    Modes whose conjugate partner (-n) is present in the list are summed
-    literally; the set must then be conjugate-symmetric. A mode listed
-    without its partner contributes Re(c_n e^{i n theta}), i.e. the partner
-    is implied at half weight, so a lone n=1 mode with profile 1 gives
-    cos(theta).
-    """
-    if not modes:
-        return PhysicalField(np.zeros((0, ntheta)))
-    nr = len(modes[0])
-    by_n: dict[int, np.ndarray] = {}
-    for m in modes:
-        if len(m) != nr:
-            raise GridMismatch("modes sampled on different radial grids")
-        by_n[m.n] = by_n.get(m.n, 0) + m.values
-    M = max(abs(n) for n in by_n)
-    coeffs = np.zeros((M, nr), complex)
-    for n, c in by_n.items():
-        if n == 0 or (n < 0 and -n in by_n):
-            continue
-        if -n in by_n:
-            if not np.allclose(by_n[-n], np.conj(c), atol=1e-12 * (1 + np.abs(c).max())):
-                raise GridMismatch(f"modes +/-{n} are not conjugate partners")
-            coeffs[n - 1] = c
-        else:
-            coeffs[abs(n) - 1] = 0.5 * (c if n > 0 else np.conj(c))
-    out = synthesize_lattice(coeffs, ntheta)
-    if 0 in by_n:
-        out += np.real(by_n[0])[:, None]
-    return PhysicalField(out)
-
-
-def analyze_modal(phys: PhysicalField, n_max: int) -> list[ModalField]:
-    """Angular transform back to lone-mode coefficients for n = 0..n_max.
-
-    Inverse of :func:`synthesize_physical` under the lone-mode convention
-    (field = Re sum_{n>=0} c_n e^{i n theta}) when ntheta >= 2 n_max + 2.
-    """
-    f = phys.values
-    coeff = np.fft.fft(f, axis=1) / phys.ntheta
-    modes = [ModalField(0, coeff[:, 0].real.astype(complex))]
-    for n in range(1, n_max + 1):
-        modes.append(ModalField(n, 2.0 * coeff[:, n]))
-    return modes
+def synthesize_physical(coeffs: np.ndarray, ntheta: int) -> PhysicalField:
+    """The :class:`PhysicalField` of the modal rows ``coeffs`` (row n - 1
+    is the profile of mode n), summed by :func:`synthesize_lattice`."""
+    return PhysicalField(synthesize_lattice(coeffs, ntheta))

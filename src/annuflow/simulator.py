@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .bifurcation import EigenResult, lattice_velocity, mode_energies
-from .domain import ModalField, DomainParams, synthesize_lattice
+from .domain import DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
@@ -51,9 +51,6 @@ class SimState:
     t: float
     psi: np.ndarray = field(repr=False)
     prev_nonlinear: np.ndarray | None = field(default=None, repr=False)
-
-    def modal_fields(self) -> list[ModalField]:
-        return [ModalField(n, c) for n, c in enumerate(self.psi, start=1)]
 
     def rotated(self, theta0: float) -> "SimState":
         """The state rotated by theta0: mode n picks up e^{i n theta0}."""
@@ -143,7 +140,7 @@ class Simulator:
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
         st = self.zero_state()
-        st.psi[0] = delta * eig.psi1.values
+        st.psi[0] = delta * eig.psi1
         return st
 
     # ----------------------------------------------------------- physics

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .domain import DomainParams, ModalField
+from .domain import DomainParams
 from .errors import (
     EigSolverFailure,
     GridMismatch,
@@ -30,6 +30,9 @@ from .errors import (
 
 #: condition-number threshold above which a BVP solve is reported singular
 COND_LIMIT = 1e12
+
+#: fewest Chebyshev intervals a radial grid may have
+MIN_N = 8
 
 
 def _cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +85,8 @@ class RadialGrid:
 
 def build_grid(a: float, b: float, N: int) -> RadialGrid:
     """Build the mapped Gauss-Lobatto grid with N+1 nodes on [a, b]."""
-    if N < 8:
-        raise TooCoarse(f"need N >= 8, got {N}")
+    if N < MIN_N:
+        raise TooCoarse(f"need N >= {MIN_N}, got {N}")
     if not a < b:
         raise GridMismatch(f"need a < b, got a={a}, b={b}")
     x, D = _cheb_matrix(N)
@@ -153,12 +156,12 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
     return ModePencil(n=n, matrix=matrix, mass=mass)
 
 
-def solve_bvp(matrix: np.ndarray, rhs: ModalField) -> ModalField:
+def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix x = rhs, whose boundary rows BC_ROWS (e.g. of a shifted
     :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
     the matrix is numerically singular, which typically signals a shift
     sitting on an eigenvalue."""
-    f = rhs.values.copy()
+    f = np.array(rhs, dtype=complex)
     f[BC_ROWS] = 0.0
     # row-equilibrate before conditioning: boundary rows are O(1) while
     # interior high-order rows grow like N^8, so the raw condition number
@@ -171,14 +174,14 @@ def solve_bvp(matrix: np.ndarray, rhs: ModalField) -> ModalField:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")
-    return ModalField(rhs.n, np.linalg.solve(As, f / scale))
+    return np.linalg.solve(As, f / scale)
 
 
-def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, ModalField]]:
+def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, np.ndarray]]:
     """Finite eigenpairs of matrix x = lambda mass x, sorted by descending
-    real part. The zero boundary rows of ``mass`` park the spurious pairs
-    at infinity; anything with |lambda| above ``cap`` is discarded as
-    row-replacement debris."""
+    real part, each eigenvector a complex array. The zero boundary rows of
+    ``mass`` park the spurious pairs at infinity; anything with |lambda|
+    above ``cap`` is discarded as row-replacement debris."""
     try:
         lam, V = sla.eig(pencil.matrix, pencil.mass)
     except sla.LinAlgError as exc:  # pragma: no cover
@@ -188,20 +191,7 @@ def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, Modal
         raise EigSolverFailure("all eigenvalues filtered as spurious")
     lam, V = lam[keep], V[:, keep]
     order = np.argsort(-lam.real)
-    return [(complex(lam[i]), ModalField(pencil.n, V[:, i])) for i in order]
-
-
-def inner_product(f: ModalField, g: ModalField, grid: RadialGrid) -> complex:
-    """L^2 pairing on the annulus in polar form.
-
-    2 pi * integral of f conj(g) r dr when the wavenumbers match; exactly
-    zero otherwise (angular orthogonality of e^{i n theta}).
-    """
-    if len(f) != grid.N + 1 or len(g) != grid.N + 1:
-        raise GridMismatch("field length does not match grid")
-    if f.n != g.n:
-        return 0.0 + 0.0j
-    return 2.0 * np.pi * complex(grid.weights @ (f.values * np.conj(g.values)))
+    return [(complex(lam[i]), np.asarray(V[:, i], dtype=complex)) for i in order]
 
 
 def radial_integral(grid: RadialGrid, values: np.ndarray) -> complex:

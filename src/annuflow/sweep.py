@@ -16,8 +16,8 @@ import numpy as np
 from .bifurcation import classify_and_build, reduction
 from .critical import mu_c_closed
 from .domain import validate
-from .errors import AnnuflowError, InvalidPhysics
-from .spectral import RadialGrid, build_grid
+from .errors import AnnuflowError, InvalidPhysics, TooCoarse
+from .spectral import MIN_N, RadialGrid, build_grid
 
 #: bisection iteration cap for the sign-flip boundary
 _BISECT_CAP = 40
@@ -50,6 +50,10 @@ class SweepSpec:
         if abs(self.mu_offset) >= 1e-2:
             raise InvalidPhysics(
                 f"|mu_offset| must be < 1e-2, got {self.mu_offset}")
+        # the ranges are nondecreasing, so their lower ends bound every point
+        validate(self.a, self.b_range[0], self.alpha_range[0], 1.0)
+        if self.N < MIN_N:
+            raise TooCoarse(f"need N >= {MIN_N}, got {self.N}")
 
     def alphas(self) -> np.ndarray:
         lo, hi = self.alpha_range

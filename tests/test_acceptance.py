@@ -437,7 +437,7 @@ def test_criterion_12_equivariance_suite(sat_setup, grid48, capsys):
     # (c) normalization invariance of the physical bifurcated field
     c = 2.3 * np.exp(0.7j)
     scaled = af.EigenResult(lambda1=eig.lambda1,
-                            psi1=af.ModalField(1, c * eig.psi1.values), mu=mu)
+                            psi1=c * eig.psi1, mu=mu)
     mc2 = af.solve_G11(pr, mu, scaled, grid48)
     l2 = af.lyapunov_coeff(scaled.psi1, mc2, grid48)
     rep2 = af.classify_and_build(pr, mu, scaled, l2, mc2)

@@ -28,16 +28,16 @@ class TestLeadingEigenpair:
 
     def test_normalization(self, eig_099, grid48):
         _, _, eig = eig_099
-        norm = af.radial_integral(grid48, np.abs(eig.psi1.values) ** 2).real
+        norm = af.radial_integral(grid48, np.abs(eig.psi1) ** 2).real
         assert norm == pytest.approx(1.0, rel=1e-12)
-        slope = grid48.d1[grid48.N, :] @ eig.psi1.values
+        slope = grid48.d1[grid48.N, :] @ eig.psi1
         assert slope.real > 0
         assert abs(slope.imag) < 1e-9 * abs(slope.real)
 
     def test_eigenfunction_satisfies_bcs(self, eig_099, grid48):
         pr, mu, eig = eig_099
         rows = af.navier_slip_bcs(grid48, pr, mu=mu)
-        assert np.abs(rows @ eig.psi1.values).max() < 1e-8
+        assert np.abs(rows @ eig.psi1).max() < 1e-8
 
     def test_grid_convergence(self, muc135, grid48, grid64):
         mu = 1.2
@@ -48,22 +48,29 @@ class TestLeadingEigenpair:
 
 
 class TestInteraction:
-    def test_wavenumbers_add(self, grid32):
-        f = af.ModalField(1, grid32.nodes.astype(complex))
-        g = af.ModalField(2, (grid32.nodes ** 2).astype(complex))
-        assert af.interaction(f, g, grid32).n == 3
+    def test_wavenumbers_add(self, report_099, grid48, advection_reference):
+        # the reduction's quadratic terms are modes 2 (= 1 + 1) and
+        # 1 (= -1 + 2) of the simulator's advection of the rows [psi1, g11]
+        psi1, g11 = report_099.psi1, report_099.g11
+        ref = advection_reference(np.array([psi1, g11]), grid48, 2)
+        quad = af.interaction(psi1, 1, psi1, 1, grid48)
+        cross = (af.interaction(np.conj(psi1), -1, g11, 2, grid48)
+                 + af.interaction(g11, 2, np.conj(psi1), -1, grid48))
+        scale = np.abs(ref).max()
+        assert np.abs(quad - ref[1]).max() <= 1e-13 * scale
+        assert np.abs(cross - ref[0]).max() <= 1e-13 * scale
 
     def test_vanishes_on_harmonic_second_argument(self, grid32):
         # Delta_2 r^2 = 0, so the advected vorticity is zero
-        f = af.ModalField(1, np.sin(grid32.nodes).astype(complex))
-        g = af.ModalField(2, (grid32.nodes ** 2).astype(complex))
-        out = af.interaction(f, g, grid32)
-        assert np.abs(out.values).max() < 1e-6
+        f = np.sin(grid32.nodes).astype(complex)
+        g = (grid32.nodes ** 2).astype(complex)
+        out = af.interaction(f, 1, g, 2, grid32)
+        assert np.abs(out).max() < 1e-6
 
     def test_grid_mismatch(self, grid32):
-        f = af.ModalField(1, np.ones(5, complex))
+        f = np.ones(5, complex)
         with pytest.raises(af.GridMismatch):
-            af.interaction(f, f, grid32)
+            af.interaction(f, 1, f, 1, grid32)
 
 
 class TestManifold:
@@ -71,16 +78,16 @@ class TestManifold:
         pr, mu, eig = eig_099
         g11 = af.solve_G11(pr, mu, eig, grid48)
         rows = af.navier_slip_bcs(grid48, pr, mu=mu)
-        scale = np.abs(g11.values).max()
-        assert np.abs(rows @ g11.values).max() < 1e-8 * max(scale, 1.0)
-        assert g11.n == 2
+        scale = np.abs(g11).max()
+        assert np.abs(rows @ g11).max() < 1e-8 * max(scale, 1.0)
+        assert g11.shape == (grid48.N + 1,)
 
     def test_g11_solves_shifted_equation(self, eig_099, grid48):
         pr, mu, eig = eig_099
         g11 = af.solve_G11(pr, mu, eig, grid48)
         L2 = af.laplacian_n(grid48, 2)
-        lhs = mu * (L2 @ L2) @ g11.values - 2 * eig.lambda1 * L2 @ g11.values
-        rhs = -af.interaction(eig.psi1, eig.psi1, grid48).values
+        lhs = mu * (L2 @ L2) @ g11 - 2 * eig.lambda1 * L2 @ g11
+        rhs = -af.interaction(eig.psi1, 1, eig.psi1, 1, grid48)
         interior = slice(4, grid48.N - 3)
         assert np.allclose(lhs[interior], rhs[interior],
                            atol=1e-6 * np.abs(rhs[interior]).max())
@@ -118,7 +125,7 @@ class TestLyapunovCoefficient:
 class TestClassification:
     def test_degenerate_raises(self, eig_099):
         pr, mu, eig = eig_099
-        g11 = af.ModalField(2, np.zeros(5, complex))
+        g11 = np.zeros(5, complex)
         with pytest.raises(af.DegenerateCoefficient):
             af.classify_and_build(pr, mu, eig, 0.0, g11)
 
@@ -153,7 +160,7 @@ class TestBifurcatedState:
         pr, mu, eig = eig_099
         c = 1.7 * np.exp(0.3j)
         scaled = af.EigenResult(lambda1=eig.lambda1,
-                                psi1=af.ModalField(1, c * eig.psi1.values), mu=mu)
+                                psi1=c * eig.psi1, mu=mu)
         mc = af.solve_G11(pr, mu, scaled, grid48)
         l = af.lyapunov_coeff(scaled.psi1, mc, grid48)
         rep2 = af.classify_and_build(pr, mu, scaled, l, mc)
@@ -168,7 +175,7 @@ class TestBifurcatedState:
                                           lattice_reference):
         rep = report_099
         s = rep.amplitude * np.exp(0.4j)
-        c = np.array([s * rep.psi1.values, s**2 * rep.g11.values])
+        c = np.array([s * rep.psi1, s**2 * rep.g11])
         n = np.array([[1], [2]])
         vr, vt = rep.velocity(s, grid48, ntheta)
         ref_r = lattice_reference(-1j * n * c / grid48.nodes, ntheta)

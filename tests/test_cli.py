@@ -10,7 +10,7 @@ import annuflow.critical
 import annuflow.simulator
 from annuflow import errors
 from annuflow.cli import main
-from annuflow.io import load_schema, read_config, validate_against_schema
+from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -186,6 +186,15 @@ class TestSimulate:
         assert doc["error"] == "ValueError"
         validate_against_schema(doc, "error")
 
+    def test_escape_manifest_records_only_what_it_reads(self, tmp_path, capsys):
+        code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",
+                          "--ntheta", "8", "-N", "24", "--dt", "0.005",
+                          "-o", str(tmp_path))
+        assert code == 0
+        inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+        assert inputs["escape"] == "1e-3" and inputs["dt"] == 0.005
+        assert not {"steps", "delta", "sample_every"} & inputs.keys()
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 4.0\nsteps = 50\ndt = 0.005\nntheta = 8\n"
@@ -329,18 +338,32 @@ class TestSweepCommands:
         assert (out / "boundary.csv").exists()
 
     def test_boundary_csv_quotes_failure_status(self, tmp_path, capsys):
-        # b_min < a fails the grid with a status that holds commas
+        # b_min < a is rejected with the spec, before any grid is built
         spec = tmp_path / "bad.cfg"
         spec.write_text("alpha_min = 5\nalpha_max = 5\nalpha_samples = 1\n"
                         "b_min = 0.5\nb_max = 6\nN = 32\n")
         out = tmp_path / "out"
         code, doc = run_cli(capsys, "boundary", str(spec), "-o", str(out))
-        assert code == 0
-        assert doc["points"][0]["status"].startswith("GridMismatch: ")
-        with open(out / "boundary.csv", newline="") as fh:
+        assert code == 2
+        assert doc["error"] == "InvalidGeometry"
+        assert not (out / "boundary.csv").exists()
+        # a status that holds commas stays one quoted field
+        status = "GridMismatch: need a < b, got a=1.0, b=0.5"
+        path = tmp_path / "boundary.csv"
+        write_csv(str(path), ["alpha", "b_star", "status"], [(5.0, None, status)])
+        with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [3, 3]
-        assert rows[1][2] == doc["points"][0]["status"]
+        assert rows[1][2] == status
+
+    def test_sweep_spec_below_a_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("b_min = 0.5\nb_max = 6\nN = 32\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", str(spec), "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "InvalidGeometry"
+        assert not (out / "sweep.csv").exists()
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

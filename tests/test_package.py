@@ -1,6 +1,6 @@
-"""Package-level checks: one version number, no unused imports, CSV and
-JSON written only by annuflow.io, and exit codes documented as the error
-classes define them."""
+"""Package-level checks: one version number, no unused imports, no unused
+re-exports, CSV and JSON written only by annuflow.io, and exit codes
+documented as the error classes define them."""
 
 import ast
 import re
@@ -57,6 +57,38 @@ MODULES = sorted(p for p in (ROOT / "src" / "annuflow").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _read_names(source: str) -> set[str]:
+    """Names that source reads or imports: loaded names, attribute names
+    and from-import names, so a definition alone does not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_read_name_detector():
+    src = "from .m import f\nX = 1\ndef g(a):\n    return a.h + Y\n"
+    assert _read_names(src) == {"f", "a", "h", "Y"}
+
+
+def test_every_export_is_used():
+    # a re-exported name is read inside the package, shown in the README
+    # or used by the benchmark; otherwise it is dead public surface
+    init = ROOT / "src" / "annuflow" / "__init__.py"
+    exports = _read_names(init.read_text())
+    used = set().union(*(_read_names(p.read_text()) for p in MODULES))
+    text = (ROOT / "README.md").read_text() + "".join(
+        p.read_text() for p in sorted((ROOT / "bench").rglob("*")) if p.is_file())
+    unused = sorted(n for n in exports
+                    if n not in used and not re.search(rf"\b{n}\b", text))
+    assert unused == []
 
 
 def _output_writes(source: str) -> list[str]:

@@ -97,7 +97,7 @@ class TestLinearRates:
         lam2, vec2 = pairs[0]
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
         st = sim.zero_state()
-        st.psi[1] = 1e-4 * vec2.values / np.abs(vec2.values).max()
+        st.psi[1] = 1e-4 * vec2 / np.abs(vec2).max()
         _, diags = sim.run(st, 100, sample_every=10)
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
@@ -211,10 +211,8 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=16)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
-        # explicit +/- n synthesis would raise if conjugate symmetry broke;
-        # here we check the synthesized lattice field is real by construction
-        modes = [m for f in st.modal_fields() for m in (f, f.conj())]
-        phys = af.synthesize_physical(modes, 16)
+        # the synthesized lattice field is real by construction
+        phys = af.synthesize_physical(st.psi, 16)
         assert np.isrealobj(phys.values)
 
     def test_velocity_lattice_matches_literal_sum(self, unstable, lattice_reference):
@@ -224,7 +222,7 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
-        st.psi[3] = st.psi[3] + 1e-3 * eig.psi1.values
+        st.psi[3] = st.psi[3] + 1e-3 * eig.psi1
         vr, vt = sim.velocity_lattice(st)
         n = np.arange(1, 5)[:, None]
         c = st.psi
@@ -243,7 +241,7 @@ class TestStructure:
         rng = np.random.default_rng(ntheta)
         r = g.nodes
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
-                        * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1.values
+                        * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.M + 1)])
         nl = sim.step(af.SimState(0.0, psi)).prev_nonlinear
         ref = advection_reference(psi, g, sim.K)

@@ -64,19 +64,19 @@ class TestBoundaryRows:
     def test_dirichlet_solve_matches_analytic(self, grid32):
         # Delta_1 u = r with u(a) = u(b) = 0 has u = r^3/8 + c1 r + c2 / r
         grid = grid32
-        rhs = af.ModalField(1, grid.nodes.astype(complex))
-        sol = ainv(rhs, grid)
+        rhs = grid.nodes.astype(complex)
+        sol = ainv(rhs, 1, grid)
         a, b = 1.0, 3.0
         A = np.array([[a, 1 / a], [b, 1 / b]])
         c = np.linalg.solve(A, [-a**3 / 8, -b**3 / 8])
         exact = grid.nodes**3 / 8 + c[0] * grid.nodes + c[1] / grid.nodes
-        assert np.allclose(sol.values.real, exact, atol=1e-10)
-        assert np.allclose(sol.values.imag, 0.0, atol=1e-12)
+        assert np.allclose(sol.real, exact, atol=1e-10)
+        assert np.allclose(sol.imag, 0.0, atol=1e-12)
 
     def test_singular_system_detected(self, grid32):
         with pytest.raises(af.SingularSystem):
             af.solve_bvp(np.zeros((grid32.N + 1, grid32.N + 1)),
-                         af.ModalField(1, np.ones(grid32.N + 1)))
+                         np.ones(grid32.N + 1))
 
 
 class TestModePencil:
@@ -96,19 +96,9 @@ class TestModePencil:
 
 class TestInnerProduct:
     def test_r_weighted_value(self, grid32):
-        ones = af.ModalField(1, np.ones(grid32.N + 1, complex))
-        # 2 pi int_1^3 r dr = 8 pi
-        assert af.inner_product(ones, ones, grid32) == pytest.approx(8 * np.pi)
-
-    def test_wavenumber_orthogonality(self, grid32):
-        f = af.ModalField(1, np.ones(grid32.N + 1, complex))
-        g = af.ModalField(2, np.ones(grid32.N + 1, complex))
-        assert af.inner_product(f, g, grid32) == 0.0
-
-    def test_length_mismatch(self, grid32):
-        f = af.ModalField(1, np.ones(5))
-        with pytest.raises(af.GridMismatch):
-            af.inner_product(f, f, grid32)
+        ones = np.ones(grid32.N + 1, complex)
+        # int_1^3 r dr = 4
+        assert af.radial_integral(grid32, ones * np.conj(ones)) == pytest.approx(4.0)
 
 
 class TestGeneralizedEig:

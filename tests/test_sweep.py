@@ -27,6 +27,16 @@ class TestSweepSpec:
         with pytest.raises(af.InvalidPhysics):
             af.SweepSpec(b_range=(10.0, 5.0))
 
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"b_range": (0.5, 6.0)}, af.InvalidGeometry),
+        ({"alpha_range": (-1.0, 15.0)}, af.InvalidPhysics),
+        ({"a": -1.0}, af.InvalidGeometry),
+        ({"N": 4}, af.TooCoarse),
+    ], ids=["b_min", "alpha_min", "a", "N"])
+    def test_rejects_invalid_point(self, kwargs, error):
+        with pytest.raises(error):
+            af.SweepSpec(**kwargs)
+
 
 @pytest.fixture(scope="module")
 def small_spec():
