@@ -72,10 +72,8 @@ from .spectral import (
     solve_bvp,
 )
 from .sweep import (
-    BoundaryResult,
     SweepRow,
     SweepSpec,
-    boundary_bisect,
     evaluate_point,
     sweep_l,
 )

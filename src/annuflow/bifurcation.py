@@ -22,7 +22,8 @@ The projection onto the critical mode is taken in the velocity (energy)
 pairing <u, v> = int grad-pairing, which for profiles vanishing at both
 radii reduces to -int (Delta_n F) conj(G) r dr. The linearized operator is
 self-adjoint in that pairing, so it is the one in which the critical-mode
-projection is exact; the plain-L^2 variant is kept as a diagnostic.
+projection is exact. At mu = mu_c, l has a closed form on the span of
+r^k (ln r)^m; the tests compare it with this module's l there.
 """
 
 from __future__ import annotations
@@ -145,18 +146,6 @@ def interaction(f: np.ndarray, nf: int, g: np.ndarray, ng: int,
     return 1j * (nf * f / r * (grid.d1 @ om) - ng * (grid.d1 @ f) / r * om)
 
 
-def ainv(values: np.ndarray, n: int, grid: RadialGrid) -> np.ndarray:
-    """Invert the modal Laplacian Delta_n with homogeneous Dirichlet data.
-
-    This is the streamfunction-space A^{-1}: for n != 0 the phase-space
-    constraint at the radii forces the profile to vanish there, so the
-    solve runs on the interior nodes.
-    """
-    x = np.zeros(grid.N + 1, complex)
-    x[1:-1] = np.linalg.solve(laplacian_n(grid, n)[1:-1, 1:-1], values[1:-1])
-    return x
-
-
 def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
               grid: RadialGrid) -> np.ndarray:
     """The quadratic center-manifold coefficient G11 (g12 = 0 and
@@ -192,17 +181,6 @@ def lyapunov_coeff_full(psi1: np.ndarray, g11: np.ndarray,
     den = -radial_integral(grid, (laplacian_n(grid, 1) @ psi1) * c)
     val = num / den
     return float(val.real), float(val.imag)
-
-
-def lyapunov_coeff_plain(psi1: np.ndarray, g11: np.ndarray,
-                         grid: RadialGrid) -> float:
-    """Diagnostic variant using the plain L^2(r dr) pairing for the projection."""
-    c = np.conj(psi1)
-    t1 = ainv(interaction(c, -1, g11, 2, grid), 1, grid)
-    t2 = ainv(interaction(g11, 2, c, -1, grid), 1, grid)
-    num = radial_integral(grid, (t1 + t2) * c)
-    den = radial_integral(grid, np.abs(psi1) ** 2)
-    return float((num / den).real)
 
 
 class Classification(str, Enum):

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: mu-c, eigen, bifurcate, simulate, sweep, boundary. Each
-command writes its files into the output directory, among them a manifest
-sufficient to reproduce the run, and returns its report; :func:`main`
-prints exactly one JSON document: the report, or the error document if
-anything failed, writing the files included.
+Subcommands: mu-c, eigen, bifurcate, simulate, sweep. Each command writes
+its files into the output directory, among them a manifest sufficient to
+reproduce the run, and returns its report; :func:`main` prints exactly one
+JSON document: the report, or the error document if anything failed,
+writing the files included.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure (a non-finite
 simulator state included), 4 degenerate or nonexistent bifurcation branch,
@@ -22,7 +22,7 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__
-from .bifurcation import bifurcation_report, leading_eigenpair, lyapunov_coeff_plain
+from .bifurcation import bifurcation_report, leading_eigenpair
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import synthesize_physical, theta_lattice, validate
@@ -38,7 +38,7 @@ from .io import (
 )
 from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
-from .sweep import SWEEP_HEADER, SweepSpec, boundary_bisect, sweep_l
+from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
 
 
 def _args_dict(args) -> dict:
@@ -95,6 +95,8 @@ def cmd_eigen(args) -> dict:
 
 
 def cmd_bifurcate(args) -> dict:
+    if args.phases < 0:
+        raise InvalidPhysics(f"--phases must be >= 0, got {args.phases}")
     muc = mu_c_closed(validate(args.a, args.b, args.alpha, 1.0))
     mu = args.mu if args.mu is not None else muc * (1.0 - 1e-4)
     params = validate(args.a, args.b, args.alpha, mu)
@@ -107,7 +109,6 @@ def cmd_bifurcate(args) -> dict:
             f"branch lives on the other side of mu_c={muc}")
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": mu,
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
-           "l_plain_pairing": lyapunov_coeff_plain(report.psi1, report.g11, grid),
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
     out = _outdir(args)
@@ -158,6 +159,11 @@ def _sim_config(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    unread = [k for k in ("steps", "delta", "sample_every", "snapshot")
+              if getattr(args, k) is not None]
+    if args.escape and unread:
+        raise InvalidPhysics("the escape run does not read " + ", ".join(
+            "--" + k.replace("_", "-") for k in unread))
     cfg = _sim_config(args)
     muc = mu_c_closed(validate(cfg["a"], cfg["b"], cfg["alpha"], 1.0))
     mu = cfg["mu"] if cfg["mu"] is not None else 2.0 * muc
@@ -242,20 +248,6 @@ def cmd_sweep(args) -> dict:
     return {"rows": len(rows), "classes_present": classes, "csv": csv_path}
 
 
-def cmd_boundary(args) -> dict:
-    spec = _sweep_spec(args.spec)
-    out = _outdir(args)
-    alphas = [args.alpha] if args.alpha is not None else list(spec.alphas())
-    results = [boundary_bisect(spec, float(al)) for al in alphas]
-    csv_path = os.path.join(out, "boundary.csv")
-    write_csv(csv_path, ["alpha", "b_star", "status"],
-              ((r.alpha, r.b_star, r.status) for r in results))
-    write_manifest(os.path.join(out, "boundary_manifest.json"), "boundary",
-                   spec.to_dict() | {"alpha": args.alpha}, [csv_path])
-    return {"points": [{"alpha": r.alpha, "b_star": r.b_star, "status": r.status}
-                       for r in results], "csv": csv_path}
-
-
 # --------------------------------------------------------------- parser
 
 
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample-every", dest="sample_every", type=int, default=None)
     sp.add_argument("--linear", action="store_true",
                     help="disable the nonlinear term")
-    sp.add_argument("--snapshot", action="store_true",
+    sp.add_argument("--snapshot", action="store_true", default=None,
                     help="dump the final field as CSV")
     sp.add_argument("--escape", default=None,
                     help="comma-separated deltas for an escape-time experiment")
@@ -330,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_outdir(sp)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("boundary", help="bisect the sign(l) boundary in b")
-    sp.add_argument("spec", help="key=value sweep spec file")
-    sp.add_argument("--alpha", type=float, default=None,
-                    help="single alpha (default: all alphas in the spec grid)")
-    add_outdir(sp)
-    sp.set_defaults(func=cmd_boundary)
     return p
 
 

@@ -236,8 +236,9 @@ class Simulator:
         and after the last (the initial state is always sampled). Each
         sample but the initial one carries the energy residual of the step
         that ended there."""
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        if nsteps < 0 or sample_every < 1:
+            raise ValueError(f"need nsteps >= 0 and sample_every >= 1, got "
+                             f"{nsteps} and {sample_every}")
         diags = [self.diagnostics(state)]
         for k in range(1, nsteps + 1):
             prev, state = state, self.step(state)
@@ -270,31 +271,26 @@ def fit_growth_rate(diags: list[Diagnostics], *, lower: float = 1e-8,
 def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
                       *, eps_thr: float, max_steps: int = 200_000
                       ) -> list[tuple[float, float]]:
-    """Escape times: for each delta, the first t with ||v(t)|| > eps_thr.
+    """Escape times: for each delta, the first t with ||v(t)|| >= eps_thr.
 
-    Requires a growing configuration (lambda_1 > 0 at the simulator's mu).
-    The fitted slope of T vs ln(1/delta) estimates 1/lambda_1. Raises
-    NoEscape when any delta fails to reach the threshold within max_steps.
+    Raises ValueError unless eps_thr and every delta are positive (the zero
+    state never grows), and NoEscape without growth (lambda_1 <= 0 at the
+    simulator's mu) or when a delta does not reach the threshold within
+    max_steps. The slope of T vs ln(1/delta) estimates 1/lambda_1.
     """
+    if not (eps_thr > 0 and all(d > 0 for d in delta_list)):
+        raise ValueError(f"need eps_thr > 0 and deltas > 0, got {eps_thr}, {delta_list}")
     if eig.lambda1 <= 0:
         raise NoEscape(f"no instability at mu={sim.mu}: lambda1={eig.lambda1}")
     out = []
     for delta in delta_list:
-        state = sim.init_from_mode(eig, delta)
-        if np.sqrt(sim.energies(state)[0]) >= eps_thr:
-            out.append((delta, 0.0))
-            continue
-        escaped = False
-        for _ in range(max_steps):
-            state = sim.step(state)
-            if np.sqrt(sim.energies(state)[0]) > eps_thr:
-                out.append((delta, state.t))
-                escaped = True
-                break
-        if not escaped:
-            raise NoEscape(
-                f"threshold {eps_thr} not reached from delta={delta} "
-                f"within {max_steps} steps (t={state.t:.1f})")
+        state, steps = sim.init_from_mode(eig, delta), 0
+        while np.sqrt(sim.energies(state)[0]) < eps_thr:
+            if steps == max_steps:
+                raise NoEscape(f"threshold {eps_thr} not reached from delta={delta} "
+                               f"within {max_steps} steps (t={state.t:.1f})")
+            state, steps = sim.step(state), steps + 1
+        out.append((delta, state.t))
     return out
 
 

@@ -1,10 +1,8 @@
 """Parameter-space studies of the bifurcation classification.
 
 Evaluates the Lyapunov coefficient over an (alpha, b) grid at a fixed
-relative viscosity offset below the critical value, and bisects the
-supercritical/subcritical boundary in b at fixed alpha. Failures at
-individual grid points are recorded in the row status instead of aborting
-the sweep.
+relative viscosity offset from the critical value. Failures at individual
+grid points are recorded in the row status instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ from .critical import mu_c_closed
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, TooCoarse
 from .spectral import MIN_N, RadialGrid, build_grid
-
-#: bisection iteration cap for the sign-flip boundary
-_BISECT_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -121,56 +116,3 @@ def sweep_l(spec: SweepSpec) -> list[SweepRow]:
             rows.append(evaluate_point(spec.a, float(b), float(alpha),
                                        spec.mu_offset, grids[float(b)]))
     return rows
-
-
-@dataclass(frozen=True)
-class BoundaryResult:
-    """Outcome of a sign-flip bisection in b at fixed alpha.
-
-    ``b_star`` is None when the sign of l is the same at both endpoints
-    (NoFlip), which is a reported outcome, not an error.
-    """
-
-    alpha: float
-    b_star: float | None
-    status: str
-    l_lo: float | None = None
-    l_hi: float | None = None
-
-
-def _l_at(a: float, b: float, alpha: float, mu_offset: float, N: int) -> float:
-    grid = build_grid(a, b, N)
-    muc = mu_c_closed(validate(a, b, alpha, 1.0))
-    mu = muc * (1.0 + mu_offset)
-    _, _, l = reduction(validate(a, b, alpha, mu), mu, grid)
-    return l
-
-
-def boundary_bisect(spec: SweepSpec, alpha: float, *,
-                    tol: float = 1e-4) -> BoundaryResult:
-    """Bracket the b where sign(l) flips, to ``tol`` absolute in b."""
-    lo, hi = spec.b_range
-    try:
-        f_lo = _l_at(spec.a, lo, alpha, spec.mu_offset, spec.N)
-        f_hi = _l_at(spec.a, hi, alpha, spec.mu_offset, spec.N)
-    except AnnuflowError as exc:
-        return BoundaryResult(alpha=alpha, b_star=None,
-                              status=f"{type(exc).__name__}: {exc}")
-    if np.sign(f_lo) == np.sign(f_hi):
-        return BoundaryResult(alpha=alpha, b_star=None, status="NoFlip",
-                              l_lo=f_lo, l_hi=f_hi)
-    for _ in range(_BISECT_CAP):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        try:
-            f_mid = _l_at(spec.a, mid, alpha, spec.mu_offset, spec.N)
-        except AnnuflowError as exc:
-            return BoundaryResult(alpha=alpha, b_star=None,
-                                  status=f"{type(exc).__name__}: {exc}")
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return BoundaryResult(alpha=alpha, b_star=0.5 * (lo + hi), status="ok",
-                          l_lo=f_lo, l_hi=f_hi)

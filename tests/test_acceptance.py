@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.bifurcation import lyapunov_coeff_plain
+from exact_l import exact_reduction
 
 
 def report(capsys, num, ok, detail):
@@ -189,9 +189,9 @@ def test_criterion_05_gamma_monotonicity(p135, grid64, capsys):
 
 def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     """Part 1: l < 0 (Supercritical) at (1, 3, 5), mu = 1.3403; measured
-    l = -0.1247. The plain-pairing l and the published l = -0.2783 (under
-    a normalization the paper does not state) are printed for comparison
-    only.
+    l = -0.1247. The exact l at mu_c (tests/exact_l.py, -0.12466) and the
+    published l = -0.2783 (under a normalization the paper does not state)
+    are printed for comparison only.
 
     Part 2: the sign of l over the window a = 1, alpha, b in [5, 15]
     (3 x 3 sweep at N = 48, mu = mu_c (1 - 1e-4)). Asserted: every row has
@@ -228,7 +228,7 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     eig = af.leading_eigenpair(pr, mu, grid48)
     mc = af.solve_G11(pr, mu, eig, grid48)
     l_ref = af.lyapunov_coeff(eig.psi1, mc, grid48)
-    l_plain = lyapunov_coeff_plain(eig.psi1, mc, grid48)
+    l_exact = float(exact_reduction(1, 3, 5).l.real)
     part1 = l_ref < 0
 
     # the window: one class, fixed by b/a
@@ -289,7 +289,7 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     ok = part1 and window_ok and sim_ok and sub_ok
     report(capsys, 6, ok,
            f"l(1,3,5; mu=1.3403) = {l_ref:.4f} < 0 Supercritical "
-           f"[comparison only: plain-pairing l = {l_plain:.4f}; published "
+           f"[comparison only: exact l at mu_c = {l_exact:.4f}; published "
            f"-0.2783 under an unstated normalization]; sweep over "
            f"alpha,b in [5,15] found classes {classes}, alpha*l by b: "
            + ", ".join(f"{b:g}: {np.mean(v):.3e}" for b, v in scaled.items())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.bifurcation import lyapunov_coeff_full, lyapunov_coeff_plain
+from annuflow.bifurcation import lyapunov_coeff_full
 
 
 class TestLeadingEigenpair:
@@ -103,13 +103,6 @@ class TestLyapunovCoefficient:
         mc = af.solve_G11(pr, mu, eig, grid48)
         l, resid = lyapunov_coeff_full(eig.psi1, mc, grid48)
         assert abs(resid) < 1e-8 * abs(l)
-
-    def test_plain_pairing_same_sign(self, eig_099, grid48):
-        pr, mu, eig = eig_099
-        mc = af.solve_G11(pr, mu, eig, grid48)
-        l_plain = lyapunov_coeff_plain(eig.psi1, mc, grid48)
-        l_energy = af.lyapunov_coeff(eig.psi1, mc, grid48)
-        assert np.sign(l_plain) == np.sign(l_energy)
 
     def test_resolution_stable(self, muc135, grid48, grid64):
         mu = 0.99 * muc135

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import annuflow.simulator
 from annuflow import errors
 from annuflow.cli import main
 from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
+from annuflow.sweep import SWEEP_HEADER, SweepRow
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -195,6 +197,16 @@ class TestSimulate:
         assert inputs["escape"] == "1e-3" and inputs["dt"] == 0.005
         assert not {"steps", "delta", "sample_every"} & inputs.keys()
 
+    @pytest.mark.parametrize("flag", [["--steps", "5"], ["--delta", "0.3"],
+                                      ["--sample-every", "2"], ["--snapshot"]],
+                             ids=["steps", "delta", "sample-every", "snapshot"])
+    def test_escape_rejects_unread_flag(self, tmp_path, capsys, flag):
+        code, doc = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",
+                            *flag, "--ntheta", "8", "-N", "24", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics" and flag[0] in doc["message"]
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 4.0\nsteps = 50\ndt = 0.005\nntheta = 8\n"
@@ -262,6 +274,21 @@ def test_failed_write_prints_only_the_error(tmp_path, capsys, argv, taken):
     validate_against_schema(doc, "error")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bifurcate", "1", "3", "5", "--phases", "-1"],
+    ["simulate", "--steps", "-5"],
+    ["simulate", "--escape", "1e-3", "--eps-thr", "-1"],
+    ["simulate", "--escape", "1e-3,0"],
+], ids=["phases", "steps", "eps-thr", "escape-delta"])
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--mu", "1.2", "--ntheta", "8", "-N", "24"]
+    code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 2
+    validate_against_schema(doc, "error")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"
         "b_min = 3\nb_max = 6\nb_samples = 2\nN = 32\n")
 
@@ -277,8 +304,7 @@ SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"
     (["simulate", "--mu", "1.2", "--escape", "1e-4,1e-3", "--ntheta", "8",
       "-N", "24", "--dt", "0.005"], "manifest.json"),
     (["sweep", "SPEC"], "sweep_manifest.json"),
-    (["boundary", "SPEC", "--alpha", "5"], "boundary_manifest.json"),
-], ids=["mu-c", "eigen", "bifurcate", "simulate", "escape", "sweep", "boundary"])
+], ids=["mu-c", "eigen", "bifurcate", "simulate", "escape", "sweep"])
 def test_manifest_matches_schema(tmp_path, capsys, argv, manifest):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SPEC)
@@ -329,32 +355,16 @@ class TestSweepCommands:
         manifest = json.loads((out / "sweep_manifest.json").read_text())
         assert manifest["inputs"]["mu_offset"] == -1e-3
 
-    def test_boundary_noflip(self, spec_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        code, doc = run_cli(capsys, "boundary", spec_file, "--alpha", "5",
-                            "-o", str(out))
-        assert code == 0
-        assert doc["points"][0]["status"] == "NoFlip"
-        assert (out / "boundary.csv").exists()
-
-    def test_boundary_csv_quotes_failure_status(self, tmp_path, capsys):
-        # b_min < a is rejected with the spec, before any grid is built
-        spec = tmp_path / "bad.cfg"
-        spec.write_text("alpha_min = 5\nalpha_max = 5\nalpha_samples = 1\n"
-                        "b_min = 0.5\nb_max = 6\nN = 32\n")
-        out = tmp_path / "out"
-        code, doc = run_cli(capsys, "boundary", str(spec), "-o", str(out))
-        assert code == 2
-        assert doc["error"] == "InvalidGeometry"
-        assert not (out / "boundary.csv").exists()
-        # a status that holds commas stays one quoted field
+    def test_sweep_csv_quotes_failure_status(self, tmp_path):
+        # a failed point's status holds commas and stays one quoted field
         status = "GridMismatch: need a < b, got a=1.0, b=0.5"
-        path = tmp_path / "boundary.csv"
-        write_csv(str(path), ["alpha", "b_star", "status"], [(5.0, None, status)])
+        path = tmp_path / "sweep.csv"
+        row = SweepRow(5.0, 0.5, None, None, None, "", status)
+        write_csv(str(path), SWEEP_HEADER, [astuple(row)])
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [len(row) for row in rows] == [3, 3]
-        assert rows[1][2] == status
+        assert [len(row) for row in rows] == [7, 7]
+        assert rows[1][-1] == status
 
     def test_sweep_spec_below_a_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.cfg"

@@ -38,6 +38,12 @@ class TestRun:
         with pytest.raises(ValueError, match="sample_every"):
             sim.run(sim.init_from_mode(eig, 1e-3), 5, sample_every=sample_every)
 
+    def test_negative_nsteps_rejected(self, stable):
+        pr, mu, g, eig = stable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        with pytest.raises(ValueError, match="nsteps"):
+            sim.run(sim.init_from_mode(eig, 1e-3), -5)
+
 
 class TestConstruction:
     def test_bad_ntheta(self, stable):
@@ -293,6 +299,17 @@ class TestEscape:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         with pytest.raises(af.NoEscape):
             af.escape_experiment(sim, eig, [1e-6], eps_thr=1.0)
+
+    @pytest.mark.parametrize("eps_thr,deltas", [
+        (-1.0, [1e-3]), (0.0, [1e-3]), (1e-2, [1e-3, 0.0]), (1e-2, [-1e-3])],
+        ids=["eps-negative", "eps-zero", "delta-zero", "delta-negative"])
+    def test_nonpositive_inputs_rejected(self, unstable, eps_thr, deltas):
+        # the zero state never grows: delta = 0 would step to max_steps
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        sim.step = lambda state: pytest.fail("stepped before validating")
+        with pytest.raises(ValueError):
+            af.escape_experiment(sim, eig, deltas, eps_thr=eps_thr)
 
     def test_phase_invariant_escape_time(self, unstable):
         pr, mu, g, eig = unstable

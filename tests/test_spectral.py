@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.bifurcation import ainv
 
 
 class TestGrid:
@@ -60,18 +59,6 @@ class TestBoundaryRows:
         assert vals[1] == pytest.approx(2 + 6 / 3.0)  # u'' + u'/b at b
         assert vals[2] == pytest.approx(2 - (1 - 5 / 2.0) * 2)  # slip row at a
         assert vals[3] == pytest.approx(1.0)          # u(a) = 1
-
-    def test_dirichlet_solve_matches_analytic(self, grid32):
-        # Delta_1 u = r with u(a) = u(b) = 0 has u = r^3/8 + c1 r + c2 / r
-        grid = grid32
-        rhs = grid.nodes.astype(complex)
-        sol = ainv(rhs, 1, grid)
-        a, b = 1.0, 3.0
-        A = np.array([[a, 1 / a], [b, 1 / b]])
-        c = np.linalg.solve(A, [-a**3 / 8, -b**3 / 8])
-        exact = grid.nodes**3 / 8 + c[0] * grid.nodes + c[1] / grid.nodes
-        assert np.allclose(sol.real, exact, atol=1e-10)
-        assert np.allclose(sol.imag, 0.0, atol=1e-12)
 
     def test_singular_system_detected(self, grid32):
         with pytest.raises(af.SingularSystem):
