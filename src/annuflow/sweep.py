@@ -23,9 +23,12 @@ class SweepSpec:
     """Grid of (alpha, b) samples at fixed inner radius.
 
     ``mu_offset`` is the relative offset from the critical viscosity at
-    which the coefficient is evaluated: mu = mu_c * (1 + mu_offset). The
-    default sits just below critical where the bifurcated branch of a
-    supercritical point exists.
+    which the coefficient is evaluated: mu = mu_c * (1 + mu_offset), with
+    0 < |mu_offset| < 1e-2. The default sits just below critical where the
+    bifurcated branch of a supercritical point exists. mu_offset = 0 is
+    rejected: lambda1 vanishes at mu_c, so the sign check of
+    :func:`annuflow.bifurcation.reduction` cannot tell a resolved point
+    from an unresolved one there.
     """
 
     a: float = 1.0
@@ -45,6 +48,10 @@ class SweepSpec:
         if abs(self.mu_offset) >= 1e-2:
             raise InvalidPhysics(
                 f"|mu_offset| must be < 1e-2, got {self.mu_offset}")
+        if self.mu_offset == 0:
+            raise InvalidPhysics(
+                "mu_offset must be nonzero: lambda1 vanishes at mu_c, so the "
+                "sign of lambda1 cannot check whether the grid resolves the point")
         # the ranges are nondecreasing, so their lower ends bound every point
         validate(self.a, self.b_range[0], self.alpha_range[0], 1.0)
         if self.N < MIN_N:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 import annuflow as af
 
@@ -86,3 +87,25 @@ def _literal_advection(psi: np.ndarray, grid, K: int) -> np.ndarray:
 def advection_reference():
     """The mode-pair convolution that the simulator's FFT advection replaces."""
     return _literal_advection
+
+
+def _implicit_solve(sim, psi: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """The Crank-Nicolson update by one LU solve per mode: row n - 1 solves
+    (mass - dt/2 matrix) x = (mass + dt/2 matrix) psi_n + dt force_n with
+    mode n's pencil, its boundary rows replaced by the pencil's unit-scale
+    rows and their data zeroed."""
+    out = np.empty_like(psi)
+    for n, (c, f) in enumerate(zip(psi, force), start=1):
+        p = af.mode_pencil(sim.grid, sim.params, sim.mu, n)
+        lhs = p.mass - 0.5 * sim.dt * p.matrix
+        lhs[af.BC_ROWS] = p.matrix[af.BC_ROWS]
+        rhs = (p.mass + 0.5 * sim.dt * p.matrix) @ c + sim.dt * f
+        rhs[af.BC_ROWS] = 0.0
+        out[n - 1] = lu_solve(lu_factor(lhs), rhs)
+    return out
+
+
+@pytest.fixture(scope="session")
+def implicit_reference():
+    """The per-mode LU solve that the simulator's precomputed propagators replace."""
+    return _implicit_solve

@@ -375,6 +375,15 @@ class TestSweepCommands:
         assert doc["error"] == "InvalidGeometry"
         assert not (out / "sweep.csv").exists()
 
+    def test_sweep_zero_offset_exit_2(self, spec_file, tmp_path, capsys):
+        with open(spec_file, "a") as fh:
+            fh.write("mu_offset = 0\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics"
+        assert not (out / "sweep.csv").exists()
+
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha_samples = 0\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor
 
 import annuflow as af
 
@@ -254,6 +255,35 @@ class TestStructure:
         K = sim.K
         assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
         assert np.all(nl[K:] == 0.0)
+
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+    @pytest.mark.parametrize("ntheta", [4, 8, 32])
+    def test_step_matches_per_mode_solve(self, unstable, implicit_reference,
+                                         ntheta, nonlinear):
+        # the Euler startup step and the AB2 step after it, from a state
+        # with every mode populated
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta, nonlinear=nonlinear)
+        rng = np.random.default_rng(ntheta)
+        psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
+                        * np.sin(n * g.nodes + rng.uniform(0, np.pi)) * eig.psi1
+                        for n in range(1, sim.M + 1)])
+        s0 = af.SimState(0.0, psi)
+        s1 = sim.step(s0)
+        s2 = sim.step(s1)
+        forces = ([s1.prev_nonlinear, 1.5 * s2.prev_nonlinear - 0.5 * s1.prev_nonlinear]
+                  if nonlinear else [np.zeros_like(psi)] * 2)
+        for before, after, force in zip((s0, s1), (s1, s2), forces):
+            ref = implicit_reference(sim, before.psi, force)
+            assert np.abs(after.psi - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_singular_implicit_matrix_fails_at_construction(self, unstable, monkeypatch):
+        # lu_factor accepts a singular matrix with only a LinAlgWarning
+        pr, mu, g, _ = unstable
+        monkeypatch.setattr(af.simulator, "lu_factor",
+                            lambda m, **kw: lu_factor(np.zeros_like(m)))
+        with pytest.warns(LinAlgWarning), pytest.raises(af.SolverFailure):
+            af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
 
     def test_boundary_rows_after_step(self, unstable):
         pr, mu, g, eig = unstable

@@ -23,6 +23,11 @@ class TestSweepSpec:
         with pytest.raises(af.InvalidPhysics):
             af.SweepSpec(mu_offset=-0.5)
 
+    def test_rejects_zero_offset(self):
+        # lambda1 vanishes at mu_c, so the reduction's sign check cannot fire
+        with pytest.raises(af.InvalidPhysics, match="lambda1 vanishes"):
+            af.SweepSpec(mu_offset=0.0)
+
     def test_rejects_decreasing_range(self):
         with pytest.raises(af.InvalidPhysics):
             af.SweepSpec(b_range=(10.0, 5.0))
