@@ -202,7 +202,6 @@ class BifurcationReport:
     l: float
     classification: Classification
     amplitude: float | None
-    mu: float
     psi1: np.ndarray = field(repr=False)
     g11: np.ndarray = field(repr=False)
 
@@ -231,8 +230,8 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
             synthesize_lattice(coeffs @ grid.d1.T, ntheta))
 
 
-def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
-                       l: float, g11: np.ndarray) -> BifurcationReport:
+def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
+                       g11: np.ndarray) -> BifurcationReport:
     """Classify the pitchfork by sign(l) and attach the branch constructor.
 
     The amplitude |s| = sqrt(-lambda_1 / l) is defined only when lambda_1
@@ -246,8 +245,7 @@ def classify_and_build(params: DomainParams, mu: float, eig: EigenResult,
     if eig.lambda1 != 0.0 and np.sign(eig.lambda1) != np.sign(l):
         amplitude = float(np.sqrt(-eig.lambda1 / l))
     return BifurcationReport(lambda1=eig.lambda1, l=l, classification=cls,
-                             amplitude=amplitude, mu=mu,
-                             psi1=eig.psi1, g11=g11)
+                             amplitude=amplitude, psi1=eig.psi1, g11=g11)
 
 
 def reduction(params: DomainParams, mu: float,
@@ -272,4 +270,4 @@ def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
     """One-call pipeline: eigenpair, G11, l, classification."""
     eig, g11, l = reduction(params, mu, grid)
-    return classify_and_build(params, mu, eig, l, g11)
+    return classify_and_build(params, eig, l, g11)

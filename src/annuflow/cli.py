@@ -22,7 +22,7 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__
-from .bifurcation import bifurcation_report, leading_eigenpair
+from .bifurcation import bifurcation_report, lattice_velocity, leading_eigenpair
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import synthesize_physical, theta_lattice, validate
@@ -41,9 +41,11 @@ from .spectral import build_grid
 from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
 
 
-def _args_dict(args) -> dict:
-    """Serializable view of the parsed arguments for the manifest."""
-    return {k: v for k, v in vars(args).items() if not callable(v)}
+def _inputs(args, **resolved) -> dict:
+    """The manifest's inputs: the parsed arguments with the values resolved
+    from their defaults in place, without the command and the outdir."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "outdir", "func")} | resolved
 
 
 def _outdir(args) -> str:
@@ -66,23 +68,23 @@ def _finish(out: str, name: str, doc: dict, command: str, inputs: dict,
 
 
 def cmd_mu_c(args) -> dict:
-    params = validate(args.a, args.b, args.alpha, 1.0)
+    params = validate(args.a, args.b, args.alpha)
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha,
            "mu_c_closed": mu_c_closed(params)}
     if args.oracle:
         doc["mu_c_oracle"] = mu_c_oracle(params)
         doc["discrepancy"] = (abs(doc["mu_c_oracle"] - doc["mu_c_closed"])
                               / doc["mu_c_closed"])
-    return _finish(_outdir(args), "mu_c", doc, "mu-c", _args_dict(args), [])
+    return _finish(_outdir(args), "mu_c", doc, "mu-c", _inputs(args), [])
 
 
 def cmd_eigen(args) -> dict:
     params = validate(args.a, args.b, args.alpha, args.mu)
     grid = build_grid(params.a, params.b, args.N)
-    eig = leading_eigenpair(params, params.mu, grid)
+    eig = leading_eigenpair(params, args.mu, grid)
     samples = [{"r": float(r), "re": float(v.real), "im": float(v.imag)}
                for r, v in zip(grid.nodes, eig.psi1)]
-    doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": params.mu,
+    doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": args.mu,
            "N": args.N, "lambda1": eig.lambda1, "psi1_samples": samples}
     out = _outdir(args)
     outputs = []
@@ -91,15 +93,15 @@ def cmd_eigen(args) -> dict:
         write_csv(path, ["r", "psi1_re", "psi1_im"],
                   ((s["r"], s["re"], s["im"]) for s in samples))
         outputs.append(path)
-    return _finish(out, "eigen", doc, "eigen", _args_dict(args), outputs)
+    return _finish(out, "eigen", doc, "eigen", _inputs(args), outputs)
 
 
 def cmd_bifurcate(args) -> dict:
     if args.phases < 0:
         raise InvalidPhysics(f"--phases must be >= 0, got {args.phases}")
-    muc = mu_c_closed(validate(args.a, args.b, args.alpha, 1.0))
+    params = validate(args.a, args.b, args.alpha, args.mu)
+    muc = mu_c_closed(params)
     mu = args.mu if args.mu is not None else muc * (1.0 - 1e-4)
-    params = validate(args.a, args.b, args.alpha, mu)
     grid = build_grid(params.a, params.b, args.N)
     report = bifurcation_report(params, mu, grid)
     if report.amplitude is None:
@@ -122,7 +124,7 @@ def cmd_bifurcate(args) -> dict:
         with open(base + ".svg", "w") as fh:
             fh.write(field_svg(psi, grid.nodes, theta_lattice(args.ntheta)))
         outputs += [base + ".csv", base + ".svg"]
-    return _finish(out, "bifurcate", doc, "bifurcate", _args_dict(args), outputs)
+    return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
 
 
 def _read_typed(path: str, casts: dict) -> dict:
@@ -136,56 +138,60 @@ def _read_typed(path: str, casts: dict) -> dict:
     return vals
 
 
+def _boolean(text: str) -> bool:
+    """1/0, true/false or yes/no in any case; anything else is a ValueError."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+    return word in ("1", "true", "yes")
+
+
+#: simulate's flags and --config keys: key -> (cast, default); mu defaults to 2 mu_c
+SIM_INPUTS = {"a": (float, 1.0), "b": (float, 3.0), "alpha": (float, 5.0),
+              "mu": (float, None), "N": (int, 48), "ntheta": (int, 32),
+              "dt": (float, 0.01), "steps": (int, 1000), "delta": (float, 1e-3),
+              "nonlinear": (_boolean, True), "sample_every": (int, 10)}
+
+#: simulate flags that an escape run does not read
+ESCAPE_UNREAD = ("steps", "delta", "sample_every", "snapshot")
+
+
 def _sim_config(args) -> dict:
-    cfg = {
-        "a": 1.0, "b": 3.0, "alpha": 5.0, "mu": None, "N": 48, "ntheta": 32,
-        "dt": 0.01, "steps": 1000, "delta": 1e-3, "nonlinear": True,
-        "sample_every": 10,
-    }
+    """The simulate inputs: defaults, then the config file, then the flags."""
+    cfg = {k: default for k, (_, default) in SIM_INPUTS.items()}
     if args.config:
-        cfg.update(_read_typed(args.config, {
-            "a": float, "b": float, "alpha": float, "mu": float, "N": int,
-            "ntheta": int, "dt": float, "steps": int, "delta": float,
-            "sample_every": int,
-            "nonlinear": lambda s: s.lower() in ("1", "true", "yes")}))
-    for key in ("a", "b", "alpha", "mu", "dt", "steps", "delta", "N",
-                "ntheta", "sample_every"):
-        arg = getattr(args, key, None)
-        if arg is not None:
-            cfg[key] = arg
+        cfg.update(_read_typed(args.config, {k: c for k, (c, _) in SIM_INPUTS.items()}))
+    cfg.update((k, getattr(args, k)) for k in SIM_INPUTS
+               if getattr(args, k, None) is not None)
     if args.linear:
         cfg["nonlinear"] = False
     return cfg
 
 
 def cmd_simulate(args) -> dict:
-    unread = [k for k in ("steps", "delta", "sample_every", "snapshot")
-              if getattr(args, k) is not None]
+    unread = [k for k in ESCAPE_UNREAD if getattr(args, k) is not None]
     if args.escape and unread:
         raise InvalidPhysics("the escape run does not read " + ", ".join(
             "--" + k.replace("_", "-") for k in unread))
     cfg = _sim_config(args)
-    muc = mu_c_closed(validate(cfg["a"], cfg["b"], cfg["alpha"], 1.0))
-    mu = cfg["mu"] if cfg["mu"] is not None else 2.0 * muc
-    cfg["mu"] = mu
-    params = validate(cfg["a"], cfg["b"], cfg["alpha"], mu)
+    params = validate(cfg["a"], cfg["b"], cfg["alpha"], cfg["mu"])
+    if cfg["mu"] is None:
+        cfg["mu"] = 2.0 * mu_c_closed(params)
     grid = build_grid(params.a, params.b, cfg["N"])
-    sim = Simulator(params, grid, mu=mu, dt=cfg["dt"], ntheta=cfg["ntheta"],
+    sim = Simulator(params, grid, mu=cfg["mu"], dt=cfg["dt"], ntheta=cfg["ntheta"],
                     nonlinear=cfg["nonlinear"])
-    eig = leading_eigenpair(params, mu, grid)
+    eig = leading_eigenpair(params, cfg["mu"], grid)
     out = _outdir(args)
 
     if args.escape:
         deltas = [float(s) for s in args.escape.split(",")]
         table = escape_experiment(sim, eig, deltas, eps_thr=args.eps_thr)
         slope = escape_slope(table) if len(table) > 1 else None
-        doc = {"mu": mu, "lambda1": eig.lambda1, "eps_thr": args.eps_thr,
+        doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": args.eps_thr,
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": slope,
                "inverse_lambda1": 1.0 / eig.lambda1}
-        # the escape run starts from each delta and steps to its own cap
-        read = {k: v for k, v in cfg.items()
-                if k not in ("steps", "delta", "sample_every")}
+        read = {k: v for k, v in cfg.items() if k not in ESCAPE_UNREAD}
         return _finish(out, "escape", doc, "simulate",
                        read | {"escape": args.escape, "eps_thr": args.eps_thr}, [])
 
@@ -197,7 +203,7 @@ def cmd_simulate(args) -> dict:
         growth = fit_growth_rate(diags, saturation=None if sat in (None, 0.0) else sat)
     except (SolverFailure, ValueError):
         growth = None
-    doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": mu,
+    doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": cfg["mu"],
            "N": cfg["N"], "ntheta": cfg["ntheta"], "dt": cfg["dt"],
            "steps": cfg["steps"], "delta": cfg["delta"],
            "nonlinear": cfg["nonlinear"], "final_t": state.t,
@@ -209,7 +215,7 @@ def cmd_simulate(args) -> dict:
     outputs = [traj]
     if args.snapshot:
         phys = synthesize_physical(state.psi, cfg["ntheta"])
-        vr, vt = sim.velocity_lattice(state)
+        vr, vt = lattice_velocity(state.psi, grid, cfg["ntheta"])
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, grid.nodes, phys, vr, vt)
         outputs.append(snap)
@@ -217,18 +223,18 @@ def cmd_simulate(args) -> dict:
 
 
 def _sweep_spec(path: str) -> SweepSpec:
+    """The spec file as a SweepSpec; an end missing from a range keeps
+    SweepSpec's default."""
     vals = _read_typed(path, {
         "a": float, "alpha_min": float, "alpha_max": float, "alpha_samples": int,
         "b_min": float, "b_max": float, "b_samples": int, "mu_offset": float,
         "N": int})
-    kwargs = {}
-    if "alpha_min" in vals or "alpha_max" in vals:
-        kwargs["alpha_range"] = (vals.get("alpha_min", 5.0), vals.get("alpha_max", 15.0))
-    if "b_min" in vals or "b_max" in vals:
-        kwargs["b_range"] = (vals.get("b_min", 5.0), vals.get("b_max", 15.0))
-    for key in ("a", "alpha_samples", "b_samples", "mu_offset", "N"):
-        if key in vals:
-            kwargs[key] = vals[key]
+    kwargs = {k: v for k, v in vals.items() if not k.endswith(("_min", "_max"))}
+    for axis in ("alpha", "b"):
+        if f"{axis}_min" in vals or f"{axis}_max" in vals:
+            lo, hi = getattr(SweepSpec, f"{axis}_range")
+            kwargs[f"{axis}_range"] = (vals.get(f"{axis}_min", lo),
+                                       vals.get(f"{axis}_max", hi))
     return SweepSpec(**kwargs)
 
 
@@ -297,13 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="nonlinear time integration")
     sp.add_argument("--config", default=None, help="key=value config file")
-    for name, typ in (("a", float), ("b", float), ("alpha", float),
-                      ("mu", float), ("dt", float), ("delta", float)):
-        sp.add_argument(f"--{name}", type=typ, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("-N", type=int, default=None)
-    sp.add_argument("--ntheta", type=int, default=None)
-    sp.add_argument("--sample-every", dest="sample_every", type=int, default=None)
+    for key, (cast, _) in SIM_INPUTS.items():
+        if key != "nonlinear":
+            flag = "-N" if key == "N" else "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=key, type=cast, default=None)
     sp.add_argument("--linear", action="store_true",
                     help="disable the nonlinear term")
     sp.add_argument("--snapshot", action="store_true", default=None,

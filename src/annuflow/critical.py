@@ -26,7 +26,7 @@ from .spectral import RadialGrid, laplacian_n
 
 
 def mu_c_closed(params: DomainParams) -> float:
-    """Closed-form critical viscosity; the mu field of params is ignored."""
+    """Closed-form critical viscosity, a function of (a, b, alpha) alone."""
     a, alpha = params.a, params.alpha
     s = params.sigma
     ls = np.log(s)
@@ -89,9 +89,13 @@ def gamma_n(params: DomainParams, n: int, grid: RadialGrid) -> float:
     return float(1.0 / (d @ y))
 
 
+#: the variational constants gamma_1..gamma_N_GAMMA that critical_result reports
+N_GAMMA = 5
+
+
 @dataclass(frozen=True)
 class CriticalResult:
-    """Closed-form and oracle critical viscosities plus gamma_1..gamma_nmax."""
+    """Closed-form and oracle critical viscosities plus gamma_1..gamma_N_GAMMA."""
 
     mu_c_closed: float
     mu_c_oracle: float
@@ -102,10 +106,9 @@ class CriticalResult:
         return abs(self.mu_c_closed - self.mu_c_oracle) / abs(self.mu_c_closed)
 
 
-def critical_result(params: DomainParams, grid: RadialGrid,
-                    n_max: int = 5) -> CriticalResult:
+def critical_result(params: DomainParams, grid: RadialGrid) -> CriticalResult:
     return CriticalResult(
         mu_c_closed=mu_c_closed(params),
         mu_c_oracle=mu_c_oracle(params),
-        gamma=tuple(gamma_n(params, n, grid) for n in range(1, n_max + 1)),
+        gamma=tuple(gamma_n(params, n, grid) for n in range(1, N_GAMMA + 1)),
     )

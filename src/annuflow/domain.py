@@ -19,12 +19,12 @@ from .errors import GridMismatch, InvalidGeometry, InvalidPhysics
 
 @dataclass(frozen=True)
 class DomainParams:
-    """Annulus geometry and physics: inner/outer radii, slip length, viscosity."""
+    """Annulus geometry and slip: inner/outer radii, slip coefficient. The
+    viscosity is an argument of each function that needs it."""
 
     a: float
     b: float
     alpha: float
-    mu: float
 
     @property
     def sigma(self) -> float:
@@ -32,20 +32,21 @@ class DomainParams:
         return self.b / self.a
 
 
-def validate(a: float, b: float, alpha: float, mu: float) -> DomainParams:
+def validate(a: float, b: float, alpha: float, mu: float | None = None) -> DomainParams:
     """Check parameter ranges and return a normalized record.
 
     Raises InvalidGeometry unless 0 < a < b, and InvalidPhysics unless
-    alpha > 0 and mu > 0.
+    alpha > 0 and, when a viscosity is given, mu > 0. The viscosity is
+    only checked; the record does not keep it.
     """
-    a, b, alpha, mu = float(a), float(b), float(alpha), float(mu)
+    a, b, alpha = float(a), float(b), float(alpha)
     if not (0.0 < a < b) or not np.isfinite(a) or not np.isfinite(b):
         raise InvalidGeometry(f"need 0 < a < b, got a={a}, b={b}")
     if not (alpha > 0.0) or not np.isfinite(alpha):
         raise InvalidPhysics(f"slip coefficient must be positive, got alpha={alpha}")
-    if not (mu > 0.0) or not np.isfinite(mu):
+    if mu is not None and (not (mu > 0.0) or not np.isfinite(mu)):
         raise InvalidPhysics(f"viscosity must be positive, got mu={mu}")
-    return DomainParams(a=a, b=b, alpha=alpha, mu=mu)
+    return DomainParams(a=a, b=b, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,12 @@ from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
 
+#: ||v|| at or below which fit_growth_rate drops a sample as startup noise
+GROWTH_FLOOR = 1e-8
+#: steps after which escape_experiment gives up on one delta
+ESCAPE_MAX_STEPS = 200_000
+
+
 def _pairs(z: np.ndarray) -> np.ndarray:
     """The (..., 2) real view of a complex array, on which a real matrix
     acts without being recast to complex."""
@@ -105,22 +111,22 @@ class Diagnostics:
 class Simulator:
     """IMEX stepper for a fixed (params, mu, grid, ntheta, dt) configuration.
 
-    The propagators P, Q and W (see the module docstring) are formed once
-    at construction; a singular implicit matrix raises SolverFailure there.
-    ``nonlinear=False`` drops the advection term entirely, so each mode
-    evolves under its own linear operator (used for rate cross-checks).
+    dt must be positive and finite (ValueError). The propagators P, Q and W
+    (see the module docstring) are formed once at construction; a singular
+    implicit matrix raises SolverFailure there. ``nonlinear=False`` drops
+    the advection term entirely, so each mode evolves under its own linear
+    operator (used for rate cross-checks).
     """
 
     def __init__(self, params: DomainParams, grid: RadialGrid, *,
-                 mu: float | None = None, dt: float, ntheta: int = 32,
-                 nonlinear: bool = True):
+                 mu: float, dt: float, ntheta: int = 32, nonlinear: bool = True):
         if ntheta < 4 or ntheta % 2:
             raise GridMismatch(f"ntheta must be even and >= 4, got {ntheta}")
-        if dt <= 0:
-            raise CFLViolation(f"dt must be positive, got {dt}")
+        if not (dt > 0 and np.isfinite(dt)):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.params = params
         self.grid = grid
-        self.mu = params.mu if mu is None else float(mu)
+        self.mu = float(mu)
         self.dt = float(dt)
         self.ntheta = ntheta
         self.nonlinear = nonlinear
@@ -164,9 +170,9 @@ class Simulator:
         return SimState(t=0.0, psi=np.zeros((self.M, self.grid.N + 1), complex))
 
     def init_from_mode(self, eig: EigenResult, delta: float) -> SimState:
-        """State delta * Psi_1 in the n = 1 row, all other modes zero."""
-        if delta < 0:
-            raise ValueError(f"amplitude must be nonnegative, got {delta}")
+        """delta * Psi_1 (finite delta >= 0) in the n = 1 row, all other modes zero."""
+        if not (delta >= 0 and np.isfinite(delta)):
+            raise ValueError(f"amplitude must be nonnegative and finite, got {delta}")
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
         st = self.zero_state()
@@ -175,19 +181,11 @@ class Simulator:
 
     # ----------------------------------------------------------- physics
 
-    def velocity_lattice(self, state: SimState) -> tuple[np.ndarray, np.ndarray]:
-        """(v_r, v_theta) of the real field on the (r, theta) lattice."""
-        return lattice_velocity(state.psi, self.grid, self.ntheta)
-
-    def cfl_limit(self, state: SimState) -> float:
-        """Largest admissible dt: 0.5 / max crossing rate, where each
-        velocity component is measured against the cell size it crosses
-        (radial spacing for v_r, local arc length for v_theta). Infinite
-        for the zero state."""
-        return self._cfl(*self.velocity_lattice(state))
-
-    def _cfl(self, vr: np.ndarray, vt: np.ndarray) -> float:
-        """:meth:`cfl_limit` of the velocity on the ntheta lattice."""
+    def cfl_limit(self, vr: np.ndarray, vt: np.ndarray) -> float:
+        """Largest admissible dt for the velocity (v_r, v_theta) on the
+        ntheta lattice: 0.5 / max crossing rate, where each component is
+        measured against the cell size it crosses (radial spacing for v_r,
+        local arc length for v_theta). Infinite for a zero velocity."""
         rate_r = (np.abs(vr) / self._dr_local[:, None]).max()
         rate_t = (np.abs(vt) / self._arc_local[:, None]).max()
         rate = max(rate_r, rate_t)
@@ -200,7 +198,7 @@ class Simulator:
         psi = state.psi
         L = 2 * self.ntheta
         vr, vt = lattice_velocity(psi, self.grid, L)
-        limit = self._cfl(vr[:, ::2], vt[:, ::2])
+        limit = self.cfl_limit(vr[:, ::2], vt[:, ::2])
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
@@ -277,17 +275,17 @@ class Simulator:
         return state, diags
 
 
-def fit_growth_rate(diags: list[Diagnostics], *, lower: float = 1e-8,
+def fit_growth_rate(diags: list[Diagnostics], *,
                     saturation: float | None = None) -> float:
     """Least-squares slope of ln ||v|| over the clean exponential window.
 
-    Samples with ||v|| <= lower (startup noise) are dropped; when a
+    Samples with ||v|| <= GROWTH_FLOOR (startup noise) are dropped; when a
     saturation scale is given, samples above 1e-3 * saturation (nonlinear
     contamination) are dropped too.
     """
     t = np.array([d.t for d in diags])
     v = np.array([d.vnorm for d in diags])
-    keep = v > lower
+    keep = v > GROWTH_FLOOR
     if saturation is not None:
         keep &= v < 1e-3 * saturation
     if keep.sum() < 2:
@@ -297,14 +295,13 @@ def fit_growth_rate(diags: list[Diagnostics], *, lower: float = 1e-8,
 
 
 def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
-                      *, eps_thr: float, max_steps: int = 200_000
-                      ) -> list[tuple[float, float]]:
+                      *, eps_thr: float) -> list[tuple[float, float]]:
     """Escape times: for each delta, the first t with ||v(t)|| >= eps_thr.
 
     Raises ValueError unless eps_thr and every delta are positive (the zero
     state never grows), and NoEscape without growth (lambda_1 <= 0 at the
     simulator's mu) or when a delta does not reach the threshold within
-    max_steps. The slope of T vs ln(1/delta) estimates 1/lambda_1.
+    ESCAPE_MAX_STEPS. The slope of T vs ln(1/delta) estimates 1/lambda_1.
     """
     if not (eps_thr > 0 and all(d > 0 for d in delta_list)):
         raise ValueError(f"need eps_thr > 0 and deltas > 0, got {eps_thr}, {delta_list}")
@@ -314,9 +311,9 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
     for delta in delta_list:
         state, steps = sim.init_from_mode(eig, delta), 0
         while np.sqrt(sim.energies(state)[0]) < eps_thr:
-            if steps == max_steps:
+            if steps == ESCAPE_MAX_STEPS:
                 raise NoEscape(f"threshold {eps_thr} not reached from delta={delta} "
-                               f"within {max_steps} steps (t={state.t:.1f})")
+                               f"within {ESCAPE_MAX_STEPS} steps (t={state.t:.1f})")
             state, steps = sim.step(state), steps + 1
         out.append((delta, state.t))
     return out

@@ -24,6 +24,7 @@ from .domain import DomainParams
 from .errors import (
     EigSolverFailure,
     GridMismatch,
+    InvalidPhysics,
     SingularSystem,
     TooCoarse,
 )
@@ -146,7 +147,9 @@ class ModePencil:
 
 def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
                 n: int) -> ModePencil:
-    """The :class:`ModePencil` of mode n at viscosity mu."""
+    """Mode n's :class:`ModePencil` at viscosity mu; InvalidPhysics unless mu > 0."""
+    if not mu > 0:
+        raise InvalidPhysics(f"viscosity must be positive, got mu={mu}")
     matrix = mu * bilaplacian_n(grid, n)
     matrix[BC_ROWS] = navier_slip_bcs(grid, params, mu)
     mass = laplacian_n(grid, n)

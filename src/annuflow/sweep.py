@@ -7,7 +7,7 @@ grid points are recorded in the row status instead of aborting the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class SweepSpec:
                 "mu_offset must be nonzero: lambda1 vanishes at mu_c, so the "
                 "sign of lambda1 cannot check whether the grid resolves the point")
         # the ranges are nondecreasing, so their lower ends bound every point
-        validate(self.a, self.b_range[0], self.alpha_range[0], 1.0)
+        validate(self.a, self.b_range[0], self.alpha_range[0])
         if self.N < MIN_N:
             raise TooCoarse(f"need N >= {MIN_N}, got {self.N}")
 
@@ -66,15 +66,9 @@ class SweepSpec:
         return np.linspace(lo, hi, self.b_samples)
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "alpha_range": list(self.alpha_range),
-            "alpha_samples": self.alpha_samples,
-            "b_range": list(self.b_range),
-            "b_samples": self.b_samples,
-            "mu_offset": self.mu_offset,
-            "N": self.N,
-        }
+        """The fields as a manifest reads back: the ranges as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -97,11 +91,11 @@ def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,
                    grid: RadialGrid) -> SweepRow:
     """Classification at one (alpha, b) point; failures land in status."""
     try:
-        muc = mu_c_closed(validate(a, b, alpha, 1.0))
+        params = validate(a, b, alpha)
+        muc = mu_c_closed(params)
         mu = muc * (1.0 + mu_offset)
-        params = validate(a, b, alpha, mu)
         eig, g11, l = reduction(params, mu, grid)
-        report = classify_and_build(params, mu, eig, l, g11)
+        report = classify_and_build(params, eig, l, g11)
         return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=eig.lambda1,
                         l=l, classification=report.classification.value,
                         status="ok")

@@ -42,7 +42,7 @@ def report_099(eig_099, grid48):
     pr, mu, eig = eig_099
     mc = af.solve_G11(pr, mu, eig, grid48)
     l = af.lyapunov_coeff(eig.psi1, mc, grid48)
-    return af.classify_and_build(pr, mu, eig, l, mc)
+    return af.classify_and_build(pr, eig, l, mc)
 
 
 def _literal_lattice_sum(coeffs: np.ndarray, ntheta: int) -> np.ndarray:

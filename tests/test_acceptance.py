@@ -59,7 +59,7 @@ def sat_setup(muc, grid48):
     eig = af.leading_eigenpair(pr, mu, grid48)
     mc = af.solve_G11(pr, mu, eig, grid48)
     l = af.lyapunov_coeff(eig.psi1, mc, grid48)
-    rep = af.classify_and_build(pr, mu, eig, l, mc)
+    rep = af.classify_and_build(pr, eig, l, mc)
     return pr, mu, eig, rep
 
 
@@ -254,7 +254,7 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     eig_s = af.leading_eigenpair(pr_s, mu_s, grid_s)
     mc_s = af.solve_G11(pr_s, mu_s, eig_s, grid_s)
     l_s = af.lyapunov_coeff(eig_s.psi1, mc_s, grid_s)
-    rep_s = af.classify_and_build(pr_s, mu_s, eig_s, l_s, mc_s)
+    rep_s = af.classify_and_build(pr_s, eig_s, l_s, mc_s)
     amp = np.sqrt(abs(eig_s.lambda1 / l_s))
     pred = np.abs(rep_s.psi_s(amp, 128).values).max()
     trace = {}
@@ -272,12 +272,12 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
 
     # the Subcritical path of the classifier, on real eigenpairs
     l_pos = abs(l_ref)
-    sub_lo = af.classify_and_build(pr, mu, eig, l_pos, mc)
+    sub_lo = af.classify_and_build(pr, eig, l_pos, mc)
     mu_hi = 1.01 * muc
     pr_hi = af.validate(1, 3, 5, mu_hi)
     eig_hi = af.leading_eigenpair(pr_hi, mu_hi, grid48)
     mc_hi = af.solve_G11(pr_hi, mu_hi, eig_hi, grid48)
-    sub_hi = af.classify_and_build(pr_hi, mu_hi, eig_hi, l_pos, mc_hi)
+    sub_hi = af.classify_and_build(pr_hi, eig_hi, l_pos, mc_hi)
     sub = af.Classification.SUBCRITICAL
     sub_ok = (eig.lambda1 > 0 > eig_hi.lambda1
               and sub_lo.classification is sub and sub_lo.amplitude is None
@@ -440,7 +440,7 @@ def test_criterion_12_equivariance_suite(sat_setup, grid48, capsys):
                             psi1=c * eig.psi1, mu=mu)
     mc2 = af.solve_G11(pr, mu, scaled, grid48)
     l2 = af.lyapunov_coeff(scaled.psi1, mc2, grid48)
-    rep2 = af.classify_and_build(pr, mu, scaled, l2, mc2)
+    rep2 = af.classify_and_build(pr, scaled, l2, mc2)
     f2 = rep2.psi_s(rep2.amplitude * np.exp(-1j * np.angle(c)), ntheta).values
     err_c = np.abs(base - f2).max() / np.abs(base).max()
     ok = err_a < 1e-8 and err_b < 1e-8 and err_c < 1e-8

@@ -120,7 +120,7 @@ class TestClassification:
         pr, mu, eig = eig_099
         g11 = np.zeros(5, complex)
         with pytest.raises(af.DegenerateCoefficient):
-            af.classify_and_build(pr, mu, eig, 0.0, g11)
+            af.classify_and_build(pr, eig, 0.0, g11)
 
     def test_amplitude_from_rate_ratio(self, eig_099, report_099):
         _, _, eig = eig_099
@@ -156,7 +156,7 @@ class TestBifurcatedState:
                                 psi1=c * eig.psi1, mu=mu)
         mc = af.solve_G11(pr, mu, scaled, grid48)
         l = af.lyapunov_coeff(scaled.psi1, mc, grid48)
-        rep2 = af.classify_and_build(pr, mu, scaled, l, mc)
+        rep2 = af.classify_and_build(pr, scaled, l, mc)
         f1 = report_099.psi_s(report_099.amplitude, 64).values
         # the scaled eigenvector carries an extra phase angle(c) that the
         # family parameter must cancel

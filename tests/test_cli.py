@@ -12,7 +12,7 @@ import annuflow.simulator
 from annuflow import errors
 from annuflow.cli import main
 from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
-from annuflow.sweep import SWEEP_HEADER, SweepRow
+from annuflow.sweep import SWEEP_HEADER, SweepRow, SweepSpec
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -216,6 +216,49 @@ class TestSimulate:
         assert code == 0
         assert doc["mu"] == 4.0 and doc["steps"] == 50
 
+    def test_flags_override_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 4.0\nsteps = 5\nntheta = 8\nN = 24\n")
+        code, doc = run_cli(capsys, "simulate", "--config", str(cfg), "--mu", "1.2",
+                            "--dt", "0.005", "-o", str(tmp_path))
+        assert code == 0
+        assert doc["mu"] == 1.2 and doc["steps"] == 5
+
+    @pytest.mark.parametrize("word,nonlinear", [
+        ("0", False), ("FALSE", False), ("No", False), ("1", True), ("True", True),
+        ("yes", True)])
+    def test_config_booleans(self, tmp_path, capsys, word, nonlinear):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nonlinear = {word}\nsteps = 2\nntheta = 8\nN = 24\n")
+        code, doc = run_cli(capsys, "simulate", "--config", str(cfg), "--mu", "1.2",
+                            "--dt", "0.005", "-o", str(tmp_path))
+        assert code == 0
+        assert doc["nonlinear"] is nonlinear
+
+    def test_misspelt_boolean_exit_2(self, tmp_path, capsys):
+        # a misspelling used to read as false and silently ran the linear model
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nonlinear = ture\nsteps = 2\nntheta = 8\nN = 24\n")
+        code, doc = run_cli(capsys, "simulate", "--config", str(cfg), "--mu", "1.2",
+                            "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "ValueError" and "ture" in doc["message"]
+        validate_against_schema(doc, "error")
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--dt", "-0.01"], ["--dt", "nan"],
+                                      ["--dt", "inf"], ["--delta", "nan"],
+                                      ["--delta", "inf"]],
+                             ids=["dt-negative", "dt-nan", "dt-inf", "delta-nan",
+                                  "delta-inf"])
+    def test_bad_dt_or_delta_exit_2(self, tmp_path, capsys, flag):
+        code, doc = run_cli(capsys, "simulate", "--mu", "1.2", "--steps", "2", *flag,
+                            "--ntheta", "8", "-N", "24", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "ValueError"
+        validate_against_schema(doc, "error")
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nu = 4.0\n")
@@ -318,6 +361,22 @@ def test_manifest_matches_schema(tmp_path, capsys, argv, manifest):
     assert doc["outputs"] and all(os.path.exists(p) for p in doc["outputs"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["mu-c", "1", "3", "5"],
+    ["eigen", "1", "3", "5", "1.2", "-N", "24"],
+    ["bifurcate", "1", "3", "5", "-N", "32"],
+], ids=["mu-c", "eigen", "bifurcate"])
+def test_manifest_inputs_are_resolved(tmp_path, capsys, argv):
+    code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 0
+    inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+    assert not {"command", "outdir", "func"} & inputs.keys()
+    assert inputs["a"] == 1.0 and inputs["b"] == 3.0 and inputs["alpha"] == 5.0
+    if argv[0] != "mu-c":
+        # bifurcate's default mu is resolved from mu_c before it is recorded
+        assert inputs["mu"] == doc["mu"] and inputs["N"] == doc["N"]
+
+
 class TestSweepCommands:
     @pytest.fixture()
     def spec_file(self, tmp_path):
@@ -383,6 +442,16 @@ class TestSweepCommands:
         assert code == 2
         assert doc["error"] == "InvalidPhysics"
         assert not (out / "sweep.csv").exists()
+
+    def test_missing_range_end_is_spec_default(self, tmp_path, capsys):
+        spec = tmp_path / "one_end.cfg"
+        spec.write_text("alpha_min = 7\nalpha_samples = 1\nb_min = 3\nb_max = 3\n"
+                        "b_samples = 1\nN = 32\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", str(spec), "-o", str(out))
+        assert code == 0 and doc["rows"] == 1
+        inputs = json.loads((out / "sweep_manifest.json").read_text())["inputs"]
+        assert inputs["alpha_range"] == [7.0, SweepSpec.alpha_range[1]]
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -7,7 +7,7 @@ import annuflow as af
 class TestValidate:
     def test_accepts_valid(self):
         p = af.validate(1, 3, 5, 2.0)
-        assert p.a == 1.0 and p.b == 3.0 and p.alpha == 5.0 and p.mu == 2.0
+        assert p.a == 1.0 and p.b == 3.0 and p.alpha == 5.0
         assert p.sigma == 3.0
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, 1), (0, 1), (-1, 2)])

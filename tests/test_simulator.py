@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import LinAlgWarning, lu_factor
 
 import annuflow as af
+import annuflow.simulator
+from annuflow.bifurcation import lattice_velocity
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,7 @@ class TestConstruction:
 
     def test_bad_dt(self, stable):
         pr, mu, g, _ = stable
-        with pytest.raises(af.CFLViolation):
+        with pytest.raises(ValueError):
             af.Simulator(pr, g, mu=mu, dt=-0.01, ntheta=8)
 
     def test_truncation(self, stable):
@@ -230,7 +232,7 @@ class TestStructure:
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
         st.psi[3] = st.psi[3] + 1e-3 * eig.psi1
-        vr, vt = sim.velocity_lattice(st)
+        vr, vt = lattice_velocity(st.psi, g, 8)
         n = np.arange(1, 5)[:, None]
         c = st.psi
         ref_r = lattice_reference(-1j * n * c / g.nodes, 8)
@@ -329,6 +331,13 @@ class TestEscape:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         with pytest.raises(af.NoEscape):
             af.escape_experiment(sim, eig, [1e-6], eps_thr=1.0)
+
+    def test_step_cap_raises(self, unstable, monkeypatch):
+        pr, mu, g, eig = unstable
+        monkeypatch.setattr(annuflow.simulator, "ESCAPE_MAX_STEPS", 3)
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        with pytest.raises(af.NoEscape, match="within 3 steps"):
+            af.escape_experiment(sim, eig, [1e-6], eps_thr=1e-2)
 
     @pytest.mark.parametrize("eps_thr,deltas", [
         (-1.0, [1e-3]), (0.0, [1e-3]), (1e-2, [1e-3, 0.0]), (1e-2, [-1e-3])],

@@ -80,6 +80,13 @@ class TestModePencil:
                                   (mu * af.bilaplacian_n(grid32, n))[interior])
             assert np.array_equal(p.mass[interior], af.laplacian_n(grid32, n)[interior])
 
+    @pytest.mark.parametrize("mu", [0.0, -1e-4, np.nan])
+    def test_nonpositive_viscosity_rejected(self, grid32, params135, mu):
+        # DomainParams holds no viscosity, so the pencil checks the one it is
+        # given, also one derived from mu_c (negative where mu_c_closed cancels)
+        with pytest.raises(af.InvalidPhysics, match="viscosity"):
+            af.mode_pencil(grid32, params135, mu, 1)
+
 
 class TestInnerProduct:
     def test_r_weighted_value(self, grid32):
