@@ -68,7 +68,6 @@ from .spectral import (
     laplacian_n,
     mode_pencil,
     navier_slip_bcs,
-    radial_integral,
     solve_bvp,
 )
 from .sweep import (

@@ -1,9 +1,9 @@
 """Center-manifold reduction at the critical viscosity.
 
-Builds the leading eigenpair of the generalized problem
-mu Delta_1^2 Psi = lambda Delta_1 Psi, solves the quadratic manifold
-coefficient G11, assembles the cubic (Lyapunov) coefficient l of the
-reduced amplitude equation
+One chain, :func:`bifurcation_report`, builds the leading eigenpair of the
+generalized problem mu Delta_1^2 Psi = lambda Delta_1 Psi, solves the
+quadratic manifold coefficient G11, assembles the cubic (Lyapunov)
+coefficient l of the reduced amplitude equation
 
     dz/dt = lambda_1 z + l z |z|^2,
 
@@ -41,14 +41,8 @@ from .spectral import (
     generalized_eig,
     laplacian_n,
     mode_pencil,
-    radial_integral,
     solve_bvp,
 )
-
-
-def eig_cap(params: DomainParams, mu: float) -> float:
-    """Spurious-eigenvalue cutoff for row-replaced generalized problems."""
-    return 1e6 * mu / (params.b - params.a) ** 2
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,8 @@ def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
 
 
 def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
-                    grid: RadialGrid, n: int = 1) -> float:
-    """Variational growth rate of a mode-n profile.
+                    grid: RadialGrid) -> float:
+    """Variational growth rate of a mode-1 profile.
 
     lambda = (-mu E1 + (alpha - mu/a) E2) / E3 with the functionals of
     :func:`mode_energies`. For an eigenfunction this is the eigenvalue,
@@ -97,7 +91,7 @@ def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
     self-adjoint in this pairing), so it is used to polish the value
     returned by the dense eigensolver.
     """
-    E3, E1, E2 = mode_energies(params, psi, grid, n)
+    E3, E1, E2 = mode_energies(params, psi, grid)
     return float((-mu * E1 + (params.alpha - mu / params.a) * E2) / E3)
 
 
@@ -105,11 +99,14 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     """Largest-real-part eigenpair of mu Delta_1^2 Psi = lambda Delta_1 Psi.
 
     Boundary rows are the Dirichlet pair plus the slip/stress-free pair
-    with alpha/mu evaluated at the requested viscosity. The eigenvalue is
-    polished by the variational quotient of the computed eigenvector.
+    with alpha/mu evaluated at the requested viscosity; eigenvalues above
+    1e6 mu / (b - a)^2 are their debris. The eigenvalue is polished by the
+    variational quotient of the computed eigenvector. The closed-form mu_c
+    is exact, so a lambda_1 whose sign is not that of mu_c - mu means an
+    unresolved grid and raises EigSolverFailure (never at mu = mu_c).
     """
     lam, vec = generalized_eig(mode_pencil(grid, params, mu, 1),
-                               eig_cap(params, mu))[0]
+                               1e6 * mu / (params.b - params.a) ** 2)[0]
     if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
         raise EigSolverFailure(f"leading eigenvalue is not real: {lam}")
     psi = _normalize(vec, grid)
@@ -120,12 +117,17 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
         raise EigSolverFailure(
             f"eigenvalue {lam.real} inconsistent with its variational "
             f"quotient {polished}")
+    muc = mu_c_closed(params)
+    if polished * (muc - mu) < 0:
+        raise EigSolverFailure(
+            f"lambda1 = {polished} has the wrong sign for mu = {mu} and "
+            f"mu_c = {muc}: the N = {grid.N} grid does not resolve the problem")
     return EigenResult(lambda1=polished, psi1=psi, mu=mu)
 
 
 def _normalize(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Unit L^2(r dr) norm, phase rotated so Psi'(a) is real positive."""
-    v = values / np.sqrt(radial_integral(grid, np.abs(values) ** 2).real)
+    v = values / np.sqrt(grid.weights @ np.abs(values) ** 2)
     slope = grid.d1[grid.N, :] @ v
     if abs(slope) > 0:
         v = v * (np.conj(slope) / abs(slope))
@@ -158,15 +160,10 @@ def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
     return g11
 
 
-def lyapunov_coeff(psi1: np.ndarray, g11: np.ndarray, grid: RadialGrid) -> float:
-    """Cubic coefficient of the reduced amplitude equation (real part)."""
-    l, _ = lyapunov_coeff_full(psi1, g11, grid)
-    return l
-
-
-def lyapunov_coeff_full(psi1: np.ndarray, g11: np.ndarray,
-                        grid: RadialGrid) -> tuple[float, float]:
-    """Lyapunov coefficient and its (diagnostic) imaginary residue.
+def lyapunov_coeff(psi1: np.ndarray, g11: np.ndarray,
+                   grid: RadialGrid) -> tuple[float, float]:
+    """Cubic coefficient l of the reduced amplitude equation and its
+    (diagnostic) imaginary residue.
 
     l = <A^{-1} G(conj(psi1), g11) + A^{-1} G(g11, conj(psi1)), psi1>
         / <psi1, psi1>
@@ -177,8 +174,9 @@ def lyapunov_coeff_full(psi1: np.ndarray, g11: np.ndarray,
     """
     c = np.conj(psi1)
     total = interaction(c, -1, g11, 2, grid) + interaction(g11, 2, c, -1, grid)
-    num = -radial_integral(grid, total * c)
-    den = -radial_integral(grid, (laplacian_n(grid, 1) @ psi1) * c)
+    # Python complex division: numpy's rounds l differently in the last ulps
+    num = -complex(grid.weights @ (total * c))
+    den = -complex(grid.weights @ ((laplacian_n(grid, 1) @ psi1) * c))
     val = num / den
     return float(val.real), float(val.imag)
 
@@ -186,12 +184,6 @@ def lyapunov_coeff_full(psi1: np.ndarray, g11: np.ndarray,
 class Classification(str, Enum):
     SUPERCRITICAL = "Supercritical"
     SUBCRITICAL = "Subcritical"
-    DEGENERATE = "Degenerate"
-
-
-def degeneracy_tol(params: DomainParams) -> float:
-    """Dead zone for sign(l): 1e-10 of the natural coefficient scale."""
-    return 1e-10 * params.a * params.alpha / (params.b - params.a) ** 4
 
 
 @dataclass(frozen=True)
@@ -237,7 +229,8 @@ def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
     The amplitude |s| = sqrt(-lambda_1 / l) is defined only when lambda_1
     and l have opposite signs (the side of mu_c where the branch lives).
     """
-    tol = degeneracy_tol(params)
+    # dead zone for sign(l): 1e-10 of the natural coefficient scale
+    tol = 1e-10 * params.a * params.alpha / (params.b - params.a) ** 4
     if abs(l) <= tol:
         raise DegenerateCoefficient(f"|l| = {abs(l)} below tolerance {tol}")
     cls = Classification.SUPERCRITICAL if l < 0 else Classification.SUBCRITICAL
@@ -248,26 +241,10 @@ def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
                              amplitude=amplitude, psi1=eig.psi1, g11=g11)
 
 
-def reduction(params: DomainParams, mu: float,
-              grid: RadialGrid) -> tuple[EigenResult, np.ndarray, float]:
-    """The reduction chain: leading eigenpair, G11, then l (unclassified).
-
-    The closed-form mu_c is exact, so lambda_1 must be positive below it
-    and negative above it; a lambda_1 of the other sign means the grid
-    does not resolve the problem, and raises EigSolverFailure.
-    """
-    eig = leading_eigenpair(params, mu, grid)
-    muc = mu_c_closed(params)
-    if eig.lambda1 * (muc - mu) < 0:
-        raise EigSolverFailure(
-            f"lambda1 = {eig.lambda1} has the wrong sign for mu = {mu} and "
-            f"mu_c = {muc}: the N = {grid.N} grid does not resolve the problem")
-    g11 = solve_G11(params, mu, eig, grid)
-    return eig, g11, lyapunov_coeff(eig.psi1, g11, grid)
-
-
 def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
-    """One-call pipeline: eigenpair, G11, l, classification."""
-    eig, g11, l = reduction(params, mu, grid)
+    """The one reduction chain: eigenpair, G11, l, classification."""
+    eig = leading_eigenpair(params, mu, grid)
+    g11 = solve_G11(params, mu, eig, grid)
+    l, _ = lyapunov_coeff(eig.psi1, g11, grid)
     return classify_and_build(params, eig, l, g11)

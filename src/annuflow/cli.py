@@ -129,12 +129,16 @@ def cmd_bifurcate(args) -> dict:
 
 def _read_typed(path: str, casts: dict) -> dict:
     """The key = value file at path, each value cast by its entry in casts;
-    a key without an entry raises InvalidPhysics."""
+    a key without an entry raises InvalidPhysics, and a value that does not
+    cast a ValueError naming the file and the key."""
     vals = {}
     for key, val in read_config(path).items():
         if key not in casts:
             raise InvalidPhysics(f"unknown config key {key!r}")
-        vals[key] = casts[key](val)
+        try:
+            vals[key] = casts[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key} = {val!r}: {exc}") from exc
     return vals
 
 

@@ -196,7 +196,3 @@ def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, np.nd
     order = np.argsort(-lam.real)
     return [(complex(lam[i]), np.asarray(V[:, i], dtype=complex)) for i in order]
 
-
-def radial_integral(grid: RadialGrid, values: np.ndarray) -> complex:
-    """Integral of values(r) r dr over [a, b] by the grid quadrature."""
-    return complex(grid.weights @ values)

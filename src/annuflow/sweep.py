@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bifurcation import classify_and_build, reduction
+from .bifurcation import bifurcation_report
 from .critical import mu_c_closed
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, TooCoarse
@@ -27,8 +27,8 @@ class SweepSpec:
     0 < |mu_offset| < 1e-2. The default sits just below critical where the
     bifurcated branch of a supercritical point exists. mu_offset = 0 is
     rejected: lambda1 vanishes at mu_c, so the sign check of
-    :func:`annuflow.bifurcation.reduction` cannot tell a resolved point
-    from an unresolved one there.
+    :func:`annuflow.bifurcation.leading_eigenpair` cannot tell a resolved
+    point from an unresolved one there.
     """
 
     a: float = 1.0
@@ -94,10 +94,9 @@ def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,
         params = validate(a, b, alpha)
         muc = mu_c_closed(params)
         mu = muc * (1.0 + mu_offset)
-        eig, g11, l = reduction(params, mu, grid)
-        report = classify_and_build(params, eig, l, g11)
-        return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=eig.lambda1,
-                        l=l, classification=report.classification.value,
+        report = bifurcation_report(params, mu, grid)
+        return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=report.lambda1,
+                        l=report.l, classification=report.classification.value,
                         status="ok")
     except AnnuflowError as exc:
         return SweepRow(alpha=alpha, b=b, mu_c=None, lambda1=None, l=None,

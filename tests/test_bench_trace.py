@@ -3,8 +3,9 @@
 ``bench/spans.py`` wraps annuflow's public functions by name and reads
 their arguments (the ``kept_ratio`` observer reads ``args[0].matrix`` of
 ``generalized_eig``), so a renamed or reshaped function breaks every
-``bench/run.py --trace 1`` run. This runs one traced sweep point in a
-fresh interpreter; it reads ``bench/`` and writes nothing there.
+``bench/run.py --trace 1`` run, and a renamed one silently drops its
+per-layer metrics. This runs one traced sweep point in a fresh
+interpreter; it reads ``bench/`` and writes nothing there.
 """
 
 import json
@@ -25,7 +26,8 @@ rec = spans.Recorder()
 absent = spans.install(rec)
 row = sweep.evaluate_point(1.0, 3.0, 5.0, -1e-4, build_grid(1.0, 3.0, 24))
 metrics = spans.layer_metrics(rec, absent, import_s=0.0, overhead_frac=0.0)
-print(json.dumps({{"status": row.status, "metrics": metrics}}))
+print(json.dumps({{"status": row.status, "metrics": metrics,
+                  "absent": sorted(absent)}}))
 """
 
 
@@ -40,5 +42,6 @@ def test_traced_sweep_point():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["status"] == "ok"
+    assert out["absent"] == []
     kept = out["metrics"]["spectral.generalized_eig.kept_ratio"]["value"]
     assert 0.0 < kept <= 1.0

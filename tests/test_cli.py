@@ -246,6 +246,16 @@ class TestSimulate:
         validate_against_schema(doc, "error")
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_uncastable_config_value_names_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 1.5\nntheta = 8\nN = 24\n")
+        code, doc = run_cli(capsys, "simulate", "--config", str(cfg), "--mu", "1.2",
+                            "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(f"{cfg}: steps = '1.5': invalid literal")
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("flag", [["--dt", "-0.01"], ["--dt", "nan"],
                                       ["--dt", "inf"], ["--delta", "nan"],
                                       ["--delta", "inf"]],
@@ -277,6 +287,23 @@ def test_removed_keys_exit_2(tmp_path, capsys, command, line):
     code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
     assert code == 2
     assert "unknown" in doc["message"]
+
+
+#: mu_c (1 - 1e-4) at (1, 1000, 5), where N = 48 gives lambda1 = -7.0e-5 < 0
+MU_UNRESOLVED = "2.3120181823110975"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "1", "1000", "5", MU_UNRESOLVED, "-N", "48"],
+    ["simulate", "--b", "1000", "--mu", MU_UNRESOLVED, "-N", "48", "--steps", "1"],
+], ids=["eigen", "simulate"])
+def test_unresolved_sign_of_lambda1_exit_3(tmp_path, capsys, argv):
+    # below mu_c the rest state is unstable, so lambda1 < 0 is the grid's fault
+    code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
+    assert code == 3
+    assert doc["error"] == "EigSolverFailure"
+    assert "wrong sign" in doc["message"]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("exc,code", [
@@ -452,6 +479,16 @@ class TestSweepCommands:
         assert code == 0 and doc["rows"] == 1
         inputs = json.loads((out / "sweep_manifest.json").read_text())["inputs"]
         assert inputs["alpha_range"] == [7.0, SweepSpec.alpha_range[1]]
+
+    def test_uncastable_spec_value_names_key_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("b_min = 3\nb_samples = two\nN = 32\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", str(spec), "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(f"{spec}: b_samples = 'two': invalid literal")
+        assert not (out / "sweep.csv").exists()
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 import annuflow as af
 
@@ -18,6 +19,26 @@ class TestClosedForm:
         m1 = af.mu_c_closed(af.validate(1, 3, 5, 1))
         m2 = af.mu_c_closed(af.validate(2, 6, 2.5, 1))
         assert m2 == pytest.approx(m1, rel=1e-14)
+
+    def test_thin_and_wide_gaps_match_mpmath(self):
+        """Within 1e-11 of the closed form at 50 digits for (b - a)/a from
+        1e-12 to 1e4, the switch-over to the thin-gap series included; the
+        float64 closed form alone is 65 times off at 1e-6 and returns
+        a alpha / 2 = 2.5 at (1, 1.000000001, 5)."""
+        gaps = np.concatenate([np.logspace(-12, 4, 161),
+                               np.linspace(0.9, 1.1, 21) * af.critical.THIN_GAP])
+        with mp.workdps(50):
+            for a in (1.0, 0.37, 2.5):
+                for gap in gaps:
+                    b = a + a * gap
+                    s = mp.mpf(b) / mp.mpf(a)
+                    ref = a * 5 * (1 + 3 * s**4 - 4 * s**2 - 4 * s**4 * mp.log(s)) / (
+                        2 * (s**4 - 1 - 4 * s**4 * mp.log(s)))
+                    got = af.mu_c_closed(af.validate(a, b, 5))
+                    assert abs(got - ref) / ref < 1e-11, (a, gap)
+        b = 1.000000001
+        thin = af.mu_c_closed(af.validate(1, b, 5))
+        assert thin == pytest.approx(5 * (b - 1) / 3, rel=1e-8, abs=0)
 
 
 class TestOracle:

@@ -3,7 +3,8 @@
 At mu = mu_c, l is a ratio of integrals of r^k (ln r)^m with closed forms
 (see ``exact_l``). These tests check the oracle against its own defining
 equations and the reference value at (1, 3, 5), map the sign of alpha * l over
-b/a, and bound the error of ``annuflow.bifurcation.reduction``.
+b/a, and bound the error of the l that
+``annuflow.bifurcation.bifurcation_report`` computes.
 
 alpha * l depends on b/a alone (criterion 6), so the map at a = alpha = 1
 is the whole answer to where the pitchfork is subcritical: nowhere on
@@ -17,7 +18,6 @@ import pytest
 from mpmath import mp
 
 import annuflow as af
-from annuflow.bifurcation import reduction
 from exact_l import boundary_rows, exact_reduction, monomial
 
 
@@ -89,16 +89,17 @@ def test_reduction_matches_oracle(b):
     """At mu = mu_c and N = 48 the largest error is 3.8e-6, at b = 1.05."""
     params = af.validate(1, b, 5, 1)
     muc = af.mu_c_closed(params)
-    _, _, l = reduction(af.validate(1, b, 5, muc), muc, af.build_grid(1, b, 48))
+    l = af.bifurcation_report(af.validate(1, b, 5, muc), muc,
+                              af.build_grid(1, b, 48)).l
     assert rel(l, exact_reduction(1, b, 5).l.real) <= 1e-5
 
 
 def test_unresolved_gap_shows_as_discrepancy():
-    """At b/a = 1000 and N = 48, reduction returns l = +6.3e-13 against the
-    exact -7.1e-12 (error 1.09); lambda_1 (mu_c - mu) is 0 at mu = mu_c, so
-    the sign gate in reduction cannot see it."""
+    """At b/a = 1000 and N = 48, bifurcation_report returns l = +6.3e-13
+    against the exact -7.1e-12 (error 1.09); lambda_1 (mu_c - mu) is 0 at
+    mu = mu_c, so the sign gate in leading_eigenpair cannot see it."""
     params = af.validate(1, 1000, 5, 1)
     muc = af.mu_c_closed(params)
-    _, _, l = reduction(af.validate(1, 1000, 5, muc), muc,
-                        af.build_grid(1, 1000, 48))
+    l = af.bifurcation_report(af.validate(1, 1000, 5, muc), muc,
+                              af.build_grid(1, 1000, 48)).l
     assert rel(l, exact_reduction(1, 1000, 5).l.real) > 0.5

@@ -92,7 +92,7 @@ class TestInnerProduct:
     def test_r_weighted_value(self, grid32):
         ones = np.ones(grid32.N + 1, complex)
         # int_1^3 r dr = 4
-        assert af.radial_integral(grid32, ones * np.conj(ones)) == pytest.approx(4.0)
+        assert grid32.weights @ (ones * np.conj(ones)) == pytest.approx(4.0)
 
 
 class TestGeneralizedEig:

@@ -24,7 +24,7 @@ class TestSweepSpec:
             af.SweepSpec(mu_offset=-0.5)
 
     def test_rejects_zero_offset(self):
-        # lambda1 vanishes at mu_c, so the reduction's sign check cannot fire
+        # lambda1 vanishes at mu_c, so leading_eigenpair's sign check cannot fire
         with pytest.raises(af.InvalidPhysics, match="lambda1 vanishes"):
             af.SweepSpec(mu_offset=0.0)
 
