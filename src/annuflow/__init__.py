@@ -48,6 +48,7 @@ from .errors import (
     NoEscape,
     SingularSystem,
     SolverFailure,
+    ThinGap,
     TooCoarse,
 )
 from .simulator import (
@@ -64,6 +65,7 @@ from .spectral import (
     RadialGrid,
     bilaplacian_n,
     build_grid,
+    eigenvector,
     generalized_eig,
     laplacian_n,
     mode_pencil,

@@ -38,6 +38,7 @@ from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
     RadialGrid,
+    eigenvector,
     generalized_eig,
     laplacian_n,
     mode_pencil,
@@ -100,16 +101,18 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
 
     Boundary rows are the Dirichlet pair plus the slip/stress-free pair
     with alpha/mu evaluated at the requested viscosity; eigenvalues above
-    1e6 mu / (b - a)^2 are their debris. The eigenvalue is polished by the
-    variational quotient of the computed eigenvector. The closed-form mu_c
-    is exact, so a lambda_1 whose sign is not that of mu_c - mu means an
-    unresolved grid and raises EigSolverFailure (never at mu = mu_c).
+    1e6 mu / (b - a)^2 are their debris. The eigenvalue comes from dense
+    QZ, its eigenvector from inverse iteration at that eigenvalue, and the
+    eigenvalue is then polished by the eigenvector's variational quotient.
+    The closed-form mu_c is exact, so a lambda_1 whose sign is not that of
+    mu_c - mu means an unresolved grid and raises EigSolverFailure (never
+    at mu = mu_c).
     """
-    lam, vec = generalized_eig(mode_pencil(grid, params, mu, 1),
-                               1e6 * mu / (params.b - params.a) ** 2)[0]
+    pencil = mode_pencil(grid, params, mu, 1)
+    lam = generalized_eig(pencil, 1e6 * mu / (params.b - params.a) ** 2)[0]
     if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
         raise EigSolverFailure(f"leading eigenvalue is not real: {lam}")
-    psi = _normalize(vec, grid)
+    psi = _normalize(eigenvector(pencil, lam.real).astype(complex), grid)
     psi.setflags(write=False)
     polished = energy_rayleigh(params, mu, psi, grid)
     scale = params.a * params.alpha / (grid.b - grid.a) ** 2

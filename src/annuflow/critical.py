@@ -12,7 +12,8 @@ is affine in mu and has a single root; the closed form
 
 must agree with that root to 1e-8 relative, which is the primary
 cross-check between the two routes. Both routes cancel in thin gaps; there
-the closed form gives way to its Taylor series in (b - a)/a.
+the closed form gives way to its Taylor series in (b - a)/a, and the
+determinant refuses gaps below ORACLE_MIN_GAP.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainParams
-from .errors import NoBracket
+from .errors import NoBracket, ThinGap
 from .spectral import RadialGrid, laplacian_n
 
 
@@ -76,13 +77,23 @@ def det_condition(params: DomainParams, mu: float) -> float:
     return float(np.linalg.det(m))
 
 
+#: thinnest gap (b - a)/a the determinant oracle accepts: it agrees with the
+#: exact mu_c to 4.2e-9 there, 2.4e-8 at 1e-3 and 3.5e-4 at 1e-4
+ORACLE_MIN_GAP = 2e-3
+
+
 def mu_c_oracle(params: DomainParams) -> float:
     """Critical viscosity as the root of the determinant, affine in mu.
 
     The determinant's values at the ends of (1e-6 a alpha, 10 a alpha) fix
     the line and so its root; they must differ in sign. Independent of the
-    closed form.
+    closed form. Its basis is near-dependent as b -> a, so a gap below
+    ORACLE_MIN_GAP raises ThinGap.
     """
+    gap = (params.b - params.a) / params.a
+    if gap < ORACLE_MIN_GAP:
+        raise ThinGap(f"gap (b - a)/a = {gap:.3g} is below {ORACLE_MIN_GAP}, "
+                      f"where the determinant oracle loses its digits")
     lo = 1e-6 * params.a * params.alpha
     hi = 10.0 * params.a * params.alpha
     f_lo, f_hi = det_condition(params, lo), det_condition(params, hi)

@@ -5,7 +5,8 @@ when it stops with that error:
 
     2  invalid input (``AnnuflowError`` and every class not listed below)
     3  solver failure: EigSolverFailure, SolverFailure (including a
-       non-finite simulator state), SingularSystem, NoBracket, NoEscape
+       non-finite simulator state), SingularSystem, NoBracket, ThinGap,
+       NoEscape
     4  degenerate or nonexistent bifurcation branch: DegenerateCoefficient,
        NoBranch
     5  CFL violation: CFLViolation
@@ -60,6 +61,12 @@ class CFLViolation(AnnuflowError):
 
 class NoBracket(AnnuflowError):
     """Root bracketing found no sign change in the search interval."""
+
+    exit_code = 3
+
+
+class ThinGap(AnnuflowError):
+    """Gap (b - a)/a too thin for the determinant oracle's digits."""
 
     exit_code = 3
 

@@ -159,40 +159,71 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
     return ModePencil(n=n, matrix=matrix, mass=mass)
 
 
-def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix x = rhs, whose boundary rows BC_ROWS (e.g. of a shifted
-    :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
-    the matrix is numerically singular, which typically signals a shift
-    sitting on an eigenvalue."""
-    f = np.array(rhs, dtype=complex)
-    f[BC_ROWS] = 0.0
-    # row-equilibrate before conditioning: boundary rows are O(1) while
-    # interior high-order rows grow like N^8, so the raw condition number
-    # reflects row scaling, not proximity to a resonant shift
+def _row_lu(matrix: np.ndarray) -> tuple[tuple, np.ndarray, float]:
+    """LU factors of ``matrix`` with every row scaled to unit max-norm, the
+    row scales, and the scaled matrix's infinity-norm condition number
+    (LAPACK gecon on the factors; 0.65-0.78 times the 2-norm one on thin-gap
+    G11 matrices). Boundary rows are O(1) while interior rows grow like
+    N^8: unscaled, the condition number reflects row scaling rather than a
+    shift near an eigenvalue, and the LU loses the interior digits."""
     scale = np.abs(matrix).max(axis=1)
     if not np.all(scale > 0):
         raise SingularSystem("operator has an identically zero row")
-    As = matrix / scale[:, None]
-    if np.linalg.cond(As) > COND_LIMIT:
+    scaled = matrix / scale[:, None]
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (scaled,))
+    lu, piv, info = getrf(scaled)
+    rcond, _ = gecon(lu, np.abs(scaled).sum(axis=1).max(), norm="I")
+    cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
+    return (lu, piv), scale, cond
+
+
+def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve matrix x = rhs, whose boundary rows BC_ROWS (e.g. of a shifted
+    :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
+    the row-equilibrated matrix's condition number exceeds COND_LIMIT,
+    which typically signals a shift sitting on an eigenvalue."""
+    f = np.array(rhs, dtype=complex)
+    f[BC_ROWS] = 0.0
+    factors, scale, cond = _row_lu(matrix)
+    if cond > COND_LIMIT:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")
-    return np.linalg.solve(As, f / scale)
+    return sla.lu_solve(factors, f / scale)
 
 
-def generalized_eig(pencil: ModePencil, cap: float) -> list[tuple[complex, np.ndarray]]:
-    """Finite eigenpairs of matrix x = lambda mass x, sorted by descending
-    real part, each eigenvector a complex array. The zero boundary rows of
-    ``mass`` park the spurious pairs at infinity; anything with |lambda|
-    above ``cap`` is discarded as row-replacement debris."""
+def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
+    """Finite eigenvalues of matrix x = lambda mass x, sorted by descending
+    real part. The zero boundary rows of ``mass`` park the spurious
+    eigenvalues at infinity; anything with |lambda| above ``cap`` is
+    discarded as row-replacement debris. :func:`eigenvector` gives the
+    eigenvector of any of them."""
     try:
-        lam, V = sla.eig(pencil.matrix, pencil.mass)
+        lam = sla.eigvals(pencil.matrix, pencil.mass)
     except sla.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
-    keep = np.isfinite(lam) & (np.abs(lam) < cap)
-    if not keep.any():
+    lam = lam[np.isfinite(lam) & (np.abs(lam) < cap)]
+    if not len(lam):
         raise EigSolverFailure("all eigenvalues filtered as spurious")
-    lam, V = lam[keep], V[:, keep]
-    order = np.argsort(-lam.real)
-    return [(complex(lam[i]), np.asarray(V[:, i], dtype=complex)) for i in order]
+    return lam[np.argsort(-lam.real)]
 
+
+#: inverse-iteration solves per eigenvector: for the leading mode 1 at
+#: b/a in [1.05, 15], N <= 128, a third solve moves the vector by at most
+#: 2.1e-10 of its maximum and a fourth by rounding (1e-12) only
+INVERSE_ITERATIONS = 3
+
+
+def eigenvector(pencil: ModePencil, lam: float) -> np.ndarray:
+    """Eigenvector of matrix x = lam mass x for a real eigenvalue ``lam``
+    (e.g. from :func:`generalized_eig`), by inverse iteration: solves of
+    (matrix - lam mass) x_new = mass x on one LU of the row-equilibrated
+    shifted matrix. Every iterate meets the homogeneous boundary rows."""
+    factors, scale, _ = _row_lu(pencil.matrix - lam * pencil.mass)
+    x = np.ones(pencil.mass.shape[0])
+    for _ in range(INVERSE_ITERATIONS):
+        x = sla.lu_solve(factors, (pencil.mass @ x) / scale)
+        x /= np.abs(x).max()
+    if not np.all(np.isfinite(x)):
+        raise EigSolverFailure(f"inverse iteration at {lam} did not converge")
+    return x

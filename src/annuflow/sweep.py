@@ -1,8 +1,9 @@
 """Parameter-space studies of the bifurcation classification.
 
 Evaluates the Lyapunov coefficient over an (alpha, b) grid at a fixed
-relative viscosity offset from the critical value. Failures at individual
-grid points are recorded in the row status instead of aborting the sweep.
+relative viscosity offset from the critical value, with one reduction per
+b that every alpha at that b rescales. Failures are recorded in the row
+status instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bifurcation import bifurcation_report
+from .bifurcation import EigenResult, bifurcation_report, classify_and_build
 from .critical import mu_c_closed
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, TooCoarse
@@ -87,32 +88,60 @@ class SweepRow:
 SWEEP_HEADER = ["alpha", "b", "mu_c", "lambda1", "l", "class", "status"]
 
 
+def evaluate_column(a: float, b: float, alphas: list[float], mu_offset: float,
+                    grid: RadialGrid) -> list[SweepRow]:
+    """Classification at every alpha of one b, from one reduction at
+    alphas[0]; a failed reduction gives every row its status.
+
+    At fixed a, b and mu / mu_c the slip rows' alpha / mu is fixed, and
+    with k = alpha / alphas[0] every interior row of the mode-1 and mode-2
+    pencils scales by k. So Psi_1 is shared, and lambda_1, G11 and l scale
+    by k, 1/k and 1/k; each row is still classified at its own alpha.
+    """
+    try:
+        params = validate(a, b, alphas[0])
+        base = bifurcation_report(params, mu_c_closed(params) * (1.0 + mu_offset),
+                                  grid)
+    except AnnuflowError as exc:
+        return [_failed(alpha, b, exc) for alpha in alphas]
+    rows = []
+    for alpha in alphas:
+        k = alpha / alphas[0]
+        try:
+            params = validate(a, b, alpha)
+            muc = mu_c_closed(params)
+            eig = EigenResult(lambda1=base.lambda1 * k, psi1=base.psi1,
+                              mu=muc * (1.0 + mu_offset))
+            report = classify_and_build(params, eig, base.l / k, base.g11 / k)
+            rows.append(SweepRow(alpha=alpha, b=b, mu_c=muc,
+                                 lambda1=report.lambda1, l=report.l,
+                                 classification=report.classification.value,
+                                 status="ok"))
+        except AnnuflowError as exc:
+            rows.append(_failed(alpha, b, exc))
+    return rows
+
+
+def _failed(alpha: float, b: float, exc: AnnuflowError) -> SweepRow:
+    return SweepRow(alpha=alpha, b=b, mu_c=None, lambda1=None, l=None,
+                    classification="", status=f"{type(exc).__name__}: {exc}")
+
+
 def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,
                    grid: RadialGrid) -> SweepRow:
     """Classification at one (alpha, b) point; failures land in status."""
-    try:
-        params = validate(a, b, alpha)
-        muc = mu_c_closed(params)
-        mu = muc * (1.0 + mu_offset)
-        report = bifurcation_report(params, mu, grid)
-        return SweepRow(alpha=alpha, b=b, mu_c=muc, lambda1=report.lambda1,
-                        l=report.l, classification=report.classification.value,
-                        status="ok")
-    except AnnuflowError as exc:
-        return SweepRow(alpha=alpha, b=b, mu_c=None, lambda1=None, l=None,
-                        classification="", status=f"{type(exc).__name__}: {exc}")
+    return evaluate_column(a, b, [alpha], mu_offset, grid)[0]
 
 
 def sweep_l(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid point in canonical row-major (alpha outer) order.
 
-    Grids are rebuilt per b (the radial mapping depends on the outer
-    radius) but shared across alpha values at the same b.
+    One grid and one reduction per b (the radial mapping depends on the
+    outer radius), shared across the alpha values by
+    :func:`evaluate_column`'s rescaling.
     """
-    rows = []
-    grids = {float(b): build_grid(spec.a, float(b), spec.N) for b in spec.bs()}
-    for alpha in spec.alphas():
-        for b in spec.bs():
-            rows.append(evaluate_point(spec.a, float(b), float(alpha),
-                                       spec.mu_offset, grids[float(b)]))
-    return rows
+    alphas = [float(alpha) for alpha in spec.alphas()]
+    columns = [evaluate_column(spec.a, float(b), alphas, spec.mu_offset,
+                               build_grid(spec.a, float(b), spec.N))
+               for b in spec.bs()]
+    return [row for rows in zip(*columns) for row in rows]

@@ -194,13 +194,14 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     are printed for comparison only.
 
     Part 2: the sign of l over the window a = 1, alpha, b in [5, 15]
-    (3 x 3 sweep at N = 48, mu = mu_c (1 - 1e-4)). Asserted: every row has
+    (3 x 3 grid at N = 48, mu = mu_c (1 - 1e-4), each point reduced by
+    evaluate_point, not rescaled by sweep_l). Asserted: every row has
     status ok and l < 0 (Supercritical), and alpha * l agrees across alpha
     at each b to 1e-6 relative. The closed form mu_c = a alpha F(b/a)
     (criterion 1) and the invariance of the vorticity equation under
     psi -> mu psi, t -> t / mu, r -> a r make alpha * l at a fixed relative
     offset a function of b/a alone, so the class cannot change along
-    alpha. Measured: spread at most 1.6e-8; alpha * l = -5.385e-2 (b = 5),
+    alpha. Measured: spread at most 2.1e-11; alpha * l = -5.385e-2 (b = 5),
     -3.048e-3 (b = 10), -6.176e-4 (b = 15), within 2.3e-4 relative of the
     values at N = 96 and 160. The window is supercritical throughout.
 
@@ -231,10 +232,13 @@ def test_criterion_06_lyapunov_sign_and_both_classes(muc, grid48, capsys):
     l_exact = float(exact_reduction(1, 3, 5).l.real)
     part1 = l_ref < 0
 
-    # the window: one class, fixed by b/a
+    # the window: one class, fixed by b/a. Each point is reduced on its
+    # own: sweep_l derives its alpha rows from this very scaling
     spec = af.SweepSpec(alpha_range=(5.0, 15.0), alpha_samples=3,
                         b_range=(5.0, 15.0), b_samples=3, N=48)
-    rows = af.sweep_l(spec)
+    grids = {b: af.build_grid(1.0, b, 48) for b in spec.bs()}
+    rows = [af.evaluate_point(1.0, b, alpha, spec.mu_offset, grids[b])
+            for alpha in spec.alphas() for b in spec.bs()]
     all_ok = all(r.status == "ok" for r in rows)
     classes = sorted({r.classification for r in rows if r.status == "ok"})
     negative = all_ok and all(r.l < 0 for r in rows)

@@ -45,6 +45,18 @@ class TestLeadingEigenpair:
         l64 = af.leading_eigenpair(pr, mu, grid64).lambda1
         assert l48 == pytest.approx(l64, abs=1e-8)
 
+    @pytest.mark.parametrize("b,alpha", [(3, 5), (9, 9)])
+    def test_resolution_keeps_lambda1_digits(self, b, alpha):
+        """At 0.9999 mu_c, N = 64, 96 and 128 agree with N = 48 to 8e-11
+        relative at most; with QZ's eigenvector instead of inverse
+        iteration's, N = 128 was off by 3.0e-8 at b = 3 and 7.0e-7 at b = 9."""
+        pr = af.validate(1, b, alpha)
+        mu = 0.9999 * af.mu_c_closed(pr)
+        ref = af.leading_eigenpair(pr, mu, af.build_grid(1, b, 48)).lambda1
+        for N in (64, 96, 128):
+            lam = af.leading_eigenpair(pr, mu, af.build_grid(1, b, N)).lambda1
+            assert lam == pytest.approx(ref, rel=1e-9, abs=0), N
+
 
 class TestInteraction:
     def test_wavenumbers_add(self, report_099, grid48, advection_reference):

@@ -42,6 +42,21 @@ class TestMuC:
         assert code == 3
         assert doc["error"] == "NoBracket"
 
+    @pytest.mark.parametrize("b", ["1.000000001", "1.0001"])
+    def test_oracle_refuses_thin_gap_exit_3(self, tmp_path, capsys, b):
+        # the determinant's root is off by 1.5e9 and 3.5e-4 relative there
+        code, doc = run_cli(capsys, "mu-c", "1", b, "5", "--oracle",
+                            "-o", str(tmp_path))
+        assert code == 3
+        assert doc["error"] == "ThinGap"
+        assert "0.002" in doc["message"]
+
+    def test_oracle_at_thinnest_accepted_gap(self, tmp_path, capsys):
+        code, doc = run_cli(capsys, "mu-c", "1", "1.005", "5", "--oracle",
+                            "-o", str(tmp_path))
+        assert code == 0
+        assert doc["discrepancy"] <= 1e-8
+
     def test_invalid_geometry_exit_2(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "mu-c", "1", "1", "5", "-o", str(tmp_path))
         assert code == 2
@@ -310,7 +325,8 @@ def test_unresolved_sign_of_lambda1_exit_3(tmp_path, capsys, argv):
     (errors.AnnuflowError, 2), (errors.InvalidGeometry, 2),
     (errors.InvalidPhysics, 2), (errors.GridMismatch, 2), (errors.TooCoarse, 2),
     (errors.SingularSystem, 3), (errors.EigSolverFailure, 3),
-    (errors.SolverFailure, 3), (errors.NoBracket, 3), (errors.NoEscape, 3),
+    (errors.SolverFailure, 3), (errors.NoBracket, 3), (errors.ThinGap, 3),
+    (errors.NoEscape, 3),
     (errors.DegenerateCoefficient, 4), (errors.NoBranch, 4),
     (errors.CFLViolation, 5), (ValueError, 2), (OSError, 2),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))

@@ -84,14 +84,20 @@ def test_asymptotes(sign_map):
     assert all(-36.5 < v < -34 for v in wide)
 
 
-@pytest.mark.parametrize("b", [1.05, 1.2, 2, 3, 5, 10, 15])
-def test_reduction_matches_oracle(b):
-    """At mu = mu_c and N = 48 the largest error is 3.8e-6, at b = 1.05."""
+@pytest.mark.parametrize("b,N,bound", [
+    pytest.param(b, N, bound, id=f"{b}" if N == 48 else f"{b}-N{N}")
+    for N, bound in ((48, 1e-5), (96, 1e-6))
+    for b in (1.05, 1.2, 2, 3, 5, 10, 15)])
+def test_reduction_matches_oracle(b, N, bound):
+    """At mu = mu_c the largest error is 1.3e-6 at N = 48 (b = 15) and
+    1.1e-7 at N = 96 (b = 1.05). With QZ's eigenvector instead of inverse
+    iteration's, the N = 96 errors were 7.9e-5, 2.2e-5 and 1.4e-6 at
+    b = 1.05, 1.2 and 3."""
     params = af.validate(1, b, 5, 1)
     muc = af.mu_c_closed(params)
     l = af.bifurcation_report(af.validate(1, b, 5, muc), muc,
-                              af.build_grid(1, b, 48)).l
-    assert rel(l, exact_reduction(1, b, 5).l.real) <= 1e-5
+                              af.build_grid(1, b, N)).l
+    assert rel(l, exact_reduction(1, b, 5).l.real) <= bound
 
 
 def test_unresolved_gap_shows_as_discrepancy():

@@ -65,6 +65,19 @@ class TestBoundaryRows:
             af.solve_bvp(np.zeros((grid32.N + 1, grid32.N + 1)),
                          np.ones(grid32.N + 1))
 
+    def test_shift_on_an_eigenvalue_is_singular(self, grid48, params135):
+        # the condition estimate is 1.9e15 at the eigenvalue and 7.2e9 at a
+        # shift 1e-3 of it away
+        p = af.mode_pencil(grid48, params135, 2.0, 1)
+        lam = af.generalized_eig(p, 1e6 * 2.0 / 4.0)[0].real
+        rhs = np.ones(grid48.N + 1)
+        with pytest.raises(af.SingularSystem):
+            af.solve_bvp(p.matrix - lam * p.mass, rhs)
+        shifted = p.matrix - (lam + 1e-3 * abs(lam)) * p.mass
+        x = af.solve_bvp(shifted, rhs)
+        rhs[af.BC_ROWS] = 0.0
+        assert np.abs(shifted @ x - rhs).max() <= 1e-12 * np.abs(shifted).max()
+
 
 class TestModePencil:
     def test_boundary_rows_only_in_bc_rows(self, grid32, params135):
@@ -98,8 +111,8 @@ class TestInnerProduct:
 class TestGeneralizedEig:
     def test_sorted_descending(self, grid48, params135, muc135):
         mu = 2.0
-        pairs = af.generalized_eig(af.mode_pencil(grid48, params135, mu, 1),
-                                   1e6 * mu / 4.0)
-        lams = [lam.real for lam, _ in pairs]
+        eigs = af.generalized_eig(af.mode_pencil(grid48, params135, mu, 1),
+                                  1e6 * mu / 4.0)
+        lams = [lam.real for lam in eigs]
         assert lams == sorted(lams, reverse=True)
-        assert all(abs(lam) < 1e6 * mu / 4.0 for lam, _ in pairs)
+        assert all(abs(lam) < 1e6 * mu / 4.0 for lam in eigs)

