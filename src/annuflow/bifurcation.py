@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.linalg as sla
 
 from .critical import mu_c_closed
 from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
@@ -39,7 +40,6 @@ from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
     RadialGrid,
     eigenvector,
-    generalized_eig,
     laplacian_n,
     mode_pencil,
     solve_bvp,
@@ -55,6 +55,23 @@ class EigenResult:
     mu: float
 
 
+def _energy_fields(psi: np.ndarray, grid: RadialGrid,
+                   n: int | np.ndarray) -> tuple:
+    """The fields whose r-weighted squared moduli make up the energy
+    functionals of mode-n profiles (one per row of ``psi``): the velocity
+    (|v_r|, |v_theta|) = (n |psi / r|, |psi'|), and the four components of
+    its gradient. Each is the field itself with its unimodular factor (a
+    power of i) dropped, so real profiles give real fields."""
+    r = grid.nodes
+    d1 = grid.d1
+    q = psi / r
+    vr = n * q
+    vt = (d1 @ psi.T).T
+    grads = (n * (d1 @ q.T).T, (d1 @ vt.T).T, (n * vr - vt) / r,
+             n * (vt - q) / r)
+    return (vr, vt), grads
+
+
 def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
                   n: int | np.ndarray = 1) -> tuple:
     """Radial energy functionals (E3, E1, E2) of a mode-n profile.
@@ -66,18 +83,10 @@ def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
     one per row, with ``n`` a column of their wavenumbers give one array
     of values per functional.
     """
-    r = grid.nodes
-    d1 = grid.d1
-    vr = -1j * n * psi / r
-    vt = (d1 @ psi.T).T
-    E3 = ((np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights).real
-    g1 = (d1 @ vr.T).T
-    g2 = (d1 @ vt.T).T
-    g3 = (1j * n * vr - vt) / r
-    g4 = (1j * n * vt + vr) / r
-    E1 = ((np.abs(g1) ** 2 + np.abs(g2) ** 2
-           + np.abs(g3) ** 2 + np.abs(g4) ** 2) @ grid.weights).real
-    E1 += np.abs(vt[..., 0]) ** 2
+    (vr, vt), grads = _energy_fields(psi, grid, n)
+    w = grid.weights
+    E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
+    E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[..., 0]) ** 2
     E2 = params.a * np.abs(vt[..., -1]) ** 2
     return E3, E1, E2
 
@@ -89,42 +98,75 @@ def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
     lambda = (-mu E1 + (alpha - mu/a) E2) / E3 with the functionals of
     :func:`mode_energies`. For an eigenfunction this is the eigenvalue,
     accurate to second order in the eigenvector error (the operator is
-    self-adjoint in this pairing), so it is used to polish the value
-    returned by the dense eigensolver.
+    self-adjoint in this pairing), so it polishes the eigenvalue of the
+    collocation eigenvector.
     """
     E3, E1, E2 = mode_energies(params, psi, grid)
     return float((-mu * E1 + (params.alpha - mu / params.a) * E2) / E3)
 
 
-def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> EigenResult:
-    """Largest-real-part eigenpair of mu Delta_1^2 Psi = lambda Delta_1 Psi.
+def energy_pencil(params: DomainParams, mu: float,
+                  grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric pencil (A, B) of :func:`energy_rayleigh` on the mode-1
+    profiles that vanish at both radii: A = -mu E1 + (alpha - mu/a) E2 and
+    B = E3, the Gram matrices of :func:`mode_energies`' functionals over
+    the interior nodes. B is positive definite and E1 positive
+    semidefinite, and E2 = a |Psi'(a)|^2 has rank one, so by
+    Courant-Fischer the pencil has at most one positive eigenvalue, and its
+    largest eigenvalue is the leading growth rate."""
+    (vr, vt), grads = _energy_fields(np.eye(grid.N + 1)[1:-1], grid, 1)
+    root_w = np.sqrt(grid.weights)
 
-    Boundary rows are the Dirichlet pair plus the slip/stress-free pair
-    with alpha/mu evaluated at the requested viscosity; eigenvalues above
-    1e6 mu / (b - a)^2 are their debris. The eigenvalue comes from dense
-    QZ, its eigenvector from inverse iteration at that eigenvalue, and the
-    eigenvalue is then polished by the eigenvector's variational quotient.
-    The closed-form mu_c is exact, so a lambda_1 whose sign is not that of
-    mu_c - mu means an unresolved grid and raises EigSolverFailure (never
-    at mu = mu_c).
+    def gram(fields):
+        f = (np.stack(fields, axis=1) * root_w).reshape(len(vt), -1)
+        return f @ f.T
+
+    E1 = gram(grads) + np.outer(vt[:, 0], vt[:, 0])
+    E2 = params.a * np.outer(vt[:, -1], vt[:, -1])
+    return -mu * E1 + (params.alpha - mu / params.a) * E2, gram((vr, vt))
+
+
+#: largest accepted gap between the polished lambda_1 and the energy
+#: pencil's, relative to |lambda_1| + a alpha / (b - a)^2: resolved inputs
+#: read 2.1e-6 at most (N = 48, b/a = 3, 0.1 mu_c), and b/a = 1000 at
+#: N = 48 and 96, at and just above mu_c, reads 0.5 to 13
+EIGEN_CONSISTENCY_RTOL = 1e-5
+
+
+def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> EigenResult:
+    """Largest eigenpair of mu Delta_1^2 Psi = lambda Delta_1 Psi.
+
+    The eigenvalue is the largest of :func:`energy_pencil`, which LAPACK
+    computes alone (sygvx); the eigenvector comes from inverse iteration
+    on the collocation pencil (Dirichlet pair plus the slip/stress-free
+    pair with alpha/mu at the requested viscosity) shifted at that
+    eigenvalue, and the eigenvalue is then polished by the eigenvector's
+    variational quotient. Two discretizations of one problem must agree,
+    so EigSolverFailure is raised when the polished lambda_1 has not the
+    sign of mu_c - mu (the closed-form mu_c is exact; never at mu = mu_c)
+    or differs from the pencil's by more than EIGEN_CONSISTENCY_RTOL: the
+    grid does not resolve the problem.
     """
+    A, B = energy_pencil(params, mu, grid)
+    top = len(B) - 1
+    try:
+        lam = sla.eigh(A, B, eigvals_only=True, subset_by_index=[top, top])[0]
+    except sla.LinAlgError as exc:  # pragma: no cover
+        raise EigSolverFailure(str(exc)) from exc
     pencil = mode_pencil(grid, params, mu, 1)
-    lam = generalized_eig(pencil, 1e6 * mu / (params.b - params.a) ** 2)[0]
-    if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
-        raise EigSolverFailure(f"leading eigenvalue is not real: {lam}")
-    psi = _normalize(eigenvector(pencil, lam.real).astype(complex), grid)
+    psi = _normalize(eigenvector(pencil, lam).astype(complex), grid)
     psi.setflags(write=False)
     polished = energy_rayleigh(params, mu, psi, grid)
-    scale = params.a * params.alpha / (grid.b - grid.a) ** 2
-    if abs(polished - lam.real) > 1e-2 * (abs(lam.real) + scale):
-        raise EigSolverFailure(
-            f"eigenvalue {lam.real} inconsistent with its variational "
-            f"quotient {polished}")
     muc = mu_c_closed(params)
     if polished * (muc - mu) < 0:
         raise EigSolverFailure(
             f"lambda1 = {polished} has the wrong sign for mu = {mu} and "
             f"mu_c = {muc}: the N = {grid.N} grid does not resolve the problem")
+    scale = params.a * params.alpha / (grid.b - grid.a) ** 2
+    if abs(polished - lam) > EIGEN_CONSISTENCY_RTOL * (abs(lam) + scale):
+        raise EigSolverFailure(
+            f"collocation lambda1 = {polished} disagrees with the energy "
+            f"pencil's {lam}: the N = {grid.N} grid does not resolve the problem")
     return EigenResult(lambda1=polished, psi1=psi, mu=mu)
 
 

@@ -15,6 +15,7 @@ matrices all start from that pencil.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,10 @@ COND_LIMIT = 1e12
 MIN_N = 8
 
 
+@functools.lru_cache(maxsize=16)
 def _cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Lobatto nodes on [-1, 1] and the collocation derivative matrix."""
+    """Gauss-Lobatto nodes on [-1, 1] and the collocation derivative matrix,
+    computed once per N and read-only."""
     n = np.arange(N + 1)
     x = np.cos(np.pi * n / N)
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** n
@@ -45,11 +48,15 @@ def _cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
     dX = X - X.T
     D = np.outer(c, 1.0 / c) / (dX + np.eye(N + 1))
     D -= np.diag(D.sum(axis=1))
+    for m in (x, D):
+        m.setflags(write=False)
     return x, D
 
 
+@functools.lru_cache(maxsize=16)
 def _clencurt_weights(N: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for the Gauss-Lobatto nodes on [-1, 1]."""
+    """Clenshaw-Curtis weights for the Gauss-Lobatto nodes on [-1, 1],
+    computed once per N and read-only."""
     theta = np.pi * np.arange(N + 1) / N
     w = np.zeros(N + 1)
     ii = np.arange(1, N)
@@ -64,6 +71,7 @@ def _clencurt_weights(N: int) -> np.ndarray:
         for k in range(1, (N - 1) // 2 + 1):
             v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k**2 - 1)
     w[ii] = 2.0 * v / N
+    w.setflags(write=False)
     return w
 
 

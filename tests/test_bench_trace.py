@@ -1,11 +1,12 @@
 """Smoke test of the benchmark's traced harness against the current API.
 
 ``bench/spans.py`` wraps annuflow's public functions by name and reads
-their arguments (the ``kept_ratio`` observer reads ``args[0].matrix`` of
-``generalized_eig``), so a renamed or reshaped function breaks every
+their arguments, so a renamed or reshaped function breaks every
 ``bench/run.py --trace 1`` run, and a renamed one silently drops its
 per-layer metrics. This runs one traced sweep point in a fresh
-interpreter; it reads ``bench/`` and writes nothing there.
+interpreter; it reads ``bench/`` and writes nothing there. The point
+solves one leading eigenpair, and dense QZ (``generalized_eig``) is
+not reached.
 """
 
 import json
@@ -43,5 +44,6 @@ def test_traced_sweep_point():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["status"] == "ok"
     assert out["absent"] == []
-    kept = out["metrics"]["spectral.generalized_eig.kept_ratio"]["value"]
-    assert 0.0 < kept <= 1.0
+    metrics = out["metrics"]
+    assert metrics["bifurcation.leading_eigenpair.calls"]["value"] == 1
+    assert metrics["spectral.generalized_eig.calls"]["value"] == 0

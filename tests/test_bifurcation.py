@@ -58,6 +58,41 @@ class TestLeadingEigenpair:
             assert lam == pytest.approx(ref, rel=1e-9, abs=0), N
 
 
+class TestEnergyFunctionals:
+    def test_mode_energies_match_complex_fields(self, params135, grid48):
+        # the literal fields v = (-i n psi / r, psi') and their gradient,
+        # with the powers of i that mode_energies drops
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal((4, 49)) + 1j * rng.standard_normal((4, 49))
+        n = np.arange(1, 5)[:, None]
+        r, d1, w = grid48.nodes, grid48.d1, grid48.weights
+        vr = -1j * n * psi / r
+        vt = psi @ d1.T
+        grads = (vr @ d1.T, vt @ d1.T, (1j * n * vr - vt) / r,
+                 (1j * n * vt + vr) / r)
+        E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
+        E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[:, 0]) ** 2
+        E2 = params135.a * np.abs(vt[:, -1]) ** 2
+        for got, ref in zip(af.bifurcation.mode_energies(params135, psi, grid48, n),
+                            (E3, E1, E2)):
+            assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_energy_pencil_is_the_rayleigh_quotient(self, params135, muc135,
+                                                    grid48):
+        # on a profile vanishing at both radii, the pencil's quadratic forms
+        # are energy_rayleigh's numerator and denominator; summed in another
+        # order, the second-derivative field rounds differently (7e-11)
+        bf = af.bifurcation
+        psi = np.sin(np.pi * (grid48.nodes - 1.0) / 2.0) * grid48.nodes
+        psi[[0, -1]] = 0.0
+        A, B = bf.energy_pencil(params135, muc135, grid48)
+        x = psi[1:-1]
+        assert (x @ A @ x) / (x @ B @ x) == pytest.approx(
+            bf.energy_rayleigh(params135, muc135, psi.astype(complex), grid48),
+            rel=1e-9)
+        assert np.allclose(A, A.T, rtol=0, atol=1e-12 * np.abs(A).max())
+
+
 class TestInteraction:
     def test_wavenumbers_add(self, report_099, grid48, advection_reference):
         # the reduction's quadratic terms are modes 2 (= 1 + 1) and

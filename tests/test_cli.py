@@ -321,6 +321,17 @@ def test_unresolved_sign_of_lambda1_exit_3(tmp_path, capsys, argv):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_unresolved_magnitude_of_lambda1_exit_3(tmp_path, capsys):
+    # at 1.0001 mu_c the sign of lambda1 is right but its value is 270 times
+    # the dispersion relation's; the energy pencil disagrees with collocation
+    code, doc = run_cli(capsys, "eigen", "1", "1000", "5", "2.3124806321925475",
+                        "-N", "48", "-o", str(tmp_path))
+    assert code == 3
+    assert doc["error"] == "EigSolverFailure"
+    assert "energy pencil" in doc["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("exc,code", [
     (errors.AnnuflowError, 2), (errors.InvalidGeometry, 2),
     (errors.InvalidPhysics, 2), (errors.GridMismatch, 2), (errors.TooCoarse, 2),

@@ -3,7 +3,10 @@ re-exports, CSV and JSON written only by annuflow.io, and exit codes
 documented as the error classes define them."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from annuflow import errors
 from annuflow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+#: the text files under bench/ that may name an export (not its bytecode)
+BENCH_TEXT = {".py", ".json", ".md"}
 
 
 def test_pyproject_reads_the_package_version(capsys):
@@ -59,6 +64,21 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # after a 0.3 s import of annuflow.cli, scipy.special takes 40-60 ms more
+    # and scipy.optimize 135-205 ms more (one core, x86_64); every command
+    # and benchmark process would pay it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, annuflow.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[:2] in "
+         "(['scipy', 'special'], ['scipy', 'optimize'])))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _read_names(source: str) -> set[str]:
     """Names that source reads or imports: loaded names, attribute names
     and from-import names, so a definition alone does not count."""
@@ -85,7 +105,8 @@ def test_every_export_is_used():
     exports = _read_names(init.read_text())
     used = set().union(*(_read_names(p.read_text()) for p in MODULES))
     text = (ROOT / "README.md").read_text() + "".join(
-        p.read_text() for p in sorted((ROOT / "bench").rglob("*")) if p.is_file())
+        p.read_text() for p in sorted((ROOT / "bench").rglob("*"))
+        if p.suffix in BENCH_TEXT)
     unused = sorted(n for n in exports
                     if n not in used and not re.search(rf"\b{n}\b", text))
     assert unused == []
