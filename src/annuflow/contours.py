@@ -32,10 +32,24 @@ def contour_levels(values: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _edge_point(p0, p1, f0, f1, level):
-    """Linear interpolation of the level crossing along one cell edge."""
-    t = 0.5 if f1 == f0 else (level - f0) / (f1 - f0)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+#: a cell's corners 0..3 as lattice offsets (di, dj); edge e joins corners
+#: e and e + 1 (mod 4)
+_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+#: crossed edge pairs per cell case (bit k: corner k above the level); the
+#: saddles 5 and 10 split as for a centre above the level, swapped otherwise
+_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 0), (1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)], 10: [(0, 1), (2, 3)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+
+
+def _edge_point(p, f, e, level):
+    """Linear interpolation of the level crossing along edge e of the cell
+    with corner points p and values f; f differs along a crossed edge."""
+    k = (e + 1) % 4
+    t = (level - f[e]) / (f[k] - f[e])
+    return (p[e][0] + t * (p[k][0] - p[e][0]), p[e][1] + t * (p[k][1] - p[e][1]))
 
 
 def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -44,37 +58,22 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
     Each lattice cell contributes zero, one, or two straight segments
     joining interpolated edge crossings; saddle cells are split by the
-    cell-center average. Returns Cartesian endpoint pairs.
+    cell-center average. Cells are visited in row-major order. Returns
+    Cartesian endpoint pairs.
     """
     nr, nt = values.shape
+    case = sum((values[di:nr - 1 + di, dj:nt - 1 + dj] > level) << k
+               for k, (di, dj) in enumerate(_CORNERS))
     segs = []
-    for i in range(nr - 1):
-        for j in range(nt - 1):
-            f = (values[i, j], values[i, j + 1], values[i + 1, j + 1], values[i + 1, j])
-            p = ((xs[i, j], ys[i, j]), (xs[i, j + 1], ys[i, j + 1]),
-                 (xs[i + 1, j + 1], ys[i + 1, j + 1]), (xs[i + 1, j], ys[i + 1, j]))
-            code = sum(1 << k for k in range(4) if f[k] > level)
-            if code in (0, 15):
-                continue
-            # edges: 0 between corners 0-1, 1 between 1-2, 2 between 2-3, 3 between 3-0
-            def pt(e):
-                k0, k1 = e, (e + 1) % 4
-                return _edge_point(p[k0], p[k1], f[k0], f[k1], level)
-            table = {
-                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-            }
-            if code in (5, 10):
-                center = 0.25 * sum(f)
-                if (center > level) == (code == 5):
-                    pairs = [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 1), (2, 3)]
-            else:
-                pairs = table[code]
-            for e0, e1 in pairs:
-                segs.append((pt(e0), pt(e1)))
+    for i, j in np.argwhere((case > 0) & (case < 15)).tolist():
+        cell = [(i + di, j + dj) for di, dj in _CORNERS]
+        f = [values[c] for c in cell]
+        p = [(xs[c], ys[c]) for c in cell]
+        code = case[i, j]
+        if code in (5, 10) and not 0.25 * sum(f) > level:
+            code = 15 - code
+        segs += [(_edge_point(p, f, e0, level), _edge_point(p, f, e1, level))
+                 for e0, e1 in _SEGMENTS[code]]
     return segs
 
 

@@ -86,9 +86,10 @@ def mu_c_oracle(params: DomainParams) -> float:
     """Critical viscosity as the root of the determinant, affine in mu.
 
     The determinant's values at the ends of (1e-6 a alpha, 10 a alpha) fix
-    the line and so its root; they must differ in sign. Independent of the
-    closed form. Its basis is near-dependent as b -> a, so a gap below
-    ORACLE_MIN_GAP raises ThinGap.
+    the line and so its root; unless they are finite and differ in sign,
+    NoBracket is raised (the determinant overflows from b/a near 3.3e50 at
+    a = 1). Independent of the closed form. Its basis is near-dependent as
+    b -> a, so a gap below ORACLE_MIN_GAP raises ThinGap.
     """
     gap = (params.b - params.a) / params.a
     if gap < ORACLE_MIN_GAP:
@@ -96,9 +97,11 @@ def mu_c_oracle(params: DomainParams) -> float:
                       f"where the determinant oracle loses its digits")
     lo = 1e-6 * params.a * params.alpha
     hi = 10.0 * params.a * params.alpha
-    f_lo, f_hi = det_condition(params, lo), det_condition(params, hi)
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise NoBracket("determinant has no sign change in (1e-6 a alpha, 10 a alpha)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_lo, f_hi = det_condition(params, lo), det_condition(params, hi)
+    if not np.isfinite([f_lo, f_hi]).all() or np.sign(f_lo) == np.sign(f_hi):
+        raise NoBracket("determinant has no finite sign change in "
+                        f"(1e-6 a alpha, 10 a alpha): {f_lo}, {f_hi}")
     return float(lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 

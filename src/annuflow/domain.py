@@ -32,16 +32,22 @@ class DomainParams:
         return self.b / self.a
 
 
+#: the b/a from which (b/a)^4, a term of the closed-form mu_c, overflows a float
+RATIO_LIMIT = float(np.finfo(float).max ** 0.25)
+
+
 def validate(a: float, b: float, alpha: float, mu: float | None = None) -> DomainParams:
     """Check parameter ranges and return a normalized record.
 
-    Raises InvalidGeometry unless 0 < a < b, and InvalidPhysics unless
-    alpha > 0 and, when a viscosity is given, mu > 0. The viscosity is
-    only checked; the record does not keep it.
+    Raises InvalidGeometry unless 0 < a < b and b/a < RATIO_LIMIT, and
+    InvalidPhysics unless alpha > 0 and, when a viscosity is given, mu > 0.
+    The viscosity is only checked; the record does not keep it.
     """
     a, b, alpha = float(a), float(b), float(alpha)
     if not (0.0 < a < b) or not np.isfinite(a) or not np.isfinite(b):
         raise InvalidGeometry(f"need 0 < a < b, got a={a}, b={b}")
+    if not b / a < RATIO_LIMIT:
+        raise InvalidGeometry(f"b/a = {b / a:.3g} is too large: (b/a)^4 overflows a float")
     if not (alpha > 0.0) or not np.isfinite(alpha):
         raise InvalidPhysics(f"slip coefficient must be positive, got alpha={alpha}")
     if mu is not None and (not (mu > 0.0) or not np.isfinite(mu)):

@@ -5,7 +5,8 @@ quoted where they need it, CRLF line ends). Numbers are printed with 17
 significant digits, so round-tripping through text is exact for doubles,
 and None is an empty cell. Field dumps are row-major with r as the outer
 index. JSON documents, on stdout and on disk alike, come from
-:func:`json_text`: two-space indent, sorted keys, one trailing newline.
+:func:`json_text`: two-space indent, sorted keys, one trailing newline,
+and no NaN or Infinity.
 Every command-level run writes a manifest ``{command, inputs, outputs,
 version}`` recording what is needed to reproduce its outputs
 bit-identically.
@@ -66,13 +67,16 @@ def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:
 
 
 def json_text(doc: dict) -> str:
-    """The one JSON rendering of a report, an error document or a manifest."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON rendering of a report, an error document or a manifest;
+    strict JSON, so a non-finite number raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str, doc: dict) -> None:
+    """Write json_text(doc); the file is not created when that raises."""
+    text = json_text(doc)
     with open(path, "w") as fh:
-        fh.write(json_text(doc))
+        fh.write(text)
 
 
 def write_manifest(path: str, command: str, inputs: dict,

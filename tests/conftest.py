@@ -109,3 +109,49 @@ def _implicit_solve(sim, psi: np.ndarray, force: np.ndarray) -> np.ndarray:
 def implicit_reference():
     """The per-mode LU solve that the simulator's precomputed propagators replace."""
     return _implicit_solve
+
+
+def _cell_by_cell_walk(values, xs, ys, level):
+    """Marching squares one cell at a time, in row-major order: each cell
+    classifies its four corners, builds its edge table and interpolation,
+    and splits a saddle by an explicit test of the cell-centre average."""
+    def edge_point(p0, p1, f0, f1):
+        t = 0.5 if f1 == f0 else (level - f0) / (f1 - f0)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+    nr, nt = values.shape
+    segs = []
+    for i in range(nr - 1):
+        for j in range(nt - 1):
+            f = (values[i, j], values[i, j + 1], values[i + 1, j + 1], values[i + 1, j])
+            p = ((xs[i, j], ys[i, j]), (xs[i, j + 1], ys[i, j + 1]),
+                 (xs[i + 1, j + 1], ys[i + 1, j + 1]), (xs[i + 1, j], ys[i + 1, j]))
+            code = sum(1 << k for k in range(4) if f[k] > level)
+            if code in (0, 15):
+                continue
+            # edges: 0 between corners 0-1, 1 between 1-2, 2 between 2-3, 3 between 3-0
+            def pt(e):
+                k0, k1 = e, (e + 1) % 4
+                return edge_point(p[k0], p[k1], f[k0], f[k1])
+            table = {
+                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+            }
+            if code in (5, 10):
+                center = 0.25 * sum(f)
+                if (center > level) == (code == 5):
+                    pairs = [(3, 0), (1, 2)]
+                else:
+                    pairs = [(0, 1), (2, 3)]
+            else:
+                pairs = table[code]
+            for e0, e1 in pairs:
+                segs.append((pt(e0), pt(e1)))
+    return segs
+
+
+@pytest.fixture(scope="session")
+def marching_reference():
+    """The per-cell walk that the table-driven marching_squares replaces."""
+    return _cell_by_cell_walk

@@ -4,9 +4,10 @@
 their arguments, so a renamed or reshaped function breaks every
 ``bench/run.py --trace 1`` run, and a renamed one silently drops its
 per-layer metrics. This runs one traced sweep point in a fresh
-interpreter; it reads ``bench/`` and writes nothing there. The point
-solves one leading eigenpair, and dense QZ (``generalized_eig``) is
-not reached.
+interpreter and checks that it emits every per-layer metric that
+``BENCHMARK.json`` names; it reads ``bench/`` and writes nothing there.
+The point solves one leading eigenpair, and dense QZ
+(``generalized_eig``) is not reached.
 """
 
 import json
@@ -45,5 +46,11 @@ def test_traced_sweep_point():
     assert out["status"] == "ok"
     assert out["absent"] == []
     metrics = out["metrics"]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert set(metrics) == names, (
+        f"per-layer metrics missing or extra: {sorted(names ^ set(metrics))}; "
+        "a traced name that no longer resolves drops its metrics, and removing "
+        "or renaming one is a benchmark change")
     assert metrics["bifurcation.leading_eigenpair.calls"]["value"] == 1
     assert metrics["spectral.generalized_eig.calls"]["value"] == 0

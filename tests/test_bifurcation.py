@@ -160,6 +160,15 @@ class TestLyapunovCoefficient:
             ls.append(af.lyapunov_coeff(eig.psi1, mc, grid)[0])
         assert ls[0] == pytest.approx(ls[1], rel=1e-6)
 
+    def test_odd_N_matches_even(self, params135, muc135, grid48):
+        # N = 49 takes the odd branch of the quadrature weights; at bifurcate's
+        # default mu the reports agree to 6.0e-12 (lambda1) and 7.6e-11 (l)
+        mu = muc135 * (1.0 - 1e-4)
+        even = af.bifurcation_report(params135, mu, grid48)
+        odd = af.bifurcation_report(params135, mu, af.build_grid(1.0, 3.0, 49))
+        assert odd.lambda1 == pytest.approx(even.lambda1, rel=1e-10)
+        assert odd.l == pytest.approx(even.l, rel=1e-9)
+
 
 class TestClassification:
     def test_degenerate_raises(self, eig_099):

@@ -63,6 +63,30 @@ class TestMuC:
         assert doc["error"] == "InvalidGeometry"
         validate_against_schema(doc, "error")
 
+    @pytest.mark.parametrize("argv,code,error", [
+        # the 4x4 determinant overflows from b/a near 3.3e50; its root was NaN
+        (["1", "1e60", "5", "--oracle"], 3, "NoBracket"),
+        # (b/a)^4 in the closed form raised an uncaught OverflowError
+        (["1", "1e80", "5"], 2, "InvalidGeometry"),
+    ], ids=["oracle-1e60", "closed-form-1e80"])
+    def test_huge_ratio_fails_loudly(self, tmp_path, capsys, argv, code, error):
+        assert main(["mu-c", *argv, "-o", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == error
+        assert "NaN" not in out and err == ""
+
+    def test_non_finite_report_is_an_error_document(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(annuflow.cli, "mu_c_closed", lambda params: float("nan"))
+        assert main(["mu-c", "1", "3", "5", "-o", str(tmp_path)]) == 2
+
+        def no_constant(name):
+            raise AssertionError(f"non-JSON constant {name}")
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert doc["error"] == "ValueError"
+        validate_against_schema(doc, "error")
+        assert list(tmp_path.iterdir()) == []  # neither mu_c.json nor a manifest
+
 
 class TestEigen:
     def test_lambda_positive_below_critical(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
+from annuflow.domain import RATIO_LIMIT
 
 
 class TestValidate:
@@ -14,6 +15,15 @@ class TestValidate:
     def test_bad_geometry(self, a, b):
         with pytest.raises(af.InvalidGeometry):
             af.validate(a, b, 5, 1)
+
+    def test_ratio_limit_is_where_the_fourth_power_overflows(self):
+        below = float(np.nextafter(RATIO_LIMIT, 0.0))
+        assert np.isfinite(below**4)
+        with pytest.raises(OverflowError):
+            RATIO_LIMIT**4
+        assert af.validate(1.0, below, 5.0).sigma == below
+        with pytest.raises(af.InvalidGeometry):
+            af.validate(1.0, RATIO_LIMIT, 5.0)
 
     @pytest.mark.parametrize("alpha,mu", [(0, 1), (-1, 1), (5, 0), (5, -2),
                                           (np.nan, 1), (5, np.inf)])

@@ -1,13 +1,27 @@
-"""The README's library example runs as written, and its command lines
-parse."""
+"""The README's library example and every one of its command lines run as
+written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
-from annuflow.cli import build_parser
+import pytest
+
+from annuflow.cli import build_parser, main
+from annuflow.io import validate_against_schema
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = README.read_text().split("## Command line", 1)[1]
+LINES = [line for line in re.search(r"```sh\n(.*?)```", COMMANDS, re.S).group(1)
+         .splitlines() if line.startswith("annuflow ")]
+#: the report schema of each command; the escape run and sweep ship none,
+#: so their reports are checked by their keys
+SCHEMAS = {"mu-c": "mu_c", "eigen": "eigen", "bifurcate": "bifurcate",
+           "simulate": "simulate"}
+KEYS = {"escape": {"mu", "lambda1", "eps_thr", "escape_times", "slope",
+                   "inverse_lambda1"},
+        "sweep": {"rows", "classes_present", "csv"}}
 
 
 def test_library_block_runs():
@@ -17,10 +31,25 @@ def test_library_block_runs():
 
 
 def test_command_lines_parse():
-    section = README.read_text().split("## Command line", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("annuflow ")]
-    assert lines
+    assert LINES
     parser = build_parser()
-    for line in lines:
+    for line in LINES:
         parser.parse_args(shlex.split(line)[1:])  # exits 2 on a bad line
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    # the sweep spec is the README's ini block, saved as the sweep.cfg it names
+    spec = re.search(r"```ini\n(.*?)```", COMMANDS, re.S).group(1)
+    (tmp_path / "sweep.cfg").write_text(spec)
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    assert main(argv) == 0, capsys.readouterr().out
+    doc = json.loads(capsys.readouterr().out)
+    kind = "escape" if "--escape" in argv else argv[0]
+    if kind in SCHEMAS:
+        validate_against_schema(doc, SCHEMAS[kind])
+    else:
+        assert set(doc) == KEYS[kind]
+    manifest = "out/sweep_manifest.json" if kind == "sweep" else "manifest.json"
+    validate_against_schema(json.loads((tmp_path / manifest).read_text()), "manifest")

