@@ -143,7 +143,7 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     eigenvalue, and the eigenvalue is then polished by the eigenvector's
     variational quotient. Two discretizations of one problem must agree,
     so EigSolverFailure is raised when the polished lambda_1 has not the
-    sign of mu_c - mu (the closed-form mu_c is exact; never at mu = mu_c)
+    sign of mu_c - mu (mu_c_closed is exact to rounding; never at mu = mu_c)
     or differs from the pencil's by more than EIGEN_CONSISTENCY_RTOL: the
     grid does not resolve the problem.
     """

@@ -1,19 +1,33 @@
-"""Critical viscosity: closed form, determinant oracle, and the gamma_n constants.
+"""Critical viscosity: the Green-identity quadrature, the determinant oracle,
+and the gamma_n constants.
 
-The zero-eigenvalue problem Delta_1^2 Psi = 0 has the general solution
-Psi = a1 r + a2 r ln r + a3 / r + a4 r^3; requiring the four boundary
-conditions to admit a nontrivial combination gives a 4x4 determinant that
-vanishes exactly at the critical viscosity. The determinant is transcribed
-verbatim; only its slip row depends on mu, and affinely, so the determinant
-is affine in mu and has a single root; the closed form
+At the critical viscosity the mode-1 problem has a zero eigenvalue, so
+omega = Delta_1 Psi is harmonic and, by the stress-free row, vanishes at
+b: omega is a multiple of h_1, where h_n = r^n - b^{2n} r^{-n} solves
+Delta_n h_n = 0 with h_n(b) = 0. For any profile vanishing at both radii,
+Green's identity gives a Psi'(a) h_n(a) = -int (Delta_n Psi) h_n r dr, so
+by Cauchy-Schwarz the variational constant
 
-    mu_c = a alpha (1 + 3 s^4 - 4 s^2 - 4 s^4 ln s) / (2 (s^4 - 1 - 4 s^4 ln s)),
-    s = b / a,
+    gamma_n = min int r (Delta_n Psi)^2 dr / Psi'(a)^2
+            = a^2 h_n(a)^2 / int h_n^2 r dr,
 
-must agree with that root to 1e-8 relative, which is the primary
-cross-check between the two routes. Both routes cancel in thin gaps; there
-the closed form gives way to its Taylor series in (b - a)/a, and the
-determinant refuses gaps below ORACLE_MIN_GAP.
+and the slip row omega(a) + (alpha/mu - 2/a) Psi'(a) = 0 turns into
+mu_c = a alpha / (2 + gamma_1). With x = ln(b/r) and X = ln(b/a),
+
+    1 / gamma_n = int_0^X e^{(2n-2)(x-X)} [expm1(-2n x) / expm1(-2n X)]^2 dx,
+
+a ratio of like-signed terms throughout, so it neither cancels in thin
+gaps nor overflows in wide ones; GAMMA_NODES-point Clenshaw-Curtis
+evaluates it.
+
+Independently, the zero-eigenvalue problem Delta_1^2 Psi = 0 has the
+general solution Psi = a1 r + a2 r ln r + a3 / r + a4 r^3; requiring the
+four boundary conditions to admit a nontrivial combination gives a 4x4
+determinant that vanishes exactly at the critical viscosity. The
+determinant is transcribed verbatim; only its slip row depends on mu, and
+affinely, so the determinant is affine in mu and has a single root, which
+must agree with the quadrature to 1e-8 relative. The determinant cancels
+in thin gaps and refuses gaps below ORACLE_MIN_GAP.
 """
 
 from __future__ import annotations
@@ -24,36 +38,35 @@ import numpy as np
 
 from .domain import DomainParams
 from .errors import NoBracket, ThinGap
-from .spectral import RadialGrid, laplacian_n
+from .spectral import _cheb_matrix, _clencurt_weights
+
+#: Clenshaw-Curtis nodes of the gamma_n integral: against 90-digit mpmath,
+#: mu_c is within 5.3e-16 relative for (b - a)/a from 1e-12 up to
+#: RATIO_LIMIT and gamma_1..gamma_5 within 5.2e-16 at b/a from 1.001 to
+#: 1e4; 96 nodes lose 8e-15 and 64 nodes 8e-11 at the widest gap
+GAMMA_NODES = 128
+
+# the rule on [0, 1], built once at import (about 1.4 ms) so that no call
+# pays for it
+_NODES = 0.5 * (1.0 + _cheb_matrix(GAMMA_NODES)[0])
+_WEIGHTS = 0.5 * _clencurt_weights(GAMMA_NODES)
 
 
-#: Taylor coefficients of mu_c / (a alpha eps) in eps = (b - a) / a, from
-#: eps^0 to eps^11; either side of THIN_GAP, series and closed form are
-#: within 5e-13 relative of the exact value
-THIN_GAP_SERIES = (
-    1 / 3, -2 / 9, 31 / 270, -19 / 648, -223 / 8505, 27001 / 510300,
-    -87653 / 1530900, 1750757 / 36741600, -96693809 / 3031182000,
-    126131051 / 7956852750, -2977686377 / 993015223200,
-    -1571893718933 / 297904566960000)
-THIN_GAP = 0.1
+def gamma_n(params: DomainParams, n: int) -> float:
+    """Variational constant a^2 h_n(a)^2 / int h_n^2 r dr of mode n, by the
+    Clenshaw-Curtis rule on [0, X] in x = ln(b/r)."""
+    if n < 1:
+        raise ValueError("gamma_n is defined for n >= 1")
+    X = np.log1p((params.b - params.a) / params.a)
+    x = X * _NODES
+    f = np.exp((2 * n - 2) * (x - X)) * (np.expm1(-2 * n * x) / np.expm1(-2 * n * X)) ** 2
+    return float(1.0 / (X * (_WEIGHTS @ f)))
 
 
 def mu_c_closed(params: DomainParams) -> float:
-    """Closed-form critical viscosity, a function of (a, b, alpha) alone.
-
-    The closed form cancels to about 1e-16 / eps^3 relative as b/a -> 1, so
-    a gap eps = (b - a)/a below THIN_GAP takes the Taylor series instead,
-    with eps computed from b - a (b/a - 1 carries the rounding of b/a).
-    """
-    a, alpha = params.a, params.alpha
-    eps = (params.b - a) / a
-    if eps < THIN_GAP:
-        return a * alpha * eps * np.polynomial.polynomial.polyval(eps, THIN_GAP_SERIES)
-    s = params.sigma
-    ls = np.log(s)
-    num = a * alpha * (1.0 + 3.0 * s**4 - 4.0 * s**2 - 4.0 * s**4 * ls)
-    den = 2.0 * (s**4 - 1.0 - 4.0 * s**4 * ls)
-    return num / den
+    """Critical viscosity a alpha / (2 + gamma_1), a function of (a, b, alpha)
+    alone."""
+    return params.a * params.alpha / (2.0 + gamma_n(params, 1))
 
 
 def det_condition(params: DomainParams, mu: float) -> float:
@@ -88,7 +101,7 @@ def mu_c_oracle(params: DomainParams) -> float:
     The determinant's values at the ends of (1e-6 a alpha, 10 a alpha) fix
     the line and so its root; unless they are finite and differ in sign,
     NoBracket is raised (the determinant overflows from b/a near 3.3e50 at
-    a = 1). Independent of the closed form. Its basis is near-dependent as
+    a = 1). Independent of the quadrature. Its basis is near-dependent as
     b -> a, so a gap below ORACLE_MIN_GAP raises ThinGap.
     """
     gap = (params.b - params.a) / params.a
@@ -105,31 +118,13 @@ def mu_c_oracle(params: DomainParams) -> float:
     return float(lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
-def gamma_n(params: DomainParams, n: int, grid: RadialGrid) -> float:
-    """Variational constant: minimum of int r (Delta_n Psi)^2 dr / Psi'(a)^2
-    over profiles vanishing at both radii.
-
-    The quadratic form restricted to the Dirichlet subspace is positive
-    definite, and the denominator is rank one, so the minimum is
-    1 / (d^T M^{-1} d) with d the Psi'(a) functional.
-    """
-    if n < 1:
-        raise ValueError("gamma_n is defined for n >= 1")
-    N = grid.N
-    B = laplacian_n(grid, n)[:, 1:N]  # interior columns: Psi(a)=Psi(b)=0
-    M = B.T @ (grid.weights[:, None] * B)
-    d = grid.d1[N, 1:N]
-    y = np.linalg.solve(M, d)
-    return float(1.0 / (d @ y))
-
-
 #: the variational constants gamma_1..gamma_N_GAMMA that critical_result reports
 N_GAMMA = 5
 
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Closed-form and oracle critical viscosities plus gamma_1..gamma_N_GAMMA."""
+    """Quadrature and oracle critical viscosities plus gamma_1..gamma_N_GAMMA."""
 
     mu_c_closed: float
     mu_c_oracle: float
@@ -140,9 +135,9 @@ class CriticalResult:
         return abs(self.mu_c_closed - self.mu_c_oracle) / abs(self.mu_c_closed)
 
 
-def critical_result(params: DomainParams, grid: RadialGrid) -> CriticalResult:
+def critical_result(params: DomainParams) -> CriticalResult:
     return CriticalResult(
         mu_c_closed=mu_c_closed(params),
         mu_c_oracle=mu_c_oracle(params),
-        gamma=tuple(gamma_n(params, n, grid) for n in range(1, N_GAMMA + 1)),
+        gamma=tuple(gamma_n(params, n) for n in range(1, N_GAMMA + 1)),
     )

@@ -26,13 +26,10 @@ class DomainParams:
     b: float
     alpha: float
 
-    @property
-    def sigma(self) -> float:
-        """Radius ratio b/a, always recomputed."""
-        return self.b / self.a
 
-
-#: the b/a from which (b/a)^4, a term of the closed-form mu_c, overflows a float
+#: the b/a from which (b/a)^4 overflows a float, and the bound validate puts
+#: on b/a; the determinant oracle forms b^4, while mu_c works in ln(b/a)
+#: and stays finite and exact up to it
 RATIO_LIMIT = float(np.finfo(float).max ** 0.25)
 
 

@@ -46,7 +46,7 @@ class SweepSpec:
         if not (self.alpha_range[0] <= self.alpha_range[1]
                 and self.b_range[0] <= self.b_range[1]):
             raise InvalidPhysics("ranges must be nondecreasing")
-        if abs(self.mu_offset) >= 1e-2:
+        if not abs(self.mu_offset) < 1e-2:
             raise InvalidPhysics(
                 f"|mu_offset| must be < 1e-2, got {self.mu_offset}")
         if self.mu_offset == 0:

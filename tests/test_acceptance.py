@@ -178,8 +178,8 @@ def test_criterion_04_kernel_residuals(grid64, capsys):
         "the bound does not reject a 1e-10 perturbation of one entry")
 
 
-def test_criterion_05_gamma_monotonicity(p135, grid64, capsys):
-    g = [af.gamma_n(p135, n, grid64) for n in range(1, 6)]
+def test_criterion_05_gamma_monotonicity(p135, capsys):
+    g = [af.gamma_n(p135, n) for n in range(1, 6)]
     ok = all(g[i] < g[i + 1] for i in range(4))
     report(capsys, 5, ok,
            "gamma_1..5 = " + ", ".join(f"{v:.4f}" for v in g)

@@ -5,12 +5,14 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import annuflow.cli
 import annuflow.critical
 import annuflow.simulator
 from annuflow import errors
 from annuflow.cli import main
+from annuflow.domain import RATIO_LIMIT
 from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
 from annuflow.sweep import SWEEP_HEADER, SweepRow, SweepSpec
 
@@ -74,6 +76,20 @@ class TestMuC:
         out, err = capsys.readouterr()
         assert json.loads(out)["error"] == error
         assert "NaN" not in out and err == ""
+
+    @pytest.mark.parametrize("b", ["5e76", repr(float(np.nextafter(RATIO_LIMIT, 0.0)))],
+                             ids=["5e76", "below-limit"])
+    def test_widest_gaps_are_finite_and_exact(self, tmp_path, capsys, b):
+        # the closed form's (b/a)^4 made mu_c NaN from b/a = 3e76
+        assert main(["mu-c", "1", b, "5", "-o", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        got = json.loads(out)["mu_c_closed"]
+        with mp.workdps(90):
+            s = mp.mpf(float(b))
+            ref = 5 * (1 + 3 * s**4 - 4 * s**2 - 4 * s**4 * mp.log(s)) / (
+                2 * (s**4 - 1 - 4 * s**4 * mp.log(s)))
+        assert np.isfinite(got) and abs(got - ref) / ref < 1e-14
+        assert err == ""
 
     def test_non_finite_report_is_an_error_document(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -519,6 +535,17 @@ class TestSweepCommands:
         code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out))
         assert code == 2
         assert doc["error"] == "InvalidPhysics"
+        assert not (out / "sweep.csv").exists()
+
+    def test_sweep_nan_offset_exit_2(self, spec_file, tmp_path, capsys):
+        # a NaN offset once passed the range check and failed in LAPACK
+        with open(spec_file, "a") as fh:
+            fh.write("mu_offset = nan\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics"
+        assert "mu_offset" in doc["message"]
         assert not (out / "sweep.csv").exists()
 
     def test_missing_range_end_is_spec_default(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
 
 import annuflow as af
+from annuflow.domain import RATIO_LIMIT
 
 
 class TestClosedForm:
@@ -15,19 +18,22 @@ class TestClosedForm:
         assert m2 == pytest.approx(2 * m1, rel=1e-14)
 
     def test_scale_invariance_in_a(self):
-        # mu_c depends on (a alpha, sigma) only
+        # mu_c depends on (a alpha, b / a) only
         m1 = af.mu_c_closed(af.validate(1, 3, 5, 1))
         m2 = af.mu_c_closed(af.validate(2, 6, 2.5, 1))
         assert m2 == pytest.approx(m1, rel=1e-14)
 
     def test_thin_and_wide_gaps_match_mpmath(self):
-        """Within 1e-11 of the closed form at 50 digits for (b - a)/a from
-        1e-12 to 1e4, the switch-over to the thin-gap series included; the
-        float64 closed form alone is 65 times off at 1e-6 and returns
-        a alpha / 2 = 2.5 at (1, 1.000000001, 5)."""
+        """Within 1e-14 of the closed form at 90 digits for (b - a)/a from
+        1e-12 to just below RATIO_LIMIT, gaps either side of 0.1 included
+        (where a Taylor series once took over); the float64 closed form
+        alone is 65 times off at 1e-6 and returns a alpha / 2 = 2.5 at
+        (1, 1.000000001, 5)."""
         gaps = np.concatenate([np.logspace(-12, 4, 161),
-                               np.linspace(0.9, 1.1, 21) * af.critical.THIN_GAP])
-        with mp.workdps(50):
+                               np.linspace(0.9, 1.1, 21) * 0.1,
+                               np.logspace(4.5, 77, 146),
+                               [RATIO_LIMIT * (1 - 1e-12)]])
+        with mp.workdps(90):
             for a in (1.0, 0.37, 2.5):
                 for gap in gaps:
                     b = a + a * gap
@@ -35,10 +41,22 @@ class TestClosedForm:
                     ref = a * 5 * (1 + 3 * s**4 - 4 * s**2 - 4 * s**4 * mp.log(s)) / (
                         2 * (s**4 - 1 - 4 * s**4 * mp.log(s)))
                     got = af.mu_c_closed(af.validate(a, b, 5))
-                    assert abs(got - ref) / ref < 1e-11, (a, gap)
+                    assert abs(got - ref) / ref < 1e-14, (a, gap)
         b = 1.000000001
         thin = af.mu_c_closed(af.validate(1, b, 5))
         assert thin == pytest.approx(5 * (b - 1) / 3, rel=1e-8, abs=0)
+
+    def test_no_floating_point_warning_over_the_validated_range(self):
+        # the closed form's (b/a)^4 once overflowed to a NaN from b/a = 3e76
+        ratios = np.concatenate([1 + np.logspace(-15, 0, 31), np.logspace(0.5, 77, 154),
+                                 [np.nextafter(RATIO_LIMIT, 0.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1.0, 0.37, 2.5):
+                for ratio in ratios:
+                    p = af.validate(a, a * ratio, 5)
+                    assert np.isfinite([af.mu_c_closed(p)] + [
+                        af.gamma_n(p, n) for n in range(1, 6)]).all()
 
 
 class TestOracle:
@@ -69,32 +87,47 @@ class TestOracle:
             0.0, abs=1e-10 * max(abs(v) for v in f))
 
 
+def _gamma_reference(b, n):
+    """a^2 h_n(a)^2 / int_a^b h_n^2 r dr at a = 1 and 60 digits, from the
+    antiderivative of h_n^2 r = r^{2n+1} - 2 b^{2n} r + b^{4n} r^{1-2n}."""
+    with mp.workdps(60):
+        b = mp.mpf(b)
+
+        def F(r):
+            tail = mp.log(r) if n == 1 else r ** (2 - 2 * n) / (2 - 2 * n)
+            return r ** (2 * n + 2) / (2 * n + 2) - b ** (2 * n) * r**2 + b ** (4 * n) * tail
+        return (1 - b ** (2 * n)) ** 2 / (F(b) - F(mp.mpf(1)))
+
+
 class TestGamma:
-    def test_monotone_increasing(self, params135, grid64):
-        g = [af.gamma_n(params135, n, grid64) for n in range(1, 6)]
+    def test_monotone_increasing(self, params135):
+        g = [af.gamma_n(params135, n) for n in range(1, 6)]
         assert all(g[i] < g[i + 1] for i in range(4))
 
-    def test_gamma1_matches_threshold_relation(self, params135, grid64):
-        # at mu_c the slip coefficient balances: gamma_1 = a alpha / mu_c - 2
-        muc = af.mu_c_closed(params135)
-        g1 = af.gamma_n(params135, 1, grid64)
+    def test_gamma1_matches_threshold_relation(self, params135):
+        # at mu_c the slip coefficient balances: gamma_1 = a alpha / mu_c - 2,
+        # with mu_c from the determinant, which does not use gamma_1
+        muc = af.mu_c_oracle(params135)
+        g1 = af.gamma_n(params135, 1)
         assert g1 == pytest.approx(1 * 5 / muc - 2, rel=1e-8)
 
-    def test_positive(self, params135, grid64):
-        assert af.gamma_n(params135, 3, grid64) > 0
+    def test_positive(self, params135):
+        assert af.gamma_n(params135, 3) > 0
 
-    def test_invalid_wavenumber(self, params135, grid64):
+    def test_invalid_wavenumber(self, params135):
         with pytest.raises(ValueError):
-            af.gamma_n(params135, 0, grid64)
+            af.gamma_n(params135, 0)
 
-    def test_resolution_stability(self, params135, grid48, grid64):
-        g48 = af.gamma_n(params135, 2, grid48)
-        g64 = af.gamma_n(params135, 2, grid64)
-        assert g48 == pytest.approx(g64, rel=1e-8)
+    @pytest.mark.parametrize("b", [1.001, 1.05, 3, 15, 100, 1e4])
+    def test_matches_mpmath_integral(self, b):
+        p = af.validate(1, b, 5)
+        for n in range(1, 6):
+            ref = _gamma_reference(b, n)
+            assert abs(af.gamma_n(p, n) - ref) / ref < 1e-14, n
 
 
 class TestCriticalResult:
-    def test_bundle(self, params135, grid64):
-        res = af.critical_result(params135, grid64)
+    def test_bundle(self, params135):
+        res = af.critical_result(params135)
         assert res.discrepancy < 1e-8
         assert len(res.gamma) == 5

@@ -9,7 +9,7 @@ class TestValidate:
     def test_accepts_valid(self):
         p = af.validate(1, 3, 5, 2.0)
         assert p.a == 1.0 and p.b == 3.0 and p.alpha == 5.0
-        assert p.sigma == 3.0
+        assert p.b / p.a == 3.0
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, 1), (0, 1), (-1, 2)])
     def test_bad_geometry(self, a, b):
@@ -21,7 +21,8 @@ class TestValidate:
         assert np.isfinite(below**4)
         with pytest.raises(OverflowError):
             RATIO_LIMIT**4
-        assert af.validate(1.0, below, 5.0).sigma == below
+        p = af.validate(1.0, below, 5.0)
+        assert p.b / p.a == below
         with pytest.raises(af.InvalidGeometry):
             af.validate(1.0, RATIO_LIMIT, 5.0)
 
