@@ -79,22 +79,24 @@ def theta_lattice(ntheta: int) -> np.ndarray:
 def synthesize_lattice(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
     """The real field sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice.
 
-    ``coeffs`` is the (M, nr) array whose row n - 1 is the profile c_n.
-    The sum is one inverse real FFT along theta. ``irfft`` counts the
-    Nyquist bin n = ntheta / 2 (present only for even ntheta) once and
-    every other bin twice, so that coefficient is doubled first. A mode
-    with n > ntheta / 2 cannot be represented on the lattice and raises
-    GridMismatch rather than aliasing onto a lower wavenumber.
+    ``coeffs`` is the (..., M, nr) array whose row n - 1 is the profile c_n;
+    leading axes are a batch of such sets, and the result is the
+    (..., nr, ntheta) stack of their fields. The sum is one inverse real
+    FFT along theta for the whole batch. ``irfft`` counts the Nyquist bin
+    n = ntheta / 2 (present only for even ntheta) once and every other bin
+    twice, so that coefficient is doubled first. A mode with n > ntheta / 2
+    cannot be represented on the lattice and raises GridMismatch rather
+    than aliasing onto a lower wavenumber.
     """
-    M, nr = coeffs.shape
+    *lead, M, nr = coeffs.shape
     if 2 * M > ntheta:
         raise GridMismatch(
             f"mode {M} is not resolved by ntheta={ntheta} (need n <= ntheta/2)")
-    spec = np.zeros((nr, ntheta // 2 + 1), complex)
-    spec[:, 1:M + 1] = coeffs.T
+    spec = np.zeros((*lead, nr, ntheta // 2 + 1), complex)
+    spec[..., 1:M + 1] = np.swapaxes(coeffs, -1, -2)
     if 2 * M == ntheta:
-        spec[:, M] *= 2.0
-    return ntheta * np.fft.irfft(spec, n=ntheta, axis=1)
+        spec[..., M] *= 2.0
+    return ntheta * np.fft.irfft(spec, n=ntheta, axis=-1)
 
 
 def synthesize_physical(coeffs: np.ndarray, ntheta: int) -> PhysicalField:

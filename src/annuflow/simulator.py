@@ -29,14 +29,18 @@ the identity (so A_bc W = I). All products act on the real (M, N+1, 2)
 view of the complex state. Dedalus steps its linear part the same way
 (Burns et al., Phys. Rev. Research 2, 023068, 2020).
 
-The advection is a pseudo-spectral product: velocity and vorticity
-gradient are synthesized on the doubled lattice of L = 2 ntheta angles,
-multiplied pointwise and transformed back with one real FFT. Only modes
-n <= K = 2M/3 are kept (the rest receive no nonlinear forcing); since
-L = 4M >= 2M + K + 1, those modes are free of aliasing (Orszag's rule).
-The mean (n = 0) mode is dropped the same way, keeping the dynamics
-inside the zero-mean-swirl phase space. The CFL check reads the same
-velocity on the even columns, which form the ntheta lattice.
+The advection is a pseudo-spectral product. One product of the per-mode
+stack S_n = [Delta_n; d1 Delta_n] with the real pairs view of the state
+gives omega and d omega/dr, and one product with d1 gives v_theta. The
+four lattice fields v_r = -i n psi / r, v_theta, d omega/dr and
+i n omega / r are synthesized by one batched inverse FFT on the doubled
+lattice of L = 2 ntheta angles, multiplied pointwise and transformed back
+with one real FFT. Only modes n <= K = 2M/3 are kept (the rest receive no
+nonlinear forcing); since L = 4M >= 2M + K + 1, those modes are free of
+aliasing (Orszag's rule). The mean (n = 0) mode is dropped the same way,
+keeping the dynamics inside the zero-mean-swirl phase space. The CFL
+check reads the same velocity on the even columns, which form the ntheta
+lattice.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bifurcation import EigenResult, lattice_velocity, mode_energies
+from .bifurcation import EigenResult, mode_energies
 from .domain import DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
@@ -134,8 +138,10 @@ class Simulator:
         self.K = (2 * self.M) // 3
         self._n = np.arange(1, self.M + 1)[:, None]
         modes = range(1, self.M + 1)
-        # omega needs the boundary-node rows of Delta_n that the mass zeroes
-        self._lap = np.array([laplacian_n(grid, n) for n in modes])
+        # omega needs the boundary-node rows of Delta_n that the mass zeroes;
+        # one product with S_n = [Delta_n; d1 Delta_n] gives omega and d omega/dr
+        lap = np.array([laplacian_n(grid, n) for n in modes])
+        self._S = np.concatenate([lap, grid.d1 @ lap], axis=1)
         pencils = [mode_pencil(grid, params, self.mu, n) for n in modes]
         A = np.array([p.matrix for p in pencils])
         B = np.array([p.mass for p in pencils])
@@ -195,20 +201,24 @@ class Simulator:
         """Advance one dt. Raises CFLViolation when dt exceeds the
         per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
         when the new state is not finite (a blown-up run)."""
-        psi = state.psi
+        psi, r, n1 = state.psi, self.grid.nodes, self.grid.N + 1
         L = 2 * self.ntheta
-        vr, vt = lattice_velocity(psi, self.grid, L)
-        limit = self.cfl_limit(vr[:, ::2], vt[:, ::2])
+        p = _pairs(psi)
+        # v_r, v_theta and, for the advection, d omega/dr and
+        # (1/r) d omega/dtheta on the L lattice
+        fields = [-1j * self._n * psi / r, (self.grid.d1 @ p).view(complex)[..., 0]]
+        if self.nonlinear:
+            omega = (self._S @ p).view(complex)[..., 0]
+            fields += [omega[:, n1:], 1j * self._n * omega[:, :n1] / r]
+        f = synthesize_lattice(np.stack(fields), L)
+        limit = self.cfl_limit(f[0][:, ::2], f[1][:, ::2])
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
-        new = self._P @ _pairs(psi)
+        new = self._P @ p
         nl = None
         if self.nonlinear:
-            omega = (self._lap @ psi[:, :, None])[:, :, 0]
-            adv = -(vr * synthesize_lattice(omega @ self.grid.d1.T, L)
-                    + vt * synthesize_lattice(1j * self._n * omega, L)
-                    / self.grid.nodes[:, None])
+            adv = -(f[0] * f[2] + f[1] * f[3])
             nl = np.zeros_like(psi)
             nl[:self.K] = (np.fft.rfft(adv, axis=1)[:, 1:self.K + 1] / L).T
             force = nl if state.prev_nonlinear is None else (

@@ -62,18 +62,20 @@ def lattice_reference():
     return _literal_lattice_sum
 
 
-def _literal_advection(psi: np.ndarray, grid, K: int) -> np.ndarray:
+def _literal_advection(psi: np.ndarray, grid, K: int, dtype=complex) -> np.ndarray:
     """Modes n <= K of -v . grad omega as the literal sum over every mode
     pair (n1, n2), n1 + n2 = n, with n1 and n2 in +-1..M; row n - 1 of
-    ``psi`` is the profile of mode n, and rows above K of the result are 0."""
+    ``psi`` is the profile of mode n, and rows above K of the result are 0.
+    The sum runs in ``dtype`` (np.clongdouble for a reference whose own
+    rounding stays well below float64's) on the float64 matrices."""
     r, d1 = grid.nodes, grid.d1
     prof, dprof, om, dom = {}, {}, {}, {}
-    for n, c in enumerate(psi, start=1):
+    for n, c in enumerate(np.asarray(psi, dtype), start=1):
         o = af.laplacian_n(grid, n) @ c
         prof[n], dprof[n], om[n], dom[n] = c, d1 @ c, o, d1 @ o
         for d in (prof, dprof, om, dom):
             d[-n] = np.conj(d[n])
-    out = np.zeros_like(psi)
+    out = np.zeros(psi.shape, dtype)
     for n1 in prof:
         for n2 in prof:
             n = n1 + n2

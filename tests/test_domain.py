@@ -68,6 +68,22 @@ class TestSynthesize:
     def test_unresolved_mode_rejected(self, n, ntheta):
         with pytest.raises(af.GridMismatch):
             af.synthesize_lattice(np.ones((n, 3)), ntheta)
+        with pytest.raises(af.GridMismatch):
+            af.synthesize_lattice(np.ones((4, n, 3)), ntheta)
+
+    @pytest.mark.parametrize("ntheta", [4, 7, 8])
+    def test_leading_axes_batch_the_transform(self, ntheta, lattice_reference):
+        # a batch equals its per-slice calls bit for bit; even lattices
+        # populate the Nyquist bin
+        rng = np.random.default_rng(ntheta)
+        shape = (3, 2, ntheta // 2, 5)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = af.synthesize_lattice(coeffs, ntheta)
+        assert out.shape == (3, 2, 5, ntheta)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(out[idx], af.synthesize_lattice(coeffs[idx], ntheta))
+            ref = lattice_reference(coeffs[idx], ntheta)
+            assert np.abs(out[idx] - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_round_trip_with_analyze(self):
         # the forward real FFT inverts the synthesis below the Nyquist bin,

@@ -193,6 +193,25 @@ class TestStructure:
         with pytest.raises(af.CFLViolation):
             sim.step(st)
 
+    @pytest.mark.parametrize("ntheta,modes", [(8, 4), (32, 1)])
+    def test_cfl_check_reads_lattice_velocity(self, unstable, ntheta, modes):
+        # the step's limit is lattice_velocity's on the ntheta lattice, to
+        # the 4 digits its message prints; v_r sets it with modes 1..4 on
+        # ntheta = 8 (up to the Nyquist mode), v_theta with mode 1 on 32
+        pr, mu, g, eig = unstable
+        rng = np.random.default_rng(ntheta)
+        psi = np.zeros((ntheta // 2, g.N + 1), complex)
+        psi[:modes] = [(rng.standard_normal() + 1j * rng.standard_normal())
+                       * np.sin(n * g.nodes) * eig.psi1 for n in range(1, modes + 1)]
+        state = af.SimState(0.0, psi)
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+        lim = sim.cfl_limit(*lattice_velocity(psi, g, ntheta))
+        with pytest.raises(af.CFLViolation) as exc:
+            af.Simulator(pr, g, mu=mu, dt=1.001 * lim, ntheta=ntheta).step(state)
+        printed = float(str(exc.value).rsplit(" ", 1)[1])
+        assert abs(printed - lim) <= 1e-3 * lim
+        af.Simulator(pr, g, mu=mu, dt=0.999 * lim, ntheta=ntheta).step(state)
+
     def test_non_finite_state_raises_solver_failure(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
@@ -245,7 +264,10 @@ class TestStructure:
     def test_advection_matches_mode_pair_loop(self, unstable, advection_reference,
                                               ntheta):
         # every mode up to n = M (the Nyquist mode of the ntheta lattice)
-        # is populated, so any aliasing onto n <= K would show
+        # is populated, so any aliasing onto n <= K would show (advection
+        # on L = ntheta reads 0.90 to 1.06). The reference sums in long
+        # double: in float64 it is itself up to 7.3e-14 off, which leaves
+        # the 1e-13 bound no margin for a different float64 order of sums
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=1e-6, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
@@ -254,7 +276,7 @@ class TestStructure:
                         * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.M + 1)])
         nl = sim.step(af.SimState(0.0, psi)).prev_nonlinear
-        ref = advection_reference(psi, g, sim.K)
+        ref = advection_reference(psi, g, sim.K, np.clongdouble)
         K = sim.K
         assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
         assert np.all(nl[K:] == 0.0)
