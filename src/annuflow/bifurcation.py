@@ -109,21 +109,33 @@ def energy_pencil(params: DomainParams, mu: float,
                   grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric pencil (A, B) of :func:`energy_rayleigh` on the mode-1
     profiles that vanish at both radii: A = -mu E1 + (alpha - mu/a) E2 and
-    B = E3, the Gram matrices of :func:`mode_energies`' functionals over
-    the interior nodes. B is positive definite and E1 positive
-    semidefinite, and E2 = a |Psi'(a)|^2 has rank one, so by
-    Courant-Fischer the pencil has at most one positive eigenvalue, and its
-    largest eigenvalue is the leading growth rate."""
-    (vr, vt), grads = _energy_fields(np.eye(grid.N + 1)[1:-1], grid, 1)
-    root_w = np.sqrt(grid.weights)
+    B = E3, :func:`mode_energies`' functionals over the interior nodes.
+    For n = 1 each field of :func:`_energy_fields` is a fixed matrix of the
+    interior operator columns d1_i = d1[:, 1:-1] and d2_i = d2[:, 1:-1], so
+    with W = diag(weights) each functional is a sum of Gram products:
 
-    def gram(fields):
-        f = (np.stack(fields, axis=1) * root_w).reshape(len(vt), -1)
-        return f @ f.T
+        E3 = d1_i^T W d1_i + diag(w_i / r_i^2)
+        E1 = (d1_i / r_i)^T W (d1_i / r_i) + d2_i^T W d2_i + 2 C^T W C
+             + d1_i[0] (x) d1_i[0]
+        E2 = a d1_i[N] (x) d1_i[N]
 
-    E1 = gram(grads) + np.outer(vt[:, 0], vt[:, 0])
-    E2 = params.a * np.outer(vt[:, -1], vt[:, -1])
-    return -mu * E1 + (params.alpha - mu / params.a) * E2, gram((vr, vt))
+    where C = (I_i / r - d1_i) / r, rows scaled, is the last two gradient
+    fields up to sign. B is positive definite and E1 positive semidefinite,
+    and E2 = a |Psi'(a)|^2 has rank one, so by Courant-Fischer the pencil
+    has at most one positive eigenvalue, and its largest eigenvalue is the
+    leading growth rate."""
+    r, w = grid.nodes, grid.weights
+    d1 = grid.d1[:, 1:-1]
+
+    def gram(m):
+        return (m * w[:, None]).T @ m
+
+    c = (np.eye(grid.N + 1)[:, 1:-1] / r[:, None] - d1) / r[:, None]
+    E1 = (gram(d1 / r[1:-1]) + gram(grid.d2[:, 1:-1]) + 2.0 * gram(c)
+          + np.outer(d1[0], d1[0]))
+    E2 = params.a * np.outer(d1[-1], d1[-1])
+    E3 = gram(d1) + np.diag(w[1:-1] / r[1:-1] ** 2)
+    return -mu * E1 + (params.alpha - mu / params.a) * E2, E3
 
 
 #: largest accepted gap between the polished lambda_1 and the energy

@@ -224,9 +224,10 @@ INVERSE_ITERATIONS = 3
 
 def eigenvector(pencil: ModePencil, lam: float) -> np.ndarray:
     """Eigenvector of matrix x = lam mass x for a real eigenvalue ``lam``
-    (e.g. from :func:`generalized_eig`), by inverse iteration: solves of
-    (matrix - lam mass) x_new = mass x on one LU of the row-equilibrated
-    shifted matrix. Every iterate meets the homogeneous boundary rows."""
+    (e.g. the largest of :func:`annuflow.bifurcation.energy_pencil`), by
+    inverse iteration: solves of (matrix - lam mass) x_new = mass x on one
+    LU of the row-equilibrated shifted matrix. Every iterate meets the
+    homogeneous boundary rows."""
     factors, scale, _ = _row_lu(pencil.matrix - lam * pencil.mass)
     x = np.ones(pencil.mass.shape[0])
     for _ in range(INVERSE_ITERATIONS):

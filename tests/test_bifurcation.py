@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,42 @@ class TestEnergyFunctionals:
             bf.energy_rayleigh(params135, muc135, psi.astype(complex), grid48),
             rel=1e-9)
         assert np.allclose(A, A.T, rtol=0, atol=1e-12 * np.abs(A).max())
+
+    @pytest.mark.parametrize("N", (48, 96))
+    @pytest.mark.parametrize("b", (1.05, 3, 15))
+    def test_energy_pencil_grams_are_the_functionals(self, b, N):
+        # the pencil's quadratic forms on psi = [0, x, 0] are mode_energies'
+        # functionals of psi; at mu_c they agree to 7.3e-15 (E3) and 1.3e-14
+        # (E1, E2) relative at most
+        params = af.validate(1, b, 5)
+        mu = af.mu_c_closed(params)
+        grid = af.build_grid(1, b, N)
+        x = np.random.default_rng(N).standard_normal((4, N - 1))
+        psi = np.pad(x, ((0, 0), (1, 1)))
+        A, B = af.bifurcation.energy_pencil(params, mu, grid)
+        E3, E1, E2 = af.bifurcation.mode_energies(params, psi, grid)
+        slip = params.alpha - mu / params.a
+        assert np.allclose(np.einsum("ki,ij,kj->k", x, B, x), E3,
+                           rtol=1e-13, atol=0)
+        assert np.all(np.abs(np.einsum("ki,ij,kj->k", x, A, x)
+                             - (-mu * E1 + slip * E2))
+                      <= 1e-13 * (mu * E1 + abs(slip) * E2))
+
+    def test_energy_pencil_allocates_no_stacked_fields(self):
+        # one call's peak, in units of an (N+1)^2 float array, reads 6.75
+        # with one Gram product per field; stacking the six fields into one
+        # array before the product reads 14.6
+        params = af.validate(1, 3, 5)
+        mu = af.mu_c_closed(params)
+        grid = af.build_grid(1, 3, 96)
+        af.bifurcation.energy_pencil(params, mu, grid)
+        tracemalloc.start()
+        try:
+            af.bifurcation.energy_pencil(params, mu, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 97**2 * 8
 
 
 class TestInteraction:

@@ -65,12 +65,13 @@ def test_leading_eigenpair_matches_qz(b, factor, N):
     assert got == pytest.approx(qz, rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("b", GAPS)
-def test_energy_pencil_has_one_positive_eigenvalue(b):
+@pytest.mark.parametrize("b,N", [pytest.param(b, 48, id=f"{b}") for b in GAPS]
+                         + [pytest.param(b, 96, id=f"{b}-N96") for b in GAPS])
+def test_energy_pencil_has_one_positive_eigenvalue(b, N):
     # Courant-Fischer: E2 has rank one, so at most one eigenvalue is
     # positive, and it exists exactly below mu_c
     params = af.validate(1, b, 5)
-    grid = af.build_grid(1, b, 48)
+    grid = af.build_grid(1, b, N)
     for factor, count in ((0.1, 1), (0.9, 1), (1.1, 0), (2, 0)):
         A, B = energy_pencil(params, factor * af.mu_c_closed(params), grid)
         assert np.sum(sla.eigh(A, B, eigvals_only=True) > 0) == count
