@@ -254,18 +254,14 @@ class BifurcationReport:
     psi1: np.ndarray = field(repr=False)
     g11: np.ndarray = field(repr=False)
 
-    def _coeffs(self, s: complex) -> np.ndarray:
-        """Profiles of n = 1, 2 at phase point s, as rows."""
+    def coeffs(self, s: complex) -> np.ndarray:
+        """The modal rows of the bifurcated state at phase point s: row
+        n - 1 is the profile of mode n = 1, 2."""
         return np.array([s * self.psi1, s**2 * self.g11])
 
     def psi_s(self, s: complex, ntheta: int = 128) -> PhysicalField:
         """Bifurcated streamfunction on the physical lattice at phase s."""
-        return synthesize_physical(self._coeffs(s), ntheta)
-
-    def velocity(self, s: complex, grid: RadialGrid,
-                 ntheta: int = 128) -> tuple[np.ndarray, np.ndarray]:
-        """Polar velocity components (v_r, v_theta) of the bifurcated state."""
-        return lattice_velocity(self._coeffs(s), grid, ntheta)
+        return synthesize_physical(self.coeffs(s), ntheta)
 
 
 def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
@@ -275,8 +271,8 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
     v_r = -(1/r) d psi / d theta and v_theta = d psi / dr, as in
     :func:`mode_energies`."""
     n = np.arange(1, len(coeffs) + 1)[:, None]
-    return (synthesize_lattice(-1j * n * coeffs / grid.nodes, ntheta),
-            synthesize_lattice(coeffs @ grid.d1.T, ntheta))
+    return tuple(synthesize_lattice(
+        np.stack([-1j * n * coeffs / grid.nodes, coeffs @ grid.d1.T]), ntheta))
 
 
 def classify_and_build(params: DomainParams, eig: EigenResult, l: float,

@@ -22,10 +22,10 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__
-from .bifurcation import bifurcation_report, lattice_velocity, leading_eigenpair
+from .bifurcation import bifurcation_report, leading_eigenpair
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
-from .domain import synthesize_physical, theta_lattice, validate
+from .domain import synthesize_lattice, validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (
     json_text,
@@ -116,13 +116,11 @@ def cmd_bifurcate(args) -> dict:
     out = _outdir(args)
     outputs = []
     for j in range(args.phases):
-        s = report.amplitude * np.exp(2j * np.pi * j / args.phases)
-        psi = report.psi_s(s, args.ntheta)
-        vr, vt = report.velocity(s, grid, args.ntheta)
+        coeffs = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
         base = os.path.join(out, f"field_phase{j}")
-        write_field_csv(base + ".csv", grid.nodes, psi, vr, vt)
+        write_field_csv(base + ".csv", coeffs, grid, args.ntheta)
         with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(psi, grid.nodes, theta_lattice(args.ntheta)))
+            fh.write(field_svg(synthesize_lattice(coeffs, args.ntheta), grid.nodes))
         outputs += [base + ".csv", base + ".svg"]
     return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
 
@@ -218,10 +216,8 @@ def cmd_simulate(args) -> dict:
     write_trajectory_csv(traj, diags)
     outputs = [traj]
     if args.snapshot:
-        phys = synthesize_physical(state.psi, cfg["ntheta"])
-        vr, vt = lattice_velocity(state.psi, grid, cfg["ntheta"])
         snap = os.path.join(out, "snapshot.csv")
-        write_field_csv(snap, grid.nodes, phys, vr, vt)
+        write_field_csv(snap, state.psi, grid, cfg["ntheta"])
         outputs.append(snap)
     return _finish(out, "simulate", doc, "simulate", cfg, outputs)
 

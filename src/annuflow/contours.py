@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import PhysicalField
+from .domain import theta_lattice
 
 #: number of evenly spaced contour levels between field min and max
 N_LEVELS = 11
@@ -85,11 +85,13 @@ def polar_lattice_xy(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.n
     return xs, ys
 
 
-def field_svg(field: PhysicalField, r: np.ndarray, theta: np.ndarray) -> str:
-    """Standalone SVG document with N_LEVELS contours of the field."""
+def field_svg(values: np.ndarray, r: np.ndarray) -> str:
+    """Standalone SVG document with N_LEVELS contours of the (nr, ntheta)
+    lattice array ``values``: row i at radius r[i], column j at
+    theta_j = 2 pi j / ntheta."""
     size = 640  # canvas width and height in pixels
-    vals = np.column_stack([field.values, field.values[:, :1]])
-    xs, ys = polar_lattice_xy(r, theta)
+    vals = np.column_stack([values, values[:, :1]])
+    xs, ys = polar_lattice_xy(r, theta_lattice(values.shape[1]))
     b = float(r.max())
     scale = (size / 2 - 10) / b
     cx = cy = size / 2

@@ -54,7 +54,8 @@ def validate(a: float, b: float, alpha: float, mu: float | None = None) -> Domai
 
 @dataclass(frozen=True)
 class PhysicalField:
-    """Real field sampled on the (r_i, theta_j) lattice, theta_j = 2 pi j / ntheta."""
+    """The read-only (nr, ntheta) lattice array that :func:`synthesize_physical`
+    and ``BifurcationReport.psi_s`` return."""
 
     values: np.ndarray = field(repr=False)
 
@@ -62,14 +63,6 @@ class PhysicalField:
         v = np.asarray(self.values, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def nr(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def ntheta(self) -> int:
-        return self.values.shape[1]
 
 
 def theta_lattice(ntheta: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 CSV tables use the csv module's default dialect (comma-separated, fields
 quoted where they need it, CRLF line ends). Numbers are printed with 17
 significant digits, so round-tripping through text is exact for doubles,
-and None is an empty cell. Field dumps are row-major with r as the outer
-index. JSON documents, on stdout and on disk alike, come from
-:func:`json_text`: two-space indent, sorted keys, one trailing newline,
-and no NaN or Infinity.
+and None is an empty cell. A field dump holds psi, v_r and v_theta of one
+state, built here from its modal rows, on the (r, theta) lattice,
+row-major with r as the outer index. JSON documents, on stdout and on
+disk alike, come from :func:`json_text`: two-space indent, sorted keys,
+one trailing newline, and no NaN or Infinity.
 Every command-level run writes a manifest ``{command, inputs, outputs,
 version}`` recording what is needed to reproduce its outputs
 bit-identically.
@@ -22,8 +23,10 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .domain import PhysicalField, theta_lattice
+from .bifurcation import lattice_velocity
+from .domain import synthesize_lattice, theta_lattice
 from .simulator import Diagnostics
+from .spectral import RadialGrid
 
 FIELD_HEADER = ["r", "theta", "psi", "v_r", "v_theta"]
 TRAJECTORY_HEADER_FIXED = ["t", "E3", "E1", "E2", "max_psi"]
@@ -46,14 +49,16 @@ def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
         w.writerows([_cell(x) for x in row] for row in rows)
 
 
-def write_field_csv(path: str, r: np.ndarray, psi: PhysicalField,
-                    v_r: np.ndarray, v_theta: np.ndarray) -> None:
-    """Dump (r, theta, psi, v_r, v_theta) rows, r outer, theta in radians."""
-    nr, nt = psi.nr, psi.ntheta
-    write_csv(path, FIELD_HEADER, zip(
-        np.repeat(r, nt).tolist(), np.tile(theta_lattice(nt), nr).tolist(),
-        psi.values.ravel().tolist(), v_r.ravel().tolist(),
-        v_theta.ravel().tolist()))
+def write_field_csv(path: str, coeffs: np.ndarray, grid: RadialGrid,
+                    ntheta: int) -> None:
+    """Dump the state whose modal rows are ``coeffs`` (row n - 1 is mode n):
+    one (r, theta, psi, v_r, v_theta) row per point of the grid nodes x
+    :func:`theta_lattice` (ntheta), r outer, theta in radians; psi from
+    :func:`synthesize_lattice`, the velocity from :func:`lattice_velocity`."""
+    r, theta = np.meshgrid(grid.nodes, theta_lattice(ntheta), indexing="ij")
+    columns = (r, theta, synthesize_lattice(coeffs, ntheta),
+               *lattice_velocity(coeffs, grid, ntheta))
+    write_csv(path, FIELD_HEADER, zip(*(c.ravel().tolist() for c in columns)))
 
 
 def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:
@@ -97,13 +102,12 @@ def load_schema(name: str) -> dict:
 
 
 def validate_against_schema(doc: dict, name: str) -> None:
-    """Validate a document against a shipped schema when jsonschema is
-    installed; silently a no-op otherwise (schemas remain authoritative
-    for external consumers)."""
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover
-        return
+    """Validate a document against a shipped schema; raises
+    jsonschema.ValidationError if it does not conform. Requires jsonschema
+    (the ``test`` extra), imported here so that the command line does not
+    load it."""
+    import jsonschema
+
     jsonschema.validate(doc, load_schema(name))
 
 

@@ -53,8 +53,10 @@ class SweepSpec:
             raise InvalidPhysics(
                 "mu_offset must be nonzero: lambda1 vanishes at mu_c, so the "
                 "sign of lambda1 cannot check whether the grid resolves the point")
-        # the ranges are nondecreasing, so their lower ends bound every point
+        # validate bounds b and alpha on both sides and rejects non-finite
+        # values, and every point of a range lies between its ends
         validate(self.a, self.b_range[0], self.alpha_range[0])
+        validate(self.a, self.b_range[1], self.alpha_range[1])
         if self.N < MIN_N:
             raise TooCoarse(f"need N >= {MIN_N}, got {self.N}")
 

@@ -7,7 +7,10 @@ per-layer metrics. This runs one traced sweep point in a fresh
 interpreter and checks that it emits every per-layer metric that
 ``BENCHMARK.json`` names; it reads ``bench/`` and writes nothing there.
 The point solves one leading eigenpair, and dense QZ
-(``generalized_eig``) is not reached.
+(``generalized_eig``) is not reached. A second case runs ``cli.main`` on
+a ``bifurcate --phases 1`` and a ``simulate --snapshot`` under tracing,
+so the observers that read ``write_field_csv``'s path and ``field_svg``'s
+text see the current signatures.
 """
 
 import json
@@ -33,16 +36,38 @@ print(json.dumps({{"status": row.status, "metrics": metrics,
 """
 
 
-def test_traced_sweep_point():
+CLI_SCRIPT = """
+import json, sys
+sys.path.insert(0, {bench!r})
+import spans
+import annuflow.cli as cli
+
+rec = spans.Recorder()
+absent = spans.install(rec)
+codes = [cli.main(["bifurcate", "1", "3", "5", "--phases", "1", "-N", "24",
+                   "--ntheta", "16", "-o", {out!r}]),
+         cli.main(["simulate", "--steps", "5", "--ntheta", "8", "-N", "24",
+                   "--mu", "1.2", "--dt", "0.005", "--snapshot", "-o", {out!r}])]
+print(json.dumps({{"codes": codes, "absent": sorted(absent),
+                  "counters": dict(rec.counters)}}))
+"""
+
+
+def run_traced(script: str) -> dict:
+    """Run script in a fresh interpreter on this checkout's src/; return
+    the JSON document on its last stdout line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(bench=os.path.join(ROOT, "bench"))],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_sweep_point():
+    out = run_traced(SCRIPT.format(bench=os.path.join(ROOT, "bench")))
     assert out["status"] == "ok"
     assert out["absent"] == []
     metrics = out["metrics"]
@@ -54,3 +79,12 @@ def test_traced_sweep_point():
         "or renaming one is a benchmark change")
     assert metrics["bifurcation.leading_eigenpair.calls"]["value"] == 1
     assert metrics["spectral.generalized_eig.calls"]["value"] == 0
+
+
+def test_traced_cli_field_outputs(tmp_path):
+    out = run_traced(CLI_SCRIPT.format(bench=os.path.join(ROOT, "bench"),
+                                       out=str(tmp_path)))
+    assert out["codes"] == [0, 0]
+    assert out["absent"] == []
+    assert out["counters"]["io.write_field_csv.bytes"] > 0
+    assert out["counters"]["contours.field_svg.bytes"] > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
+from annuflow.bifurcation import lattice_velocity
 
 
 class TestLeadingEigenpair:
@@ -263,7 +264,7 @@ class TestBifurcatedState:
         s = rep.amplitude * np.exp(0.4j)
         c = np.array([s * rep.psi1, s**2 * rep.g11])
         n = np.array([[1], [2]])
-        vr, vt = rep.velocity(s, grid48, ntheta)
+        vr, vt = lattice_velocity(rep.coeffs(s), grid48, ntheta)
         ref_r = lattice_reference(-1j * n * c / grid48.nodes, ntheta)
         ref_t = lattice_reference(np.array([grid48.d1 @ ck for ck in c]), ntheta)
         assert np.abs(vr - ref_r).max() <= 1e-13 * np.abs(ref_r).max()
@@ -276,7 +277,7 @@ class TestBifurcatedState:
         # incompressibility in polar form: d(r v_r)/dr + d v_theta/d theta = 0
         rep = report_099
         ntheta = 64
-        vr, vt = rep.velocity(rep.amplitude, grid48, ntheta)
+        vr, vt = lattice_velocity(rep.coeffs(rep.amplitude), grid48, ntheta)
         r = grid48.nodes
         term1 = grid48.d1 @ (r[:, None] * vr)
         k = np.fft.fftfreq(ntheta, 1.0 / ntheta)

@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+import annuflow as af
 import annuflow.cli
 import annuflow.critical
 import annuflow.simulator
@@ -21,6 +23,24 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_literal_dump(path, coeffs, grid, ntheta, lattice_reference):
+    """The field CSV at path holds the grid nodes x theta_lattice(ntheta)
+    and, to 1e-13 of each column's max, the literal modal sums of psi,
+    v_r = -(1/r) d psi / d theta and v_theta = d psi / dr for the modal
+    rows coeffs."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    nr = len(grid.nodes)
+    r, theta, *fields = (col.reshape(nr, ntheta) for col in data.T)
+    assert (r == grid.nodes[:, None]).all()
+    assert (theta == af.theta_lattice(ntheta)).all()
+    n = np.arange(1, len(coeffs) + 1)[:, None]
+    refs = [lattice_reference(coeffs, ntheta),
+            lattice_reference(-1j * n * coeffs / grid.nodes, ntheta),
+            lattice_reference(np.array([grid.d1 @ c for c in coeffs]), ntheta)]
+    for got, ref in zip(fields, refs):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMuC:
@@ -136,6 +156,16 @@ class TestBifurcate:
             header = next(csv.reader(fh))
         assert header == ["r", "theta", "psi", "v_r", "v_theta"]
 
+    def test_field_dump_is_the_literal_field(self, tmp_path, capsys,
+                                             lattice_reference):
+        code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "1",
+                            "-N", "24", "--ntheta", "16", "-o", str(tmp_path))
+        assert code == 0
+        params, grid = af.validate(1, 3, 5), af.build_grid(1, 3, 24)
+        rep = af.bifurcation_report(params, doc["mu"], grid)
+        assert_literal_dump(tmp_path / "field_phase0.csv",
+                            rep.coeffs(rep.amplitude), grid, 16, lattice_reference)
+
     def test_phases_are_rotations(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "4",
                           "-N", "40", "--ntheta", "32", "-o", str(tmp_path))
@@ -202,6 +232,19 @@ class TestSimulate:
         with open(tmp_path / "trajectory.csv") as fh:
             header = next(csv.reader(fh))
         assert header[:5] == ["t", "E3", "E1", "E2", "max_psi"]
+
+    def test_snapshot_is_the_literal_field(self, tmp_path, capsys,
+                                           lattice_reference):
+        code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--steps", "5",
+                          "--dt", "0.005", "--delta", "0.05", "--ntheta", "8",
+                          "-N", "32", "--snapshot", "-o", str(tmp_path))
+        assert code == 0
+        params, grid = af.validate(1, 3, 5), af.build_grid(1, 3, 32)
+        sim = af.Simulator(params, grid, mu=1.2, dt=0.005, ntheta=8)
+        eig = af.leading_eigenpair(params, 1.2, grid)
+        state, _ = sim.run(sim.init_from_mode(eig, 0.05), 5, 10)
+        assert_literal_dump(tmp_path / "snapshot.csv", state.psi, grid, 8,
+                            lattice_reference)
 
     def test_cfl_exit_5(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "simulate", "--steps", "5", "--dt", "50",
@@ -455,6 +498,13 @@ def test_manifest_matches_schema(tmp_path, capsys, argv, manifest):
     assert doc["outputs"] and all(os.path.exists(p) for p in doc["outputs"])
 
 
+def test_schema_check_requires_jsonschema(monkeypatch):
+    # without jsonschema the check once passed any document unchecked
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    with pytest.raises(ImportError):
+        validate_against_schema({"nonsense": 1}, "bifurcate")
+
+
 @pytest.mark.parametrize("argv", [
     ["mu-c", "1", "3", "5"],
     ["eigen", "1", "3", "5", "1.2", "-N", "24"],
@@ -557,6 +607,17 @@ class TestSweepCommands:
         assert code == 0 and doc["rows"] == 1
         inputs = json.loads((out / "sweep_manifest.json").read_text())["inputs"]
         assert inputs["alpha_range"] == [7.0, SweepSpec.alpha_range[1]]
+
+    def test_sweep_infinite_alpha_max_exit_2(self, spec_file, tmp_path, capsys):
+        # an infinite upper end once wrote nan/inf alpha rows to sweep.csv and
+        # then failed on the manifest, leaving a CSV without one
+        with open(spec_file, "a") as fh:
+            fh.write("alpha_max = inf\n")
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics"
+        assert not (out / "sweep.csv").exists()
 
     def test_uncastable_spec_value_names_key_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.cfg"

@@ -29,12 +29,11 @@ def test_svg_unchanged_by_one_ulp_of_the_extremes(pattern, which, direction):
     # a one-ulp change of the extreme moves the middle level across zero
     # unless it is snapped to 0; the boundary rows would then switch sides
     values, r = pattern
-    theta = af.theta_lattice(values.shape[1])
-    base = field_svg(af.PhysicalField(values), r, theta)
+    base = field_svg(values, r)
     nudged = values.copy()
     idx = np.unravel_index(getattr(np, f"arg{which}")(values), values.shape)
     nudged[idx] = np.nextafter(nudged[idx], direction)
-    assert field_svg(af.PhysicalField(nudged), r, theta) == base
+    assert field_svg(nudged, r) == base
 
 
 def _closed_lattice(values, r):
@@ -92,7 +91,7 @@ def test_constant_field_draws_no_contour(marching_reference):
     vals, xs, ys = _closed_lattice(values, _R13)
     assert contour_levels(vals).tolist() == [0.7]
     assert marching_squares(vals, xs, ys, 0.7) == marching_reference(vals, xs, ys, 0.7) == []
-    svg = field_svg(af.PhysicalField(values), _R13, af.theta_lattice(8))
+    svg = field_svg(values, _R13)
     assert "<line" not in svg
 
 
@@ -102,5 +101,5 @@ def test_field_svg_walks_each_level_once(pattern, monkeypatch):
     walk = contours.marching_squares
     monkeypatch.setattr(contours, "marching_squares",
                         lambda v, xs, ys, level: levels.append(level) or walk(v, xs, ys, level))
-    field_svg(af.PhysicalField(values), r, af.theta_lattice(values.shape[1]))
+    field_svg(values, r)
     assert len(levels) == contours.N_LEVELS == 11

@@ -37,7 +37,10 @@ class TestSweepSpec:
         ({"alpha_range": (-1.0, 15.0)}, af.InvalidPhysics),
         ({"a": -1.0}, af.InvalidGeometry),
         ({"N": 4}, af.TooCoarse),
-    ], ids=["b_min", "alpha_min", "a", "N"])
+        ({"b_range": (5.0, np.inf)}, af.InvalidGeometry),
+        ({"b_range": (5.0, 1e80)}, af.InvalidGeometry),
+        ({"alpha_range": (5.0, np.inf)}, af.InvalidPhysics),
+    ], ids=["b_min", "alpha_min", "a", "N", "b_max-inf", "b_max-1e80", "alpha_max-inf"])
     def test_rejects_invalid_point(self, kwargs, error):
         with pytest.raises(error):
             af.SweepSpec(**kwargs)
