@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .critical import mu_c_closed
 from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
@@ -55,21 +54,38 @@ class EigenResult:
     mu: float
 
 
+def _velocity(psi: np.ndarray, grid: RadialGrid,
+              n: int | np.ndarray) -> tuple:
+    """The velocity (|v_r|, |v_theta|) = (n |psi / r|, |psi'|) of mode-n
+    profiles (one per row of ``psi``), each field with its unimodular
+    factor (a power of i) dropped, so real profiles give real fields."""
+    return n * (psi / grid.nodes), (grid.d1 @ psi.T).T
+
+
+def _kinetic(vr: np.ndarray, vt: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """E3 = int |v|^2 r dr from the pair of :func:`_velocity`."""
+    return (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights
+
+
 def _energy_fields(psi: np.ndarray, grid: RadialGrid,
                    n: int | np.ndarray) -> tuple:
     """The fields whose r-weighted squared moduli make up the energy
     functionals of mode-n profiles (one per row of ``psi``): the velocity
-    (|v_r|, |v_theta|) = (n |psi / r|, |psi'|), and the four components of
-    its gradient. Each is the field itself with its unimodular factor (a
-    power of i) dropped, so real profiles give real fields."""
+    of :func:`_velocity`, and the four components of its gradient, with
+    the same unimodular factors dropped."""
     r = grid.nodes
     d1 = grid.d1
     q = psi / r
-    vr = n * q
-    vt = (d1 @ psi.T).T
+    vr, vt = _velocity(psi, grid, n)
     grads = (n * (d1 @ q.T).T, (d1 @ vt.T).T, (n * vr - vt) / r,
              n * (vt - q) / r)
     return (vr, vt), grads
+
+
+def kinetic_energy(psi: np.ndarray, grid: RadialGrid,
+                   n: int | np.ndarray = 1) -> np.ndarray:
+    """E3 of :func:`mode_energies` alone, without the gradient fields."""
+    return _kinetic(*_velocity(psi, grid, n), grid)
 
 
 def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
@@ -85,7 +101,7 @@ def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
     """
     (vr, vt), grads = _energy_fields(psi, grid, n)
     w = grid.weights
-    E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
+    E3 = _kinetic(vr, vt, grid)
     E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[..., 0]) ** 2
     E2 = params.a * np.abs(vt[..., -1]) ** 2
     return E3, E1, E2
@@ -159,11 +175,13 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     or differs from the pencil's by more than EIGEN_CONSISTENCY_RTOL: the
     grid does not resolve the problem.
     """
+    import scipy.linalg as sla
+
     A, B = energy_pencil(params, mu, grid)
     top = len(B) - 1
     try:
         lam = sla.eigh(A, B, eigvals_only=True, subset_by_index=[top, top])[0]
-    except sla.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
     pencil = mode_pencil(grid, params, mu, 1)
     psi = _normalize(eigenvector(pencil, lam).astype(complex), grid)

@@ -5,7 +5,9 @@ quoted where they need it, CRLF line ends). Numbers are printed with 17
 significant digits, so round-tripping through text is exact for doubles,
 and None is an empty cell. A field dump holds psi, v_r and v_theta of one
 state, built here from its modal rows, on the (r, theta) lattice,
-row-major with r as the outer index. JSON documents, on stdout and on
+row-major with r as the outer index; its cells are all floats, which the
+csv module never quotes, so it is formatted row by row from one template
+into the same bytes. JSON documents, on stdout and on
 disk alike, come from :func:`json_text`: two-space indent, sorted keys,
 one trailing newline, and no NaN or Infinity.
 Every command-level run writes a manifest ``{command, inputs, outputs,
@@ -58,7 +60,11 @@ def write_field_csv(path: str, coeffs: np.ndarray, grid: RadialGrid,
     r, theta = np.meshgrid(grid.nodes, theta_lattice(ntheta), indexing="ij")
     columns = (r, theta, synthesize_lattice(coeffs, ntheta),
                *lattice_velocity(coeffs, grid, ntheta))
-    write_csv(path, FIELD_HEADER, zip(*(c.ravel().tolist() for c in columns)))
+    row = ",".join(["{:.17g}"] * len(columns)).format
+    lines = [",".join(FIELD_HEADER)]
+    lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in columns))]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:

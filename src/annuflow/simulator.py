@@ -22,8 +22,12 @@ with lhs = Delta_n - dt mu / 2 Delta_n^2 (boundary rows replaced by the
 pencil's), rhs = Delta_n + dt mu / 2 Delta_n^2, and Z the identity with
 the boundary rows zeroed. The step applies precomputed propagators
 instead of solving: psi^{k+1} = P psi^k + Q F^k with P = lhs^-1 Z rhs and
-Q = dt lhs^-1 Z. The products meet the boundary rows A_bc psi = 0 only
-to about 1e-9 of max|psi|, so each step re-imposes them exactly by
+Q = dt lhs^-1 Z. All M of them come from one batched LU solve
+(:func:`lu_solve`, numpy's LAPACK gesv: an LU factorization with partial
+pivoting and its two triangular solves) of the stacked lhs against
+[Z rhs | I], which gives P and lhs^-1 together, so the simulator needs no
+scipy. The products meet the boundary rows A_bc psi = 0 only to about
+1e-9 of max|psi|, so each step re-imposes them exactly by
 psi -= W (A_bc psi), W = lhs^-1 E_bc, with E_bc the boundary columns of
 the identity (so A_bc W = I). All products act on the real (M, N+1, 2)
 view of the complex state. Dedalus steps its linear part the same way
@@ -48,9 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .bifurcation import EigenResult, mode_energies
+from .bifurcation import EigenResult, kinetic_energy, mode_energies
 from .domain import DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
@@ -60,6 +63,15 @@ from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 GROWTH_FLOOR = 1e-8
 #: steps after which escape_experiment gives up on one delta
 ESCAPE_MAX_STEPS = 200_000
+
+
+def lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs^-1 rhs for a stack of square matrices and right-hand sides,
+    by one batched LU solve; SolverFailure when a matrix is singular."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"singular implicit matrix: {exc}") from exc
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
@@ -150,11 +162,11 @@ class Simulator:
         lhs[:, BC_ROWS] = A[:, BC_ROWS]
         rhs = B + 0.5 * self.dt * A
         rhs[:, BC_ROWS] = 0.0
-        # one solve per mode against [Z rhs | I] gives P and lhs^-1
+        # one batched solve against [Z rhs | I] gives P and lhs^-1
         n1 = grid.N + 1
-        sol = np.array([lu_solve(lu_factor(m), np.hstack([r, np.eye(n1)]),
-                                 check_finite=False) for m, r in zip(lhs, rhs)])
-        # lu_factor accepts a singular matrix with only a warning
+        sol = lu_solve(lhs, np.concatenate(
+            [rhs, np.broadcast_to(np.eye(n1), rhs.shape)], axis=2))
+        # a nearly singular matrix can overflow without a zero pivot
         if not np.isfinite(sol).all():
             raise SolverFailure("non-finite implicit propagator (singular matrix)")
         inv = sol[:, :, n1:]
@@ -241,6 +253,10 @@ class Simulator:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
         return tuple(self._mode_energies(state).sum(axis=0).tolist())
 
+    def kinetic_energy(self, state: SimState) -> float:
+        """E3 of :meth:`energies` alone, ||v||^2."""
+        return float((4.0 * np.pi * kinetic_energy(state.psi, self.grid, self._n)).sum())
+
     def energy_residual(self, before: SimState, after: SimState) -> float:
         """Relative defect of d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2 across
         one step, with the right side averaged over the two endpoint states
@@ -320,7 +336,7 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
     out = []
     for delta in delta_list:
         state, steps = sim.init_from_mode(eig, delta), 0
-        while np.sqrt(sim.energies(state)[0]) < eps_thr:
+        while sim.kinetic_energy(state) < eps_thr**2:
             if steps == ESCAPE_MAX_STEPS:
                 raise NoEscape(f"threshold {eps_thr} not reached from delta={delta} "
                                f"within {ESCAPE_MAX_STEPS} steps (t={state.t:.1f})")

@@ -10,7 +10,9 @@ boundary conditions enter every mode-n system in one place,
 :func:`mode_pencil`: mu Delta_n^2 with the four slip and stress-free rows
 in BC_ROWS, against Delta_n with those rows zeroed. The generalized
 eigenvalue solve, the boundary value solve and the simulator's implicit
-matrices all start from that pencil.
+matrices all start from that pencil. The functions that call a LAPACK
+routine numpy lacks (getrf/gecon, lu_solve, QZ) import scipy.linalg in
+their own body, so building a grid or a pencil loads numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .domain import DomainParams
 from .errors import (
@@ -174,6 +175,8 @@ def _row_lu(matrix: np.ndarray) -> tuple[tuple, np.ndarray, float]:
     G11 matrices). Boundary rows are O(1) while interior rows grow like
     N^8: unscaled, the condition number reflects row scaling rather than a
     shift near an eigenvalue, and the LU loses the interior digits."""
+    import scipy.linalg as sla
+
     scale = np.abs(matrix).max(axis=1)
     if not np.all(scale > 0):
         raise SingularSystem("operator has an identically zero row")
@@ -190,6 +193,8 @@ def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
     the row-equilibrated matrix's condition number exceeds COND_LIMIT,
     which typically signals a shift sitting on an eigenvalue."""
+    import scipy.linalg as sla
+
     f = np.array(rhs, dtype=complex)
     f[BC_ROWS] = 0.0
     factors, scale, cond = _row_lu(matrix)
@@ -206,6 +211,8 @@ def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
     eigenvalues at infinity; anything with |lambda| above ``cap`` is
     discarded as row-replacement debris. :func:`eigenvector` gives the
     eigenvector of any of them."""
+    import scipy.linalg as sla
+
     try:
         lam = sla.eigvals(pencil.matrix, pencil.mass)
     except sla.LinAlgError as exc:  # pragma: no cover
@@ -228,6 +235,8 @@ def eigenvector(pencil: ModePencil, lam: float) -> np.ndarray:
     inverse iteration: solves of (matrix - lam mass) x_new = mass x on one
     LU of the row-equilibrated shifted matrix. Every iterate meets the
     homogeneous boundary rows."""
+    import scipy.linalg as sla
+
     factors, scale, _ = _row_lu(pencil.matrix - lam * pencil.mass)
     x = np.ones(pencil.mass.shape[0])
     for _ in range(INVERSE_ITERATIONS):

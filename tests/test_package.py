@@ -64,19 +64,65 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    # after a 0.3 s import of annuflow.cli, scipy.special takes 40-60 ms more
-    # and scipy.optimize 135-205 ms more (one core, x86_64); every command
-    # and benchmark process would pay it
+def _module_level_imports(source: str) -> list[str]:
+    """Top-level package names that source imports outside any function
+    body, i.e. when the module itself is imported."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_module_level_import_detector():
+    src = "import os.path\nfrom .m import f\nclass C:\n    from scipy import linalg\n" \
+          "def g():\n    import scipy.linalg\nif f:\n    import numpy as np\n"
+    assert _module_level_imports(src) == ["numpy", "os", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "annuflow").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy.linalg is imported by the functions that call it, so a command
+    # that needs no LAPACK routine numpy lacks runs on numpy alone
+    assert "scipy" not in _module_level_imports(path.read_text())
+
+
+def _loaded_after(code: str) -> str:
+    """The sorted list of scipy.special, scipy.optimize and scipy.linalg
+    modules loaded after running code in a fresh interpreter on this
+    checkout, as printed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, annuflow.cli; print(sorted("
+        [sys.executable, "-c", code + "\nimport sys; print(sorted("
          "m for m in sys.modules if m.split('.')[:2] in "
-         "(['scipy', 'special'], ['scipy', 'optimize'])))"],
+         "(['scipy', 'special'], ['scipy', 'optimize'], ['scipy', 'linalg'])))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # a bare import of annuflow.cli takes 0.24 s against 0.6 s with
+    # scipy.linalg, and scipy.special and scipy.optimize take 40-60 ms and
+    # 135-205 ms more (one core, x86_64); every command and benchmark
+    # process would pay it
+    assert _loaded_after("import annuflow.cli") == "[]"
+
+
+def test_mu_c_and_grids_run_on_numpy_alone(tmp_path):
+    code = ("import annuflow.cli as cli\n"
+            "from annuflow.spectral import build_grid\n"
+            f"assert cli.main(['mu-c', '1', '3', '5', '--oracle', '-o', {str(tmp_path)!r}]) == 0\n"
+            "build_grid(1, 3, 48)")
+    assert _loaded_after(code) == "[]"
 
 
 def _read_names(source: str) -> set[str]:

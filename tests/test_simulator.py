@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, lu_factor
 
 import annuflow as af
 import annuflow.simulator
@@ -184,6 +183,19 @@ class TestEnergyBalance:
         E3, E1, E2 = sim.energies(st)
         assert E3 > 0 and E1 > 0 and E2 > 0
 
+    @pytest.mark.parametrize("ntheta", [8, 32])
+    def test_kinetic_energy_is_E3(self, unstable, ntheta, monkeypatch):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+        rng = np.random.default_rng(ntheta)
+        psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
+                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
+        st = af.SimState(0.0, psi)
+        E3 = sim.energies(st)[0]
+        monkeypatch.setattr(af.simulator, "mode_energies",
+                            lambda *a, **k: pytest.fail("E1 and E2 formed"))
+        assert sim.kinetic_energy(st) == pytest.approx(E3, rel=1e-15, abs=0)
+
 
 class TestStructure:
     def test_cfl_violation_raised(self, unstable):
@@ -303,12 +315,21 @@ class TestStructure:
             assert np.abs(after.psi - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_singular_implicit_matrix_fails_at_construction(self, unstable, monkeypatch):
-        # lu_factor accepts a singular matrix with only a LinAlgWarning
+        # a zero pencil makes every implicit matrix zero
         pr, mu, g, _ = unstable
-        monkeypatch.setattr(af.simulator, "lu_factor",
-                            lambda m, **kw: lu_factor(np.zeros_like(m)))
-        with pytest.warns(LinAlgWarning), pytest.raises(af.SolverFailure):
+        zero = np.zeros((g.N + 1, g.N + 1))
+        monkeypatch.setattr(af.simulator, "mode_pencil",
+                            lambda grid, params, mu, n: af.ModePencil(n, zero, zero))
+        with pytest.raises(af.SolverFailure):
             af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+
+    def test_lu_solve_is_one_batched_solve(self):
+        rhs = np.arange(24.0).reshape(2, 3, 4)
+        lhs = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        assert np.array_equal(af.simulator.lu_solve(lhs, rhs),
+                              rhs / np.array([1.0, 2.0])[:, None, None])
+        with pytest.raises(af.SolverFailure):
+            af.simulator.lu_solve(np.zeros((2, 3, 3)), rhs)
 
     def test_boundary_rows_after_step(self, unstable):
         pr, mu, g, eig = unstable
@@ -341,6 +362,17 @@ class TestEscape:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         table = af.escape_experiment(sim, eig, [1.0], eps_thr=1e-3)
         assert table == [(1.0, 0.0)]
+
+    def test_threshold_reads_E3_alone(self, unstable, monkeypatch):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        st = sim.init_from_mode(eig, 1e-4)
+        while np.sqrt(sim.energies(st)[0]) < 1e-3:
+            st = sim.step(st)
+        assert st.t > 0
+        monkeypatch.setattr(af.simulator, "mode_energies",
+                            lambda *a, **k: pytest.fail("E1 and E2 formed"))
+        assert af.escape_experiment(sim, eig, [1e-4], eps_thr=1e-3) == [(1e-4, st.t)]
 
     def test_halving_delta_shifts_time(self, unstable):
         pr, mu, g, eig = unstable
