@@ -21,8 +21,6 @@ from .bifurcation import (
     solve_G11,
 )
 from .critical import (
-    CriticalResult,
-    critical_result,
     det_condition,
     gamma_n,
     mu_c_closed,

@@ -54,79 +54,69 @@ class EigenResult:
     mu: float
 
 
-def _velocity(psi: np.ndarray, grid: RadialGrid,
-              n: int | np.ndarray) -> tuple:
-    """The velocity (|v_r|, |v_theta|) = (n |psi / r|, |psi'|) of mode-n
-    profiles (one per row of ``psi``), each field with its unimodular
-    factor (a power of i) dropped, so real profiles give real fields."""
-    return n * (psi / grid.nodes), (grid.d1 @ psi.T).T
-
-
-def _kinetic(vr: np.ndarray, vt: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """E3 = int |v|^2 r dr from the pair of :func:`_velocity`."""
-    return (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights
-
-
-def _energy_fields(psi: np.ndarray, grid: RadialGrid,
+def modal_velocity(coeffs: np.ndarray, grid: RadialGrid,
                    n: int | np.ndarray) -> tuple:
-    """The fields whose r-weighted squared moduli make up the energy
-    functionals of mode-n profiles (one per row of ``psi``): the velocity
-    of :func:`_velocity`, and the four components of its gradient, with
-    the same unimodular factors dropped."""
-    r = grid.nodes
-    d1 = grid.d1
-    q = psi / r
-    vr, vt = _velocity(psi, grid, n)
-    grads = (n * (d1 @ q.T).T, (d1 @ vt.T).T, (n * vr - vt) / r,
-             n * (vt - q) / r)
-    return (vr, vt), grads
+    """The velocity (v_r, v_theta) = (-i n psi / r, psi') of mode-n
+    profiles, one per row of ``coeffs``."""
+    return -1j * n * coeffs / grid.nodes, coeffs @ grid.d1.T
 
 
 def kinetic_energy(psi: np.ndarray, grid: RadialGrid,
                    n: int | np.ndarray = 1) -> np.ndarray:
     """E3 of :func:`mode_energies` alone, without the gradient fields."""
-    return _kinetic(*_velocity(psi, grid, n), grid)
+    vr, vt = modal_velocity(psi, grid, n)
+    return (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights
 
 
 def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
                   n: int | np.ndarray = 1) -> tuple:
     """Radial energy functionals (E3, E1, E2) of a mode-n profile.
 
-    With v = (-i n psi / r, psi'), E3 = int |v|^2 r dr is the kinetic
-    energy, E1 the gradient energy plus the outer-boundary tangential
-    term, and E2 the inner-boundary tangential term. The field
-    psi e^{i n theta} + c.c. carries 4 pi times each. Stacked profiles,
-    one per row, with ``n`` a column of their wavenumbers give one array
-    of values per functional.
+    With v = (v_r, v_theta) of :func:`modal_velocity`, E3 = int |v|^2 r dr
+    is the kinetic energy, E1 the gradient energy
+    int (|v_r'|^2 + |v_theta'|^2 + |(i n v_r - v_theta)/r|^2
+    + |(i n v_theta + v_r)/r|^2) r dr plus the outer-boundary tangential
+    term |v_theta(b)|^2, and E2 = a |v_theta(a)|^2 the inner-boundary
+    tangential term. The field psi e^{i n theta} + c.c. carries 4 pi times
+    each. Stacked profiles, one per row, with ``n`` a column of their
+    wavenumbers give one array of values per functional.
     """
-    (vr, vt), grads = _energy_fields(psi, grid, n)
-    w = grid.weights
-    E3 = _kinetic(vr, vt, grid)
+    r, d1, w = grid.nodes, grid.d1, grid.weights
+    vr, vt = modal_velocity(psi, grid, n)
+    grads = (vr @ d1.T, vt @ d1.T, (1j * n * vr - vt) / r,
+             (1j * n * vt + vr) / r)
+    E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
     E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[..., 0]) ** 2
     E2 = params.a * np.abs(vt[..., -1]) ** 2
     return E3, E1, E2
+
+
+def energy_growth(params: DomainParams, mu: float, E1, E2):
+    """The right side of the linear energy balance
+    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2."""
+    return -mu * E1 + (params.alpha - mu / params.a) * E2
 
 
 def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
                     grid: RadialGrid) -> float:
     """Variational growth rate of a mode-1 profile.
 
-    lambda = (-mu E1 + (alpha - mu/a) E2) / E3 with the functionals of
+    lambda = :func:`energy_growth` / E3 with the functionals of
     :func:`mode_energies`. For an eigenfunction this is the eigenvalue,
     accurate to second order in the eigenvector error (the operator is
     self-adjoint in this pairing), so it polishes the eigenvalue of the
     collocation eigenvector.
     """
     E3, E1, E2 = mode_energies(params, psi, grid)
-    return float((-mu * E1 + (params.alpha - mu / params.a) * E2) / E3)
+    return float(energy_growth(params, mu, E1, E2) / E3)
 
 
 def energy_pencil(params: DomainParams, mu: float,
                   grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric pencil (A, B) of :func:`energy_rayleigh` on the mode-1
-    profiles that vanish at both radii: A = -mu E1 + (alpha - mu/a) E2 and
+    profiles that vanish at both radii: A = :func:`energy_growth` and
     B = E3, :func:`mode_energies`' functionals over the interior nodes.
-    For n = 1 each field of :func:`_energy_fields` is a fixed matrix of the
+    For n = 1 each field of :func:`mode_energies` is a fixed matrix of the
     interior operator columns d1_i = d1[:, 1:-1] and d2_i = d2[:, 1:-1], so
     with W = diag(weights) each functional is a sum of Gram products:
 
@@ -151,7 +141,7 @@ def energy_pencil(params: DomainParams, mu: float,
           + np.outer(d1[0], d1[0]))
     E2 = params.a * np.outer(d1[-1], d1[-1])
     E3 = gram(d1) + np.diag(w[1:-1] / r[1:-1] ** 2)
-    return -mu * E1 + (params.alpha - mu / params.a) * E2, E3
+    return energy_growth(params, mu, E1, E2), E3
 
 
 #: largest accepted gap between the polished lambda_1 and the energy
@@ -286,11 +276,11 @@ def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
                      ntheta: int) -> tuple[np.ndarray, np.ndarray]:
     """(v_r, v_theta) on the (r, theta) lattice of the streamfunction
     sum_n (c_n e^{i n theta} + c.c.), with c_n in row n - 1 of ``coeffs``:
-    v_r = -(1/r) d psi / d theta and v_theta = d psi / dr, as in
-    :func:`mode_energies`."""
+    v_r = -(1/r) d psi / d theta and v_theta = d psi / dr, the rows of
+    :func:`modal_velocity`."""
     n = np.arange(1, len(coeffs) + 1)[:, None]
     return tuple(synthesize_lattice(
-        np.stack([-1j * n * coeffs / grid.nodes, coeffs @ grid.d1.T]), ntheta))
+        np.stack(modal_velocity(coeffs, grid, n)), ntheta))
 
 
 def classify_and_build(params: DomainParams, eig: EigenResult, l: float,

@@ -32,8 +32,6 @@ in thin gaps and refuses gaps below ORACLE_MIN_GAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import DomainParams
@@ -117,27 +115,3 @@ def mu_c_oracle(params: DomainParams) -> float:
                         f"(1e-6 a alpha, 10 a alpha): {f_lo}, {f_hi}")
     return float(lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
-
-#: the variational constants gamma_1..gamma_N_GAMMA that critical_result reports
-N_GAMMA = 5
-
-
-@dataclass(frozen=True)
-class CriticalResult:
-    """Quadrature and oracle critical viscosities plus gamma_1..gamma_N_GAMMA."""
-
-    mu_c_closed: float
-    mu_c_oracle: float
-    gamma: tuple[float, ...]
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.mu_c_closed - self.mu_c_oracle) / abs(self.mu_c_closed)
-
-
-def critical_result(params: DomainParams) -> CriticalResult:
-    return CriticalResult(
-        mu_c_closed=mu_c_closed(params),
-        mu_c_oracle=mu_c_oracle(params),
-        gamma=tuple(gamma_n(params, n) for n in range(1, N_GAMMA + 1)),
-    )

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bifurcation import EigenResult, kinetic_energy, mode_energies
+from .bifurcation import EigenResult, energy_growth, kinetic_energy, mode_energies
 from .domain import DomainParams, synthesize_lattice
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
@@ -258,9 +258,9 @@ class Simulator:
         return float((4.0 * np.pi * kinetic_energy(state.psi, self.grid, self._n)).sum())
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
-        """Relative defect of d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2 across
-        one step, with the right side averaged over the two endpoint states
-        (matching the scheme's second-order accuracy)."""
+        """Relative defect of the balance of :class:`Diagnostics` across one
+        step, its right side (:func:`energy_growth`) averaged over the two
+        endpoint states (matching the scheme's second-order accuracy)."""
         dt = after.t - before.t
         if dt <= 0:
             raise GridMismatch("states are not consecutive")
@@ -269,8 +269,8 @@ class Simulator:
     def _balance_defect(self, before: tuple, after: tuple, dt: float) -> float:
         """:meth:`energy_residual` from the (E3, E1, E2) of both states."""
         (e0, E1a, E2a), (e1, E1b, E2b) = before, after
-        gain = self.params.alpha - self.mu / self.params.a
-        rhs = 0.5 * ((-self.mu * E1a + gain * E2a) + (-self.mu * E1b + gain * E2b))
+        rhs = 0.5 * (energy_growth(self.params, self.mu, E1a, E2a)
+                     + energy_growth(self.params, self.mu, E1b, E2b))
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
 
     def max_psi(self, state: SimState) -> float:

@@ -149,7 +149,6 @@ class ModePencil:
     the eigenproblem, the G11 solve (matrix - 2 lambda_1 mass) and the
     simulator's implicit matrices (mass -+ dt/2 matrix) all use it."""
 
-    n: int
     matrix: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
 
@@ -159,22 +158,23 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
     """Mode n's :class:`ModePencil` at viscosity mu; InvalidPhysics unless mu > 0."""
     if not mu > 0:
         raise InvalidPhysics(f"viscosity must be positive, got mu={mu}")
-    matrix = mu * bilaplacian_n(grid, n)
-    matrix[BC_ROWS] = navier_slip_bcs(grid, params, mu)
     mass = laplacian_n(grid, n)
+    matrix = mu * (mass @ mass)
+    matrix[BC_ROWS] = navier_slip_bcs(grid, params, mu)
     mass[BC_ROWS] = 0.0
     for m in (matrix, mass):
         m.setflags(write=False)
-    return ModePencil(n=n, matrix=matrix, mass=mass)
+    return ModePencil(matrix=matrix, mass=mass)
 
 
-def _row_lu(matrix: np.ndarray) -> tuple[tuple, np.ndarray, float]:
-    """LU factors of ``matrix`` with every row scaled to unit max-norm, the
-    row scales, and the scaled matrix's infinity-norm condition number
-    (LAPACK gecon on the factors; 0.65-0.78 times the 2-norm one on thin-gap
-    G11 matrices). Boundary rows are O(1) while interior rows grow like
-    N^8: unscaled, the condition number reflects row scaling rather than a
-    shift near an eigenvalue, and the LU loses the interior digits."""
+def _row_lu(matrix: np.ndarray) -> tuple:
+    """A solve x = matrix^-1 f on the LU factors of ``matrix`` with every
+    row scaled to unit max-norm, and the scaled matrix's infinity-norm
+    condition number (LAPACK gecon on the factors; 0.65-0.78 times the
+    2-norm one on thin-gap G11 matrices). Boundary rows are O(1) while
+    interior rows grow like N^8: unscaled, the condition number reflects
+    row scaling rather than a shift near an eigenvalue, and the LU loses
+    the interior digits."""
     import scipy.linalg as sla
 
     scale = np.abs(matrix).max(axis=1)
@@ -185,7 +185,7 @@ def _row_lu(matrix: np.ndarray) -> tuple[tuple, np.ndarray, float]:
     lu, piv, info = getrf(scaled)
     rcond, _ = gecon(lu, np.abs(scaled).sum(axis=1).max(), norm="I")
     cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
-    return (lu, piv), scale, cond
+    return (lambda f: sla.lu_solve((lu, piv), f / scale)), cond
 
 
 def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -193,16 +193,14 @@ def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
     the row-equilibrated matrix's condition number exceeds COND_LIMIT,
     which typically signals a shift sitting on an eigenvalue."""
-    import scipy.linalg as sla
-
     f = np.array(rhs, dtype=complex)
     f[BC_ROWS] = 0.0
-    factors, scale, cond = _row_lu(matrix)
+    solve, cond = _row_lu(matrix)
     if cond > COND_LIMIT:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")
-    return sla.lu_solve(factors, f / scale)
+    return solve(f)
 
 
 def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
@@ -235,12 +233,10 @@ def eigenvector(pencil: ModePencil, lam: float) -> np.ndarray:
     inverse iteration: solves of (matrix - lam mass) x_new = mass x on one
     LU of the row-equilibrated shifted matrix. Every iterate meets the
     homogeneous boundary rows."""
-    import scipy.linalg as sla
-
-    factors, scale, _ = _row_lu(pencil.matrix - lam * pencil.mass)
+    solve, _ = _row_lu(pencil.matrix - lam * pencil.mass)
     x = np.ones(pencil.mass.shape[0])
     for _ in range(INVERSE_ITERATIONS):
-        x = sla.lu_solve(factors, (pencil.mass @ x) / scale)
+        x = solve(pencil.mass @ x)
         x /= np.abs(x).max()
     if not np.all(np.isfinite(x)):
         raise EigSolverFailure(f"inverse iteration at {lam} did not converge")

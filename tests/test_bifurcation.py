@@ -63,8 +63,7 @@ class TestLeadingEigenpair:
 
 class TestEnergyFunctionals:
     def test_mode_energies_match_complex_fields(self, params135, grid48):
-        # the literal fields v = (-i n psi / r, psi') and their gradient,
-        # with the powers of i that mode_energies drops
+        # the literal fields v = (-i n psi / r, psi') and their gradient
         rng = np.random.default_rng(3)
         psi = rng.standard_normal((4, 49)) + 1j * rng.standard_normal((4, 49))
         n = np.arange(1, 5)[:, None]
@@ -79,6 +78,26 @@ class TestEnergyFunctionals:
         for got, ref in zip(af.bifurcation.mode_energies(params135, psi, grid48, n),
                             (E3, E1, E2)):
             assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_lattice_velocity_carries_the_kinetic_energy(self, grid48):
+        # the lattice quadrature of the field dump's velocity is the energy
+        # functional 4 pi sum_n E3 of the same modal rows while the lattice
+        # resolves |v|^2, whose modes reach 2M; at 2M angles the lattice
+        # sees only the real part of the top mode (1.7e-2 apart here)
+        M = 5
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((M, 49)) + 1j * rng.standard_normal((M, 49))
+        n = np.arange(1, M + 1)[:, None]
+        E3 = 4.0 * np.pi * af.bifurcation.kinetic_energy(c, grid48, n).sum()
+
+        def gap(ntheta):
+            vr, vt = lattice_velocity(c, grid48, ntheta)
+            quad = grid48.weights @ (vr**2 + vt**2).sum(axis=1) * 2 * np.pi / ntheta
+            return abs(quad - E3) / E3
+
+        for ntheta in (2 * M + 1, 2 * M + 2, 4 * M):
+            assert gap(ntheta) <= 1e-13, ntheta
+        assert gap(2 * M) > 1e-6
 
     def test_energy_pencil_is_the_rayleigh_quotient(self, params135, muc135,
                                                     grid48):

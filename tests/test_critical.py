@@ -125,9 +125,3 @@ class TestGamma:
             ref = _gamma_reference(b, n)
             assert abs(af.gamma_n(p, n) - ref) / ref < 1e-14, n
 
-
-class TestCriticalResult:
-    def test_bundle(self, params135):
-        res = af.critical_result(params135)
-        assert res.discrepancy < 1e-8
-        assert len(res.gamma) == 5

@@ -319,7 +319,7 @@ class TestStructure:
         pr, mu, g, _ = unstable
         zero = np.zeros((g.N + 1, g.N + 1))
         monkeypatch.setattr(af.simulator, "mode_pencil",
-                            lambda grid, params, mu, n: af.ModePencil(n, zero, zero))
+                            lambda grid, params, mu, n: af.ModePencil(zero, zero))
         with pytest.raises(af.SolverFailure):
             af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
 

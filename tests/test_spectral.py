@@ -95,7 +95,6 @@ class TestModePencil:
         interior = slice(2, -2)
         for n in (1, 2, 3):
             p = af.mode_pencil(grid32, params135, mu, n)
-            assert p.n == n
             assert np.array_equal(p.matrix[af.BC_ROWS], rows)
             assert np.all(p.mass[af.BC_ROWS] == 0.0)
             assert np.array_equal(p.matrix[interior],
