@@ -61,7 +61,6 @@ from .spectral import (
     BC_ROWS,
     ModePencil,
     RadialGrid,
-    bilaplacian_n,
     build_grid,
     eigenvector,
     generalized_eig,

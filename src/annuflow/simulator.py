@@ -4,8 +4,9 @@ The streamfunction perturbation is expanded as
 
     psi(r, theta, t) = sum_{n=1}^{M} psi_n(r, t) e^{i n theta} + c.c.,
 
-with M = ntheta / 2, and the state is one (M, N+1) complex array whose
-row n - 1 holds psi_n. Each mode evolves by
+with M = ntheta / 2. The state is held as real planes: one (M, 2, N+1)
+array X with X[n-1, 0] = Re psi_n and X[n-1, 1] = Im psi_n. Each mode
+evolves by
 
     d/dt Delta_n psi_n = mu Delta_n^2 psi_n + N_n(psi),
 
@@ -29,22 +30,30 @@ pivoting and its two triangular solves) of the stacked lhs against
 scipy. The products meet the boundary rows A_bc psi = 0 only to about
 1e-9 of max|psi|, so each step re-imposes them exactly by
 psi -= W (A_bc psi), W = lhs^-1 E_bc, with E_bc the boundary columns of
-the identity (so A_bc W = I). All products act on the real (M, N+1, 2)
-view of the complex state. Dedalus steps its linear part the same way
-(Burns et al., Phys. Rev. Research 2, 023068, 2020).
+the identity (so A_bc W = I). Being real, the propagators act on both
+planes of a mode at once, transposed: X P^T, F Q^T and
+X - (X A_bc^T) W^T. Dedalus steps its linear part the same way (Burns et
+al., Phys. Rev. Research 2, 023068, 2020).
 
-The advection is a pseudo-spectral product. One product of the per-mode
-stack S_n = [Delta_n; d1 Delta_n] with the real pairs view of the state
-gives omega and d omega/dr, and one product with d1 gives v_theta. The
-four lattice fields v_r = -i n psi / r, v_theta, d omega/dr and
-i n omega / r are synthesized by one batched inverse FFT on the doubled
-lattice of L = 2 ntheta angles, multiplied pointwise and transformed back
-with one real FFT. Only modes n <= K = 2M/3 are kept (the rest receive no
+The advection is a pseudo-spectral product, computed on the planes with
+no complex arithmetic and no FFT. One product of the per-mode stack
+S_n = [Delta_n; d1 Delta_n] with the planes gives omega and d omega/dr,
+and one product with d1 gives v_theta. Multiplying by i n / r swaps the
+two planes with a sign, so i n psi / r = -v_r and i n omega / r cost one
+scaled copy each. The four lattice fields are one product with the
+(L, 2M) synthesis table of 2 cos(m theta_l) and -2 sin(m theta_l) on the
+doubled lattice of L = 2 ntheta angles, since mode m contributes
+2 (Re c_m cos m theta - Im c_m sin m theta). They are multiplied
+pointwise, and one product with the (2K, L) analysis table of
+cos(m theta_l) / L and -sin(m theta_l) / L gives the planes of the forcing
+directly. Only modes n <= K = 2M/3 are kept (the rest receive no
 nonlinear forcing); since L = 4M >= 2M + K + 1, those modes are free of
 aliasing (Orszag's rule). The mean (n = 0) mode is dropped the same way,
 keeping the dynamics inside the zero-mean-swirl phase space. The CFL
-check reads the same velocity on the even columns, which form the ntheta
-lattice.
+check reads the same velocity on the even angles, which form the ntheta
+lattice. The tables cost O(M L) per radius against an FFT's O(L log L):
+up to ntheta = 64 the few large products are the faster step, and at 128
+the two are about even.
 """
 
 from __future__ import annotations
@@ -74,27 +83,76 @@ def lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"singular implicit matrix: {exc}") from exc
 
 
-def _pairs(z: np.ndarray) -> np.ndarray:
-    """The (..., 2) real view of a complex array, on which a real matrix
-    acts without being recast to complex."""
-    return np.ascontiguousarray(z, complex).view(float).reshape(*z.shape, 2)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
+def _planes(rows: np.ndarray) -> np.ndarray:
+    """The real (M, 2, N+1) planes of complex (M, N+1) rows."""
+    return np.stack([np.real(rows), np.imag(rows)], axis=1)
+
+
+def _complex_rows(planes: np.ndarray, rows: int) -> np.ndarray:
+    """The read-only complex (rows, N+1) array of the planes, zero below them."""
+    z = np.zeros((rows, planes.shape[2]), complex)
+    z[:len(planes)] = planes[:, 0] + 1j * planes[:, 1]
+    return _read_only(z)
+
+
+@dataclass(frozen=True, init=False)
 class SimState:
-    """Immutable snapshot: time, the (M, N+1) modal profiles (row n - 1
-    holds mode n), and the previous step's advection terms in the same
-    layout (None before the first step)."""
+    """Immutable snapshot: time, the real planes (M, 2, N+1) of the modal
+    profiles (row n - 1 holds mode n, plane 0 its real and plane 1 its
+    imaginary part), and the planes of the previous step's advection of
+    modes 1..K (None before the first step).
+
+    ``SimState(t, psi, prev_nonlinear)`` takes complex (M, N+1) rows;
+    ``psi`` and ``prev_nonlinear`` give them back as read-only complex
+    arrays derived on access, the latter with its zero rows K..M-1.
+    """
 
     t: float
-    psi: np.ndarray = field(repr=False)
-    prev_nonlinear: np.ndarray | None = field(default=None, repr=False)
+    planes: np.ndarray = field(repr=False)
+    prev_planes: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self, t: float, psi: np.ndarray,
+                 prev_nonlinear: np.ndarray | None = None):
+        self._fill(t, _planes(psi), None if prev_nonlinear is None else _planes(prev_nonlinear))
+
+    @classmethod
+    def of_planes(cls, t: float, planes: np.ndarray,
+                  prev_planes: np.ndarray | None = None) -> "SimState":
+        """The state that holds these planes, which become read-only."""
+        state = cls.__new__(cls)
+        state._fill(t, planes, prev_planes)
+        return state
+
+    def _fill(self, t, planes, prev_planes) -> None:
+        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "planes", _read_only(planes))
+        object.__setattr__(self, "prev_planes",
+                           None if prev_planes is None else _read_only(prev_planes))
+
+    @property
+    def psi(self) -> np.ndarray:
+        return _complex_rows(self.planes, len(self.planes))
+
+    @property
+    def prev_nonlinear(self) -> np.ndarray | None:
+        if self.prev_planes is None:
+            return None
+        return _complex_rows(self.prev_planes, len(self.planes))
 
     def rotated(self, theta0: float) -> "SimState":
-        """The state rotated by theta0: mode n picks up e^{i n theta0}."""
-        phase = np.exp(1j * np.arange(1, len(self.psi) + 1) * theta0)[:, None]
-        prev = None if self.prev_nonlinear is None else phase * self.prev_nonlinear
-        return SimState(t=self.t, psi=phase * self.psi, prev_nonlinear=prev)
+        """The state rotated by theta0: mode n picks up e^{i n theta0}, a
+        rotation of its two planes by n theta0."""
+        angle = np.arange(1, len(self.planes) + 1) * theta0
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        prev = self.prev_planes
+        return SimState.of_planes(self.t, rot @ self.planes,
+                                  None if prev is None else rot[:len(prev)] @ prev)
 
 
 @dataclass(frozen=True)
@@ -170,11 +228,23 @@ class Simulator:
         if not np.isfinite(sol).all():
             raise SolverFailure("non-finite implicit propagator (singular matrix)")
         inv = sol[:, :, n1:]
-        self._P = np.ascontiguousarray(sol[:, :, :n1])
-        self._W = inv[:, :, BC_ROWS]
+        # transposed, the propagators act on the (2, N+1) planes of each mode;
+        # P is copied so that the rest of the solve is freed
+        self._Pt = sol[:, :, :n1].copy().transpose(0, 2, 1)
+        self._Wt = inv[:, :, BC_ROWS].transpose(0, 2, 1)
         inv[:, :, BC_ROWS] = 0.0
-        self._Q = self.dt * inv[:self.K]
-        self._A_bc = A[:, BC_ROWS]
+        self._Qt = (self.dt * inv[:self.K]).transpose(0, 2, 1)
+        self._A_bct = A[:, BC_ROWS].transpose(0, 2, 1)
+        # i n z / r of planes z: the planes swapped, times (-n/r, n/r)
+        nr = self._n / grid.nodes
+        self._in_r = np.stack([-nr, nr], axis=1)
+        # synthesis (L, 2M) and analysis (2K, L) tables on the L lattice;
+        # the angle m theta_l is reduced mod 2 pi exactly, by integers
+        L = 2 * ntheta
+        angle = 2.0 * np.pi / L * (np.outer(np.arange(1, self.M + 1), np.arange(L)) % L)
+        cos, sin = np.cos(angle), np.sin(angle)
+        self._synth = np.stack([2.0 * cos, -2.0 * sin], axis=1).reshape(2 * self.M, L).T.copy()
+        self._analysis = np.stack([cos[:self.K], -sin[:self.K]], axis=1).reshape(2 * self.K, L) / L
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -185,7 +255,7 @@ class Simulator:
     # ------------------------------------------------------------- state
 
     def zero_state(self) -> SimState:
-        return SimState(t=0.0, psi=np.zeros((self.M, self.grid.N + 1), complex))
+        return SimState.of_planes(0.0, np.zeros((self.M, 2, self.grid.N + 1)))
 
     def init_from_mode(self, eig: EigenResult, delta: float) -> SimState:
         """delta * Psi_1 (finite delta >= 0) in the n = 1 row, all other modes zero."""
@@ -193,9 +263,9 @@ class Simulator:
             raise ValueError(f"amplitude must be nonnegative and finite, got {delta}")
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
-        st = self.zero_state()
-        st.psi[0] = delta * eig.psi1
-        return st
+        planes = np.zeros((self.M, 2, self.grid.N + 1))
+        planes[0] = np.real(eig.psi1), np.imag(eig.psi1)
+        return SimState.of_planes(0.0, delta * planes)
 
     # ----------------------------------------------------------- physics
 
@@ -213,34 +283,38 @@ class Simulator:
         """Advance one dt. Raises CFLViolation when dt exceeds the
         per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
         when the new state is not finite (a blown-up run)."""
-        psi, r, n1 = state.psi, self.grid.nodes, self.grid.N + 1
-        L = 2 * self.ntheta
-        p = _pairs(psi)
-        # v_r, v_theta and, for the advection, d omega/dr and
-        # (1/r) d omega/dtheta on the L lattice
-        fields = [-1j * self._n * psi / r, (self.grid.d1 @ p).view(complex)[..., 0]]
+        X, n1, K, M = state.planes, self.grid.N + 1, self.K, self.M
+        # the planes of i n psi / r = -v_r, v_theta and, for the advection,
+        # d omega/dr and (1/r) d omega/dtheta
+        fields = np.empty((4 if self.nonlinear else 2, M, 2, n1))
+        np.multiply(X[:, ::-1], self._in_r, out=fields[0])
+        # radial products in the order d1 X^T and S_n X^T, whose sums the
+        # advection's 1e-13 reference bound was set on (d1.T is a view, so
+        # BLAS forms X d1^T as d1 X^T)
+        np.matmul(X.reshape(2 * M, n1), self.grid.d1.T, out=fields[1].reshape(2 * M, n1))
         if self.nonlinear:
-            omega = (self._S @ p).view(complex)[..., 0]
-            fields += [omega[:, n1:], 1j * self._n * omega[:, :n1] / r]
-        f = synthesize_lattice(np.stack(fields), L)
-        limit = self.cfl_limit(f[0][:, ::2], f[1][:, ::2])
+            omega = (self._S @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
+            fields[2] = omega[:, :, n1:]
+            np.multiply(omega[:, ::-1, :n1], self._in_r, out=fields[3])
+        # synthesized on the L lattice, one (L, N+1) array per field
+        f = self._synth @ fields.reshape(len(fields), 2 * M, n1)
+        limit = self.cfl_limit(f[0, ::2].T, f[1, ::2].T)
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
-        new = self._P @ p
+        new = X @ self._Pt
         nl = None
         if self.nonlinear:
-            adv = -(f[0] * f[2] + f[1] * f[3])
-            nl = np.zeros_like(psi)
-            nl[:self.K] = (np.fft.rfft(adv, axis=1)[:, 1:self.K + 1] / L).T
-            force = nl if state.prev_nonlinear is None else (
-                1.5 * nl - 0.5 * state.prev_nonlinear)
-            new[:self.K] += self._Q @ _pairs(force[:self.K])
+            # -v . grad omega, with f[0] = -v_r
+            nl = (self._analysis @ (f[0] * f[2] - f[1] * f[3])).reshape(K, 2, n1)
+            prev = state.prev_planes
+            force = nl if prev is None else 1.5 * nl - 0.5 * prev[:K]
+            new[:K] += force @ self._Qt
         # re-impose the boundary rows, which the products meet only to ~1e-9
-        new = (new - self._W @ (self._A_bc @ new)).view(complex)[..., 0]
+        new -= (new @ self._A_bct) @ self._Wt
         if not np.isfinite(new).all():
             raise SolverFailure(f"non-finite state at t={state.t + self.dt:.6g}")
-        return SimState(t=state.t + self.dt, psi=new, prev_nonlinear=nl)
+        return SimState.of_planes(state.t + self.dt, new, nl)
 
     # -------------------------------------------------------- diagnostics
 

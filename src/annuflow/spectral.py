@@ -117,12 +117,6 @@ def laplacian_n(grid: RadialGrid, n: int) -> np.ndarray:
     return grid.d2 + (1.0 / r)[:, None] * grid.d1 - np.diag(n**2 / r**2)
 
 
-def bilaplacian_n(grid: RadialGrid, n: int) -> np.ndarray:
-    """Delta_n^2, composed as a matrix square of the modal Laplacian."""
-    L = laplacian_n(grid, n)
-    return L @ L
-
-
 #: matrix rows that carry the boundary conditions: 0, 1 at r = b, N-1, N at r = a
 BC_ROWS = [0, 1, -2, -1]
 

@@ -45,6 +45,18 @@ def report_099(eig_099, grid48):
     return af.classify_and_build(pr, eig, l, mc)
 
 
+def _bilaplacian(grid, n: int) -> np.ndarray:
+    """Delta_n^2 as the matrix square of the modal Laplacian."""
+    L = af.laplacian_n(grid, n)
+    return L @ L
+
+
+@pytest.fixture(scope="session")
+def bilaplacian_n():
+    """Delta_n^2, whose interior rows mode_pencil scales by mu."""
+    return _bilaplacian
+
+
 def _literal_lattice_sum(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
     """sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice, summed term by
     term over every mode and every angle; row n - 1 of ``coeffs`` is c_n."""

@@ -123,7 +123,7 @@ def rounding_ratio(B, u):
     return (np.abs(B @ u) / floor).max()
 
 
-def test_criterion_04_kernel_residuals(grid64, capsys):
+def test_criterion_04_kernel_residuals(grid64, bilaplacian_n, capsys):
     """Delta_1^2 annihilates r^3, r, r ln r and 1/r at N = 64 to the
     float64 rounding floor of the product, row by row.
 
@@ -146,8 +146,8 @@ def test_criterion_04_kernel_residuals(grid64, capsys):
     lets pass.
     """
     r = grid64.nodes
-    B = af.bilaplacian_n(grid64, 1)
-    B_wrong_n = af.bilaplacian_n(grid64, 2)
+    B = bilaplacian_n(grid64, 1)
+    B_wrong_n = bilaplacian_n(grid64, 2)
     B_corrupt = B.copy()
     B_corrupt[np.unravel_index(np.abs(B).argmax(), B.shape)] *= 1 + 1e-10
     bound = 10.0

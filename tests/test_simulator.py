@@ -105,8 +105,9 @@ class TestLinearRates:
         lams = af.generalized_eig(pencil, 1e6 * mu / 4.0)
         lam2, vec2 = lams[0], af.eigenvector(pencil, lams[0].real)
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
-        st = sim.zero_state()
-        st.psi[1] = 1e-4 * vec2 / np.abs(vec2).max()
+        psi = sim.zero_state().psi.copy()
+        psi[1] = 1e-4 * vec2 / np.abs(vec2).max()
+        st = af.SimState(0.0, psi)
         _, diags = sim.run(st, 100, sample_every=10)
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
@@ -227,10 +228,38 @@ class TestStructure:
     def test_non_finite_state_raises_solver_failure(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
-        st = sim.init_from_mode(eig, 1e-2)
-        st.psi[0] = np.nan
+        psi = sim.init_from_mode(eig, 1e-2).psi.copy()
+        psi[0] = np.nan
+        st = af.SimState(0.0, psi)
         with pytest.raises(af.SolverFailure):
             sim.step(st)
+
+    def test_derived_state_is_read_only(self, unstable):
+        # psi and prev_nonlinear are derived from the planes on access, so a
+        # write into them would change nothing; it raises instead
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        st = sim.step(sim.init_from_mode(eig, 1e-2))
+        with pytest.raises(ValueError):
+            st.psi[0] = np.nan
+        with pytest.raises(ValueError):
+            st.prev_nonlinear[0] = np.nan
+        assert np.isfinite(st.psi).all() and np.isfinite(st.prev_nonlinear).all()
+
+    @pytest.mark.parametrize("ntheta", [8, 32])
+    def test_step_does_no_fft(self, unstable, ntheta, monkeypatch):
+        # the Euler startup step and the AB2 step after it, on a state with
+        # every mode populated
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+        rng = np.random.default_rng(ntheta)
+        psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
+                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
+        for target, name in ((np.fft, "rfft"), (np.fft, "irfft"),
+                             (af.simulator, "synthesize_lattice")):
+            monkeypatch.setattr(target, name, lambda *a, **k: pytest.fail("FFT in a step"))
+        s2 = sim.step(sim.step(af.SimState(0.0, psi)))
+        assert s2.t == pytest.approx(0.02) and np.abs(s2.prev_nonlinear).max() > 0
 
     def test_rotational_equivariance_100_steps(self, unstable):
         pr, mu, g, eig = unstable
@@ -263,7 +292,9 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
-        st.psi[3] = st.psi[3] + 1e-3 * eig.psi1
+        psi = st.psi.copy()
+        psi[3] = psi[3] + 1e-3 * eig.psi1
+        st = af.SimState(st.t, psi, st.prev_nonlinear)
         vr, vt = lattice_velocity(st.psi, g, 8)
         n = np.arange(1, 5)[:, None]
         c = st.psi
@@ -291,6 +322,7 @@ class TestStructure:
         ref = advection_reference(psi, g, sim.K, np.clongdouble)
         K = sim.K
         assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
+        assert nl.shape == psi.shape
         assert np.all(nl[K:] == 0.0)
 
     @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])

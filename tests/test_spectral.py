@@ -47,12 +47,12 @@ class TestOperators:
             assert np.abs(L @ r**n).max() < 1e-8 * np.abs(r**n).max()
             assert np.abs(L @ r**(-float(n))).max() < 1e-7
 
-    def test_bilaplacian_kernel_to_grid_accuracy(self, grid64):
+    def test_bilaplacian_kernel_to_grid_accuracy(self, grid64, bilaplacian_n):
         # The four closed-form solutions of Delta_1^2 u = 0 are annihilated
         # to grid accuracy: the matrix has entries ~1e11, so the achievable
         # floor is the rounding of the matrix-vector product, eps * |B| |u|.
         r = grid64.nodes
-        B = af.bilaplacian_n(grid64, 1)
+        B = bilaplacian_n(grid64, 1)
         for u in (r**3, r, r * np.log(r), 1.0 / r):
             floor = np.finfo(float).eps * (np.abs(B) @ np.abs(u)).max()
             assert np.abs(B @ u).max() < 10 * floor
@@ -89,7 +89,7 @@ class TestBoundaryRows:
 
 
 class TestModePencil:
-    def test_boundary_rows_only_in_bc_rows(self, grid32, params135):
+    def test_boundary_rows_only_in_bc_rows(self, grid32, params135, bilaplacian_n):
         mu = 2.0
         rows = af.navier_slip_bcs(grid32, params135, mu)
         interior = slice(2, -2)
@@ -98,7 +98,7 @@ class TestModePencil:
             assert np.array_equal(p.matrix[af.BC_ROWS], rows)
             assert np.all(p.mass[af.BC_ROWS] == 0.0)
             assert np.array_equal(p.matrix[interior],
-                                  (mu * af.bilaplacian_n(grid32, n))[interior])
+                                  (mu * bilaplacian_n(grid32, n))[interior])
             assert np.array_equal(p.mass[interior], af.laplacian_n(grid32, n)[interior])
 
     @pytest.mark.parametrize("mu", [0.0, -1e-4, np.nan])
