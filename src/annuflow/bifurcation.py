@@ -61,13 +61,6 @@ def modal_velocity(coeffs: np.ndarray, grid: RadialGrid,
     return -1j * n * coeffs / grid.nodes, coeffs @ grid.d1.T
 
 
-def kinetic_energy(psi: np.ndarray, grid: RadialGrid,
-                   n: int | np.ndarray = 1) -> np.ndarray:
-    """E3 of :func:`mode_energies` alone, without the gradient fields."""
-    vr, vt = modal_velocity(psi, grid, n)
-    return (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ grid.weights
-
-
 def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
                   n: int | np.ndarray = 1) -> tuple:
     """Radial energy functionals (E3, E1, E2) of a mode-n profile.

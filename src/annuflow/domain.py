@@ -4,8 +4,11 @@ Perturbation streamfunctions are expanded in the angular basis e^{i n theta}.
 A modal profile is a plain complex array over the radial nodes; a set of
 modes is one (M, nr) array whose row n - 1 holds mode n, and its real
 field sum_n (c_n e^{i n theta} + c.c.) on the (r, theta) lattice is one
-inverse real FFT along theta. The zero-mean condition over theta excludes
-the n = 0 mode for streamfunction perturbations.
+product with the table of 2 cos(n theta_j) and -2 sin(n theta_j)
+(:func:`synthesis_table`), the matrix-multiplication transform (Boyd,
+Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 10). The zero-mean
+condition over theta excludes the n = 0 mode for streamfunction
+perturbations.
 """
 
 from __future__ import annotations
@@ -69,27 +72,34 @@ def theta_lattice(ntheta: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(ntheta) / ntheta
 
 
+def synthesis_table(M: int, ntheta: int) -> np.ndarray:
+    """The (ntheta, 2M) table of columns 2 cos(n theta_j) and
+    -2 sin(n theta_j), n = 1..M, so that mode n contributes
+    2 (Re c_n cos n theta_j - Im c_n sin n theta_j). n theta_j is reduced
+    mod 2 pi by integers, so the even rows of the table on 2 ntheta angles
+    are this table bit for bit."""
+    angle = 2.0 * np.pi / ntheta * (np.outer(np.arange(ntheta), np.arange(1, M + 1)) % ntheta)
+    return np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=2).reshape(ntheta, 2 * M)
+
+
 def synthesize_lattice(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
     """The real field sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice.
 
     ``coeffs`` is the (..., M, nr) array whose row n - 1 is the profile c_n;
     leading axes are a batch of such sets, and the result is the
-    (..., nr, ntheta) stack of their fields. The sum is one inverse real
-    FFT along theta for the whole batch. ``irfft`` counts the Nyquist bin
-    n = ntheta / 2 (present only for even ntheta) once and every other bin
-    twice, so that coefficient is doubled first. A mode with n > ntheta / 2
-    cannot be represented on the lattice and raises GridMismatch rather
-    than aliasing onto a lower wavenumber.
+    (..., nr, ntheta) stack of their fields. The sum is one product of
+    :func:`synthesis_table` with the real and imaginary rows. For even
+    ntheta the top mode n = ntheta / 2 is the Nyquist mode, whose sine
+    column is rounding noise: the lattice sees its real part only. A mode
+    with n > ntheta / 2 cannot be represented on the lattice and raises
+    GridMismatch rather than aliasing onto a lower wavenumber.
     """
     *lead, M, nr = coeffs.shape
     if 2 * M > ntheta:
         raise GridMismatch(
             f"mode {M} is not resolved by ntheta={ntheta} (need n <= ntheta/2)")
-    spec = np.zeros((*lead, nr, ntheta // 2 + 1), complex)
-    spec[..., 1:M + 1] = np.swapaxes(coeffs, -1, -2)
-    if 2 * M == ntheta:
-        spec[..., M] *= 2.0
-    return ntheta * np.fft.irfft(spec, n=ntheta, axis=-1)
+    planes = np.stack([np.real(coeffs), np.imag(coeffs)], axis=-2).reshape(*lead, 2 * M, nr)
+    return np.swapaxes(synthesis_table(M, ntheta) @ planes, -1, -2)
 
 
 def synthesize_physical(coeffs: np.ndarray, ntheta: int) -> PhysicalField:

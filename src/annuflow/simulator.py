@@ -41,19 +41,19 @@ S_n = [Delta_n; d1 Delta_n] with the planes gives omega and d omega/dr,
 and one product with d1 gives v_theta. Multiplying by i n / r swaps the
 two planes with a sign, so i n psi / r = -v_r and i n omega / r cost one
 scaled copy each. The four lattice fields are one product with the
-(L, 2M) synthesis table of 2 cos(m theta_l) and -2 sin(m theta_l) on the
-doubled lattice of L = 2 ntheta angles, since mode m contributes
-2 (Re c_m cos m theta - Im c_m sin m theta). They are multiplied
-pointwise, and one product with the (2K, L) analysis table of
-cos(m theta_l) / L and -sin(m theta_l) / L gives the planes of the forcing
-directly. Only modes n <= K = 2M/3 are kept (the rest receive no
-nonlinear forcing); since L = 4M >= 2M + K + 1, those modes are free of
-aliasing (Orszag's rule). The mean (n = 0) mode is dropped the same way,
-keeping the dynamics inside the zero-mean-swirl phase space. The CFL
-check reads the same velocity on the even angles, which form the ntheta
-lattice. The tables cost O(M L) per radius against an FFT's O(L log L):
-up to ntheta = 64 the few large products are the faster step, and at 128
-the two are about even.
+(L, 2M) table of 2 cos(m theta_l) and -2 sin(m theta_l) of
+:func:`annuflow.domain.synthesis_table` on L = 2 ntheta angles, the
+doubled lattice. They are multiplied pointwise, and one product with the
+(2K, L) analysis table, the first 2K columns of that table transposed and
+divided by 2L, gives the planes of the forcing directly. Only modes
+n <= K = 2M/3 are kept (the rest receive no nonlinear forcing); since
+L = 4M >= 2M + K + 1, those modes are free of aliasing (Orszag's rule).
+The mean (n = 0) mode is dropped the same way, keeping the dynamics
+inside the zero-mean-swirl phase space. The CFL check and ``max_psi`` read
+the even rows of the table, which are the ntheta lattice's table bit for
+bit. The tables cost O(M L) per radius against an FFT's O(L log L): up to
+ntheta = 64 the few large products are the faster step, and at 128 the
+two are about even.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bifurcation import EigenResult, energy_growth, kinetic_energy, mode_energies
-from .domain import DomainParams, synthesize_lattice
+from .bifurcation import EigenResult, energy_growth, mode_energies
+from .domain import DomainParams, synthesis_table
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
@@ -88,11 +88,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _planes(rows: np.ndarray) -> np.ndarray:
-    """The real (M, 2, N+1) planes of complex (M, N+1) rows."""
-    return np.stack([np.real(rows), np.imag(rows)], axis=1)
-
-
 def _complex_rows(planes: np.ndarray, rows: int) -> np.ndarray:
     """The read-only complex (rows, N+1) array of the planes, zero below them."""
     z = np.zeros((rows, planes.shape[2]), complex)
@@ -100,39 +95,34 @@ def _complex_rows(planes: np.ndarray, rows: int) -> np.ndarray:
     return _read_only(z)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SimState:
     """Immutable snapshot: time, the real planes (M, 2, N+1) of the modal
     profiles (row n - 1 holds mode n, plane 0 its real and plane 1 its
     imaginary part), and the planes of the previous step's advection of
-    modes 1..K (None before the first step).
+    modes 1..K (None before the first step). Both arrays become read-only;
+    anything but such real planes raises GridMismatch.
 
-    ``SimState(t, psi, prev_nonlinear)`` takes complex (M, N+1) rows;
-    ``psi`` and ``prev_nonlinear`` give them back as read-only complex
-    arrays derived on access, the latter with its zero rows K..M-1.
+    ``psi`` and ``prev_nonlinear`` give the complex (M, N+1) rows back as
+    read-only arrays derived on access, the latter with its zero rows
+    K..M-1.
     """
 
     t: float
     planes: np.ndarray = field(repr=False)
     prev_planes: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, t: float, psi: np.ndarray,
-                 prev_nonlinear: np.ndarray | None = None):
-        self._fill(t, _planes(psi), None if prev_nonlinear is None else _planes(prev_nonlinear))
-
-    @classmethod
-    def of_planes(cls, t: float, planes: np.ndarray,
-                  prev_planes: np.ndarray | None = None) -> "SimState":
-        """The state that holds these planes, which become read-only."""
-        state = cls.__new__(cls)
-        state._fill(t, planes, prev_planes)
-        return state
-
-    def _fill(self, t, planes, prev_planes) -> None:
-        object.__setattr__(self, "t", float(t))
-        object.__setattr__(self, "planes", _read_only(planes))
-        object.__setattr__(self, "prev_planes",
-                           None if prev_planes is None else _read_only(prev_planes))
+    def __post_init__(self):
+        X, prev = self.planes, self.prev_planes
+        if not (isinstance(X, np.ndarray) and X.dtype.kind == "f" and X.ndim == 3
+                and X.shape[1] == 2):
+            raise GridMismatch("a state takes real (M, 2, N+1) planes")
+        if prev is not None and not (isinstance(prev, np.ndarray) and prev.dtype == X.dtype
+                                     and prev.shape[1:] == X.shape[1:] and len(prev) <= len(X)):
+            raise GridMismatch("the previous advection takes at most M planes like the state's")
+        _read_only(X)
+        if prev is not None:
+            _read_only(prev)
 
     @property
     def psi(self) -> np.ndarray:
@@ -151,8 +141,8 @@ class SimState:
         c, s = np.cos(angle), np.sin(angle)
         rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
         prev = self.prev_planes
-        return SimState.of_planes(self.t, rot @ self.planes,
-                                  None if prev is None else rot[:len(prev)] @ prev)
+        return SimState(self.t, rot @ self.planes,
+                        None if prev is None else rot[:len(prev)] @ prev)
 
 
 @dataclass(frozen=True)
@@ -239,12 +229,10 @@ class Simulator:
         nr = self._n / grid.nodes
         self._in_r = np.stack([-nr, nr], axis=1)
         # synthesis (L, 2M) and analysis (2K, L) tables on the L lattice;
-        # the angle m theta_l is reduced mod 2 pi exactly, by integers
+        # the analysis table is copied C-ordered, as BLAS's sums depend on it
         L = 2 * ntheta
-        angle = 2.0 * np.pi / L * (np.outer(np.arange(1, self.M + 1), np.arange(L)) % L)
-        cos, sin = np.cos(angle), np.sin(angle)
-        self._synth = np.stack([2.0 * cos, -2.0 * sin], axis=1).reshape(2 * self.M, L).T.copy()
-        self._analysis = np.stack([cos[:self.K], -sin[:self.K]], axis=1).reshape(2 * self.K, L) / L
+        self._synth = synthesis_table(self.M, L)
+        self._analysis = (self._synth[:, :2 * self.K].T / (2 * L)).copy()
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -255,7 +243,7 @@ class Simulator:
     # ------------------------------------------------------------- state
 
     def zero_state(self) -> SimState:
-        return SimState.of_planes(0.0, np.zeros((self.M, 2, self.grid.N + 1)))
+        return SimState(0.0, np.zeros((self.M, 2, self.grid.N + 1)))
 
     def init_from_mode(self, eig: EigenResult, delta: float) -> SimState:
         """delta * Psi_1 (finite delta >= 0) in the n = 1 row, all other modes zero."""
@@ -265,7 +253,7 @@ class Simulator:
             raise GridMismatch("eigenfunction sampled on a different grid")
         planes = np.zeros((self.M, 2, self.grid.N + 1))
         planes[0] = np.real(eig.psi1), np.imag(eig.psi1)
-        return SimState.of_planes(0.0, delta * planes)
+        return SimState(0.0, delta * planes)
 
     # ----------------------------------------------------------- physics
 
@@ -284,14 +272,12 @@ class Simulator:
         per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
         when the new state is not finite (a blown-up run)."""
         X, n1, K, M = state.planes, self.grid.N + 1, self.K, self.M
-        # the planes of i n psi / r = -v_r, v_theta and, for the advection,
-        # d omega/dr and (1/r) d omega/dtheta
+        # the planes of -v_r, v_theta and, for the advection, d omega/dr
+        # and (1/r) d omega/dtheta
         fields = np.empty((4 if self.nonlinear else 2, M, 2, n1))
-        np.multiply(X[:, ::-1], self._in_r, out=fields[0])
-        # radial products in the order d1 X^T and S_n X^T, whose sums the
-        # advection's 1e-13 reference bound was set on (d1.T is a view, so
-        # BLAS forms X d1^T as d1 X^T)
-        np.matmul(X.reshape(2 * M, n1), self.grid.d1.T, out=fields[1].reshape(2 * M, n1))
+        self._velocity(X, fields)
+        # the radial product S_n X^T, whose sums the advection's 1e-13
+        # reference bound was set on
         if self.nonlinear:
             omega = (self._S @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
             fields[2] = omega[:, :, n1:]
@@ -314,7 +300,13 @@ class Simulator:
         new -= (new @ self._A_bct) @ self._Wt
         if not np.isfinite(new).all():
             raise SolverFailure(f"non-finite state at t={state.t + self.dt:.6g}")
-        return SimState.of_planes(state.t + self.dt, new, nl)
+        return SimState(state.t + self.dt, new, nl)
+
+    def _velocity(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Fill out[0] and out[1] with the planes of i n psi / r = -v_r and
+        v_theta, the latter as d1 X^T (d1.T is a view, so BLAS forms X d1^T)."""
+        np.multiply(X[:, ::-1], self._in_r, out=out[0])
+        np.matmul(X.reshape(-1, X.shape[2]), self.grid.d1.T, out=out[1].reshape(-1, X.shape[2]))
 
     # -------------------------------------------------------- diagnostics
 
@@ -328,8 +320,10 @@ class Simulator:
         return tuple(self._mode_energies(state).sum(axis=0).tolist())
 
     def kinetic_energy(self, state: SimState) -> float:
-        """E3 of :meth:`energies` alone, ||v||^2."""
-        return float((4.0 * np.pi * kinetic_energy(state.psi, self.grid, self._n)).sum())
+        """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity planes."""
+        v = np.empty((2, *state.planes.shape))
+        self._velocity(state.planes, v)
+        return float((4.0 * np.pi * ((v * v).sum(axis=(0, 2)) @ self.grid.weights)).sum())
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
         """Relative defect of the balance of :class:`Diagnostics` across one
@@ -348,7 +342,8 @@ class Simulator:
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
 
     def max_psi(self, state: SimState) -> float:
-        return float(np.abs(synthesize_lattice(state.psi, self.ntheta)).max())
+        """max |psi| on the ntheta lattice, the even rows of the step's table."""
+        return float(np.abs(self._synth[::2] @ state.planes.reshape(2 * self.M, -1)).max())
 
     def diagnostics(self, state: SimState) -> Diagnostics:
         per_mode = self._mode_energies(state)

@@ -70,7 +70,7 @@ def _literal_lattice_sum(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def lattice_reference():
-    """The literal double sum that the FFT lattice transform must reproduce."""
+    """The literal double sum that the lattice transform must reproduce."""
     return _literal_lattice_sum
 
 
@@ -99,7 +99,7 @@ def _literal_advection(psi: np.ndarray, grid, K: int, dtype=complex) -> np.ndarr
 
 @pytest.fixture(scope="session")
 def advection_reference():
-    """The mode-pair convolution that the simulator's FFT advection replaces."""
+    """The mode-pair convolution that the simulator's lattice advection replaces."""
     return _literal_advection
 
 

@@ -79,7 +79,7 @@ class TestEnergyFunctionals:
                             (E3, E1, E2)):
             assert np.allclose(got, ref, rtol=1e-13, atol=0)
 
-    def test_lattice_velocity_carries_the_kinetic_energy(self, grid48):
+    def test_lattice_velocity_carries_the_kinetic_energy(self, params135, grid48):
         # the lattice quadrature of the field dump's velocity is the energy
         # functional 4 pi sum_n E3 of the same modal rows while the lattice
         # resolves |v|^2, whose modes reach 2M; at 2M angles the lattice
@@ -88,7 +88,7 @@ class TestEnergyFunctionals:
         rng = np.random.default_rng(5)
         c = rng.standard_normal((M, 49)) + 1j * rng.standard_normal((M, 49))
         n = np.arange(1, M + 1)[:, None]
-        E3 = 4.0 * np.pi * af.bifurcation.kinetic_energy(c, grid48, n).sum()
+        E3 = 4.0 * np.pi * af.bifurcation.mode_energies(params135, c, grid48, n)[0].sum()
 
         def gap(ntheta):
             vr, vt = lattice_velocity(c, grid48, ntheta)

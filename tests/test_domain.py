@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.domain import RATIO_LIMIT
+from annuflow.domain import RATIO_LIMIT, synthesis_table
 
 
 class TestValidate:
@@ -85,9 +85,24 @@ class TestSynthesize:
             ref = lattice_reference(coeffs[idx], ntheta)
             assert np.abs(out[idx] - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("ntheta", [4, 7, 8, 33, 64])
+    def test_doubled_table_holds_the_table_on_its_even_rows(self, ntheta):
+        # the simulator's CFL check and max_psi read the ntheta lattice as
+        # the even angles of its doubled one
+        M = ntheta // 2
+        assert np.array_equal(synthesis_table(M, 2 * ntheta)[::2], synthesis_table(M, ntheta))
+
+    @pytest.mark.parametrize("ntheta", [4, 8, 32, 64])
+    def test_table_is_orthogonal_on_the_doubled_lattice(self, ntheta):
+        # T^T / (2L) inverts the synthesis on L = 2 ntheta angles, which the
+        # simulator's analysis table relies on to read back the advection
+        L = 2 * ntheta
+        T = synthesis_table(ntheta // 2, L)
+        assert np.abs(T.T @ T / (2 * L) - np.eye(ntheta)).max() <= 1e-14
+
     def test_round_trip_with_analyze(self):
-        # the forward real FFT inverts the synthesis below the Nyquist bin,
-        # which Simulator.step relies on to read back the advection
+        # the forward real FFT inverts the synthesis below the Nyquist bin:
+        # the table product sums the same Fourier series as an inverse FFT
         rng = np.random.default_rng(7)
         ntheta = 32
         coeffs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))

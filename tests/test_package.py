@@ -144,6 +144,14 @@ def test_read_name_detector():
     assert _read_names(src) == {"f", "a", "h", "Y"}
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "annuflow").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_fft(path):
+    # every lattice field is a product with domain.synthesis_table; a
+    # sys.modules check cannot see an FFT, as scipy.linalg loads numpy.fft
+    assert "fft" not in _read_names(path.read_text())
+
+
 def test_every_export_is_used():
     # a re-exported name is read inside the package, shown in the README
     # or used by the benchmark; otherwise it is dead public surface

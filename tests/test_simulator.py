@@ -6,6 +6,10 @@ import annuflow.simulator
 from annuflow.bifurcation import lattice_velocity
 
 
+def planes(rows):
+    return np.stack([rows.real, rows.imag], axis=1)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return af.build_grid(1.0, 3.0, 32)
@@ -107,7 +111,7 @@ class TestLinearRates:
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
         psi = sim.zero_state().psi.copy()
         psi[1] = 1e-4 * vec2 / np.abs(vec2).max()
-        st = af.SimState(0.0, psi)
+        st = af.SimState(0.0, planes(psi))
         _, diags = sim.run(st, 100, sample_every=10)
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
@@ -191,7 +195,7 @@ class TestEnergyBalance:
         rng = np.random.default_rng(ntheta)
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
-        st = af.SimState(0.0, psi)
+        st = af.SimState(0.0, planes(psi))
         E3 = sim.energies(st)[0]
         monkeypatch.setattr(af.simulator, "mode_energies",
                             lambda *a, **k: pytest.fail("E1 and E2 formed"))
@@ -216,7 +220,7 @@ class TestStructure:
         psi = np.zeros((ntheta // 2, g.N + 1), complex)
         psi[:modes] = [(rng.standard_normal() + 1j * rng.standard_normal())
                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, modes + 1)]
-        state = af.SimState(0.0, psi)
+        state = af.SimState(0.0, planes(psi))
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
         lim = sim.cfl_limit(*lattice_velocity(psi, g, ntheta))
         with pytest.raises(af.CFLViolation) as exc:
@@ -230,7 +234,7 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         psi = sim.init_from_mode(eig, 1e-2).psi.copy()
         psi[0] = np.nan
-        st = af.SimState(0.0, psi)
+        st = af.SimState(0.0, planes(psi))
         with pytest.raises(af.SolverFailure):
             sim.step(st)
 
@@ -246,6 +250,29 @@ class TestStructure:
             st.prev_nonlinear[0] = np.nan
         assert np.isfinite(st.psi).all() and np.isfinite(st.prev_nonlinear).all()
 
+    def test_state_takes_real_planes(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        psi = sim.init_from_mode(eig, 1e-2).psi
+        X = planes(psi)
+        for bad in ((psi,), (X, psi), (X, planes(np.vstack([psi, psi]))),
+                    (X, X[:, :, 1:].copy()), (X[0],)):
+            with pytest.raises(af.GridMismatch):
+                af.SimState(0.0, *bad)
+        st = af.SimState(0.0, X, X[:2].copy())
+        assert not st.planes.flags.writeable and not st.prev_planes.flags.writeable
+
+    @pytest.mark.parametrize("ntheta", [4, 6, 16, 64])
+    def test_max_psi_reads_the_lattice_transform(self, unstable, ntheta):
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+        rng = np.random.default_rng(ntheta)
+        for _ in range(10):
+            shape = (sim.M, g.N + 1)
+            st = af.SimState(0.0, planes(rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape)))
+            assert sim.max_psi(st) == np.abs(af.synthesize_lattice(st.psi, ntheta)).max()
+
     @pytest.mark.parametrize("ntheta", [8, 32])
     def test_step_does_no_fft(self, unstable, ntheta, monkeypatch):
         # the Euler startup step and the AB2 step after it, on a state with
@@ -256,9 +283,9 @@ class TestStructure:
         psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
         for target, name in ((np.fft, "rfft"), (np.fft, "irfft"),
-                             (af.simulator, "synthesize_lattice")):
+                             (af.domain, "synthesize_lattice")):
             monkeypatch.setattr(target, name, lambda *a, **k: pytest.fail("FFT in a step"))
-        s2 = sim.step(sim.step(af.SimState(0.0, psi)))
+        s2 = sim.step(sim.step(af.SimState(0.0, planes(psi))))
         assert s2.t == pytest.approx(0.02) and np.abs(s2.prev_nonlinear).max() > 0
 
     def test_rotational_equivariance_100_steps(self, unstable):
@@ -294,7 +321,7 @@ class TestStructure:
         st, _ = sim.run(st, 20, sample_every=20)
         psi = st.psi.copy()
         psi[3] = psi[3] + 1e-3 * eig.psi1
-        st = af.SimState(st.t, psi, st.prev_nonlinear)
+        st = af.SimState(st.t, planes(psi), st.prev_planes)
         vr, vt = lattice_velocity(st.psi, g, 8)
         n = np.arange(1, 5)[:, None]
         c = st.psi
@@ -318,7 +345,7 @@ class TestStructure:
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.M + 1)])
-        nl = sim.step(af.SimState(0.0, psi)).prev_nonlinear
+        nl = sim.step(af.SimState(0.0, planes(psi))).prev_nonlinear
         ref = advection_reference(psi, g, sim.K, np.clongdouble)
         K = sim.K
         assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
@@ -337,7 +364,7 @@ class TestStructure:
         psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.M + 1)])
-        s0 = af.SimState(0.0, psi)
+        s0 = af.SimState(0.0, planes(psi))
         s1 = sim.step(s0)
         s2 = sim.step(s1)
         forces = ([s1.prev_nonlinear, 1.5 * s2.prev_nonlinear - 0.5 * s1.prev_nonlinear]
