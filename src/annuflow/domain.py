@@ -75,9 +75,9 @@ def theta_lattice(ntheta: int) -> np.ndarray:
 def synthesis_table(M: int, ntheta: int) -> np.ndarray:
     """The (ntheta, 2M) table of columns 2 cos(n theta_j) and
     -2 sin(n theta_j), n = 1..M, so that mode n contributes
-    2 (Re c_n cos n theta_j - Im c_n sin n theta_j). n theta_j is reduced
-    mod 2 pi by integers, so the even rows of the table on 2 ntheta angles
-    are this table bit for bit."""
+    2 (Re c_n cos n theta_j - Im c_n sin n theta_j). n j is reduced mod
+    ntheta in integers before it becomes an angle, so a large n j loses no
+    accuracy."""
     angle = 2.0 * np.pi / ntheta * (np.outer(np.arange(ntheta), np.arange(1, M + 1)) % ntheta)
     return np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=2).reshape(ntheta, 2 * M)
 

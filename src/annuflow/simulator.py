@@ -2,11 +2,11 @@
 
 The streamfunction perturbation is expanded as
 
-    psi(r, theta, t) = sum_{n=1}^{M} psi_n(r, t) e^{i n theta} + c.c.,
+    psi(r, theta, t) = sum_{n=1}^{K} psi_n(r, t) e^{i n theta} + c.c.,
 
-with M = ntheta / 2. The state is held as real planes: one (M, 2, N+1)
-array X with X[n-1, 0] = Re psi_n and X[n-1, 1] = Im psi_n. Each mode
-evolves by
+with K = (ntheta - 1) // 3, the modes that the ntheta lattice de-aliases.
+The state is held as real planes: one (K, 2, N+1) array X with
+X[n-1, 0] = Re psi_n and X[n-1, 1] = Im psi_n. Each mode evolves by
 
     d/dt Delta_n psi_n = mu Delta_n^2 psi_n + N_n(psi),
 
@@ -23,7 +23,7 @@ with lhs = Delta_n - dt mu / 2 Delta_n^2 (boundary rows replaced by the
 pencil's), rhs = Delta_n + dt mu / 2 Delta_n^2, and Z the identity with
 the boundary rows zeroed. The step applies precomputed propagators
 instead of solving: psi^{k+1} = P psi^k + Q F^k with P = lhs^-1 Z rhs and
-Q = dt lhs^-1 Z. All M of them come from one batched LU solve
+Q = dt lhs^-1 Z. All K of them come from one batched LU solve
 (:func:`lu_solve`, numpy's LAPACK gesv: an LU factorization with partial
 pivoting and its two triangular solves) of the stacked lhs against
 [Z rhs | I], which gives P and lhs^-1 together, so the simulator needs no
@@ -41,19 +41,18 @@ S_n = [Delta_n; d1 Delta_n] with the planes gives omega and d omega/dr,
 and one product with d1 gives v_theta. Multiplying by i n / r swaps the
 two planes with a sign, so i n psi / r = -v_r and i n omega / r cost one
 scaled copy each. The four lattice fields are one product with the
-(L, 2M) table of 2 cos(m theta_l) and -2 sin(m theta_l) of
-:func:`annuflow.domain.synthesis_table` on L = 2 ntheta angles, the
-doubled lattice. They are multiplied pointwise, and one product with the
-(2K, L) analysis table, the first 2K columns of that table transposed and
-divided by 2L, gives the planes of the forcing directly. Only modes
-n <= K = 2M/3 are kept (the rest receive no nonlinear forcing); since
-L = 4M >= 2M + K + 1, those modes are free of aliasing (Orszag's rule).
-The mean (n = 0) mode is dropped the same way, keeping the dynamics
-inside the zero-mean-swirl phase space. The CFL check and ``max_psi`` read
-the even rows of the table, which are the ntheta lattice's table bit for
-bit. The tables cost O(M L) per radius against an FFT's O(L log L): up to
-ntheta = 64 the few large products are the faster step, and at 128 the
-two are about even.
+(L, 2K) table of 2 cos(m theta_l) and -2 sin(m theta_l) of
+:func:`annuflow.domain.synthesis_table` on the L = ntheta angles. They are
+multiplied pointwise, and one product with the (2K, L) analysis table,
+that table transposed and divided by 2L, gives the planes of the forcing
+directly. The product holds modes up to 2K, and on L >= 3K + 1 angles
+none of them aliases onto a mode n <= K: this is the 2/3-rule Galerkin
+truncation (Orszag, J. Atmos. Sci. 28 (1971) 1074; Boyd, Chebyshev and
+Fourier Spectral Methods, 2nd ed., ch. 11). The mean (n = 0) mode is
+dropped the same way, keeping the dynamics inside the zero-mean-swirl
+phase space. The CFL check and ``max_psi`` read the same table. The
+table costs O(K L) per radius against an FFT's O(L log L): up to
+ntheta = 64 the few large products are the faster step.
 """
 
 from __future__ import annotations
@@ -88,24 +87,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _complex_rows(planes: np.ndarray, rows: int) -> np.ndarray:
-    """The read-only complex (rows, N+1) array of the planes, zero below them."""
-    z = np.zeros((rows, planes.shape[2]), complex)
-    z[:len(planes)] = planes[:, 0] + 1j * planes[:, 1]
-    return _read_only(z)
-
-
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot: time, the real planes (M, 2, N+1) of the modal
+    """Immutable snapshot: time, the real planes (K, 2, N+1) of the modal
     profiles (row n - 1 holds mode n, plane 0 its real and plane 1 its
-    imaginary part), and the planes of the previous step's advection of
-    modes 1..K (None before the first step). Both arrays become read-only;
-    anything but such real planes raises GridMismatch.
+    imaginary part), and the planes of the previous step's advection, of
+    the same shape (None before the first step). Both arrays become
+    read-only; anything but such real planes raises GridMismatch.
 
-    ``psi`` and ``prev_nonlinear`` give the complex (M, N+1) rows back as
-    read-only arrays derived on access, the latter with its zero rows
-    K..M-1.
+    ``psi`` gives the complex (K, N+1) rows back as a read-only array
+    derived on access.
     """
 
     t: float
@@ -116,23 +107,17 @@ class SimState:
         X, prev = self.planes, self.prev_planes
         if not (isinstance(X, np.ndarray) and X.dtype.kind == "f" and X.ndim == 3
                 and X.shape[1] == 2):
-            raise GridMismatch("a state takes real (M, 2, N+1) planes")
+            raise GridMismatch("a state takes real (K, 2, N+1) planes")
         if prev is not None and not (isinstance(prev, np.ndarray) and prev.dtype == X.dtype
-                                     and prev.shape[1:] == X.shape[1:] and len(prev) <= len(X)):
-            raise GridMismatch("the previous advection takes at most M planes like the state's")
+                                     and prev.shape == X.shape):
+            raise GridMismatch("the previous advection takes planes like the state's")
         _read_only(X)
         if prev is not None:
             _read_only(prev)
 
     @property
     def psi(self) -> np.ndarray:
-        return _complex_rows(self.planes, len(self.planes))
-
-    @property
-    def prev_nonlinear(self) -> np.ndarray | None:
-        if self.prev_planes is None:
-            return None
-        return _complex_rows(self.prev_planes, len(self.planes))
+        return _read_only(self.planes[:, 0] + 1j * self.planes[:, 1])
 
     def rotated(self, theta0: float) -> "SimState":
         """The state rotated by theta0: mode n picks up e^{i n theta0}, a
@@ -142,7 +127,7 @@ class SimState:
         rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
         prev = self.prev_planes
         return SimState(self.t, rot @ self.planes,
-                        None if prev is None else rot[:len(prev)] @ prev)
+                        None if prev is None else rot @ prev)
 
 
 @dataclass(frozen=True)
@@ -175,11 +160,13 @@ class Diagnostics:
 class Simulator:
     """IMEX stepper for a fixed (params, mu, grid, ntheta, dt) configuration.
 
-    dt must be positive and finite (ValueError). The propagators P, Q and W
-    (see the module docstring) are formed once at construction; a singular
-    implicit matrix raises SolverFailure there. ``nonlinear=False`` drops
-    the advection term entirely, so each mode evolves under its own linear
-    operator (used for rate cross-checks).
+    Its states carry the K = (ntheta - 1) // 3 modes that the ntheta
+    lattice de-aliases, so 3K + 1 <= ntheta; a state of another shape
+    raises GridMismatch. dt must be positive and finite (ValueError). The
+    propagators P, Q and W (see the module docstring) are formed once at
+    construction; a singular implicit matrix raises SolverFailure there.
+    ``nonlinear=False`` drops the advection term entirely, so each mode
+    evolves under its own linear operator (used for rate cross-checks).
     """
 
     def __init__(self, params: DomainParams, grid: RadialGrid, *,
@@ -194,10 +181,9 @@ class Simulator:
         self.dt = float(dt)
         self.ntheta = ntheta
         self.nonlinear = nonlinear
-        self.M = ntheta // 2
-        self.K = (2 * self.M) // 3
-        self._n = np.arange(1, self.M + 1)[:, None]
-        modes = range(1, self.M + 1)
+        self.K = (ntheta - 1) // 3
+        self._n = np.arange(1, self.K + 1)[:, None]
+        modes = range(1, self.K + 1)
         # omega needs the boundary-node rows of Delta_n that the mass zeroes;
         # one product with S_n = [Delta_n; d1 Delta_n] gives omega and d omega/dr
         lap = np.array([laplacian_n(grid, n) for n in modes])
@@ -223,16 +209,15 @@ class Simulator:
         self._Pt = sol[:, :, :n1].copy().transpose(0, 2, 1)
         self._Wt = inv[:, :, BC_ROWS].transpose(0, 2, 1)
         inv[:, :, BC_ROWS] = 0.0
-        self._Qt = (self.dt * inv[:self.K]).transpose(0, 2, 1)
+        self._Qt = (self.dt * inv).transpose(0, 2, 1)
         self._A_bct = A[:, BC_ROWS].transpose(0, 2, 1)
         # i n z / r of planes z: the planes swapped, times (-n/r, n/r)
         nr = self._n / grid.nodes
         self._in_r = np.stack([-nr, nr], axis=1)
-        # synthesis (L, 2M) and analysis (2K, L) tables on the L lattice;
-        # the analysis table is copied C-ordered, as BLAS's sums depend on it
-        L = 2 * ntheta
-        self._synth = synthesis_table(self.M, L)
-        self._analysis = (self._synth[:, :2 * self.K].T / (2 * L)).copy()
+        # synthesis (ntheta, 2K) and analysis (2K, ntheta) tables; the
+        # analysis table is copied C-ordered, as BLAS's sums depend on it
+        self._synth = synthesis_table(self.K, ntheta)
+        self._analysis = (self._synth.T / (2 * ntheta)).copy()
         # per-node advective cell sizes: radial spacing (distance to the
         # nearer neighbor) and local azimuthal arc length
         dr = np.abs(np.diff(grid.nodes))
@@ -243,7 +228,7 @@ class Simulator:
     # ------------------------------------------------------------- state
 
     def zero_state(self) -> SimState:
-        return SimState(0.0, np.zeros((self.M, 2, self.grid.N + 1)))
+        return SimState(0.0, np.zeros((self.K, 2, self.grid.N + 1)))
 
     def init_from_mode(self, eig: EigenResult, delta: float) -> SimState:
         """delta * Psi_1 (finite delta >= 0) in the n = 1 row, all other modes zero."""
@@ -251,9 +236,16 @@ class Simulator:
             raise ValueError(f"amplitude must be nonnegative and finite, got {delta}")
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
-        planes = np.zeros((self.M, 2, self.grid.N + 1))
+        planes = np.zeros((self.K, 2, self.grid.N + 1))
         planes[0] = np.real(eig.psi1), np.imag(eig.psi1)
         return SimState(0.0, delta * planes)
+
+    def _check(self, state: SimState) -> None:
+        """GridMismatch unless the state's planes are (K, 2, N+1)."""
+        shape = (self.K, 2, self.grid.N + 1)
+        if state.planes.shape != shape:
+            raise GridMismatch(f"state planes {state.planes.shape} do not match "
+                               f"the simulator's {shape}")
 
     # ----------------------------------------------------------- physics
 
@@ -271,10 +263,11 @@ class Simulator:
         """Advance one dt. Raises CFLViolation when dt exceeds the
         per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
         when the new state is not finite (a blown-up run)."""
-        X, n1, K, M = state.planes, self.grid.N + 1, self.K, self.M
+        self._check(state)
+        X, n1, K = state.planes, self.grid.N + 1, self.K
         # the planes of -v_r, v_theta and, for the advection, d omega/dr
         # and (1/r) d omega/dtheta
-        fields = np.empty((4 if self.nonlinear else 2, M, 2, n1))
+        fields = np.empty((4 if self.nonlinear else 2, K, 2, n1))
         self._velocity(X, fields)
         # the radial product S_n X^T, whose sums the advection's 1e-13
         # reference bound was set on
@@ -282,9 +275,9 @@ class Simulator:
             omega = (self._S @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
             fields[2] = omega[:, :, n1:]
             np.multiply(omega[:, ::-1, :n1], self._in_r, out=fields[3])
-        # synthesized on the L lattice, one (L, N+1) array per field
-        f = self._synth @ fields.reshape(len(fields), 2 * M, n1)
-        limit = self.cfl_limit(f[0, ::2].T, f[1, ::2].T)
+        # synthesized on the lattice, one (ntheta, N+1) array per field
+        f = self._synth @ fields.reshape(len(fields), 2 * K, n1)
+        limit = self.cfl_limit(f[0].T, f[1].T)
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
@@ -294,8 +287,8 @@ class Simulator:
             # -v . grad omega, with f[0] = -v_r
             nl = (self._analysis @ (f[0] * f[2] - f[1] * f[3])).reshape(K, 2, n1)
             prev = state.prev_planes
-            force = nl if prev is None else 1.5 * nl - 0.5 * prev[:K]
-            new[:K] += force @ self._Qt
+            force = nl if prev is None else 1.5 * nl - 0.5 * prev
+            new += force @ self._Qt
         # re-impose the boundary rows, which the products meet only to ~1e-9
         new -= (new @ self._A_bct) @ self._Wt
         if not np.isfinite(new).all():
@@ -312,6 +305,7 @@ class Simulator:
 
     def _mode_energies(self, state: SimState) -> np.ndarray:
         """(E3, E1, E2) of each mode of the field, one row per mode."""
+        self._check(state)
         return 4.0 * np.pi * np.column_stack(
             mode_energies(self.params, state.psi, self.grid, self._n))
 
@@ -321,6 +315,7 @@ class Simulator:
 
     def kinetic_energy(self, state: SimState) -> float:
         """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity planes."""
+        self._check(state)
         v = np.empty((2, *state.planes.shape))
         self._velocity(state.planes, v)
         return float((4.0 * np.pi * ((v * v).sum(axis=(0, 2)) @ self.grid.weights)).sum())
@@ -342,8 +337,9 @@ class Simulator:
         return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
 
     def max_psi(self, state: SimState) -> float:
-        """max |psi| on the ntheta lattice, the even rows of the step's table."""
-        return float(np.abs(self._synth[::2] @ state.planes.reshape(2 * self.M, -1)).max())
+        """max |psi| on the ntheta lattice, by the step's table."""
+        self._check(state)
+        return float(np.abs(self._synth @ state.planes.reshape(2 * self.K, -1)).max())
 
     def diagnostics(self, state: SimState) -> Diagnostics:
         per_mode = self._mode_energies(state)

@@ -5,6 +5,16 @@ from scipy.linalg import lu_factor, lu_solve
 import annuflow as af
 
 
+def planes(rows: np.ndarray) -> np.ndarray:
+    """The real (K, 2, N+1) planes of complex (K, N+1) modal rows."""
+    return np.stack([rows.real, rows.imag], axis=1)
+
+
+def rows(planes: np.ndarray) -> np.ndarray:
+    """The complex (K, N+1) modal rows of real (K, 2, N+1) planes."""
+    return planes[:, 0] + 1j * planes[:, 1]
+
+
 @pytest.fixture(scope="session")
 def params135():
     return af.validate(1.0, 3.0, 5.0, 1.0)
@@ -76,8 +86,8 @@ def lattice_reference():
 
 def _literal_advection(psi: np.ndarray, grid, K: int, dtype=complex) -> np.ndarray:
     """Modes n <= K of -v . grad omega as the literal sum over every mode
-    pair (n1, n2), n1 + n2 = n, with n1 and n2 in +-1..M; row n - 1 of
-    ``psi`` is the profile of mode n, and rows above K of the result are 0.
+    pair (n1, n2), n1 + n2 = n, with n1 and n2 in +-1..len(psi); row n - 1
+    of ``psi`` is the profile of mode n, and rows above K of the result are 0.
     The sum runs in ``dtype`` (np.clongdouble for a reference whose own
     rounding stays well below float64's) on the float64 matrices."""
     r, d1 = grid.nodes, grid.d1

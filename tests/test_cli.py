@@ -233,6 +233,15 @@ class TestSimulate:
             header = next(csv.reader(fh))
         assert header[:5] == ["t", "E3", "E1", "E2", "max_psi"]
 
+    def test_trajectory_carries_the_dealiased_modes(self, tmp_path, capsys):
+        # ntheta = 32 de-aliases K = 10 modes, and the CSV has one column each
+        code, _ = run_cli(capsys, "simulate", "--steps", "2", "--ntheta", "32",
+                          "-N", "24", "--mu", "1.2", "-o", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header[5:] == [f"E_mode{n}" for n in range(1, 11)]
+
     def test_snapshot_is_the_literal_field(self, tmp_path, capsys,
                                            lattice_reference):
         code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--steps", "5",

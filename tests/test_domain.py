@@ -87,18 +87,21 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("ntheta", [4, 7, 8, 33, 64])
     def test_doubled_table_holds_the_table_on_its_even_rows(self, ntheta):
-        # the simulator's CFL check and max_psi read the ntheta lattice as
-        # the even angles of its doubled one
+        # n j is reduced mod the lattice size in integers, so the angles a
+        # lattice shares with a finer one get the same entries bit for bit
         M = ntheta // 2
         assert np.array_equal(synthesis_table(M, 2 * ntheta)[::2], synthesis_table(M, ntheta))
 
     @pytest.mark.parametrize("ntheta", [4, 8, 32, 64])
     def test_table_is_orthogonal_on_the_doubled_lattice(self, ntheta):
-        # T^T / (2L) inverts the synthesis on L = 2 ntheta angles, which the
-        # simulator's analysis table relies on to read back the advection
+        # T^T / (2L) inverts the synthesis of the modes below L / 2 on L
+        # angles: here L = 2 ntheta, and L = ntheta for the simulator's K
+        # modes, whose analysis table reads back the advection this way
         L = 2 * ntheta
         T = synthesis_table(ntheta // 2, L)
         assert np.abs(T.T @ T / (2 * L) - np.eye(ntheta)).max() <= 1e-14
+        T = synthesis_table((ntheta - 1) // 3, ntheta)
+        assert np.abs(T.T @ T / (2 * ntheta) - np.eye(len(T.T))).max() <= 1e-14
 
     def test_round_trip_with_analyze(self):
         # the forward real FFT inverts the synthesis below the Nyquist bin:

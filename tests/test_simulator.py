@@ -4,10 +4,7 @@ import pytest
 import annuflow as af
 import annuflow.simulator
 from annuflow.bifurcation import lattice_velocity
-
-
-def planes(rows):
-    return np.stack([rows.real, rows.imag], axis=1)
+from conftest import planes, rows
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +60,28 @@ class TestConstruction:
             af.Simulator(pr, g, mu=mu, dt=-0.01, ntheta=8)
 
     def test_truncation(self, stable):
+        # K modes are de-aliased on ntheta angles when 3K + 1 <= ntheta
         pr, mu, g, _ = stable
-        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=32)
-        assert sim.M == 16 and sim.K == 10
+        for ntheta in range(4, 130, 2):
+            sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+            assert sim.K == (ntheta - 1) // 3 and 3 * sim.K + 1 <= ntheta
+            assert sim.zero_state().planes.shape == (sim.K, 2, g.N + 1)
+        assert af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=32).K == 10
+
+    def test_state_shape_checked(self, unstable):
+        # a state of another grid or another mode count raises GridMismatch
+        # (exit code 2) from every method that reads one
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, af.build_grid(1, 3, 25), mu=mu, dt=0.01, ntheta=8)
+        other_grid = af.Simulator(pr, af.build_grid(1, 3, 20), mu=mu, dt=0.01, ntheta=8)
+        other_modes = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=16)
+        for other in (other_grid, other_modes):
+            st = other.zero_state()
+            for read in (sim.step, sim.energies, sim.kinetic_energy, sim.max_psi,
+                         sim.diagnostics):
+                with pytest.raises(af.GridMismatch) as exc:
+                    read(st)
+                assert exc.value.exit_code == 2
 
 
 class TestZeroState:
@@ -194,7 +210,7 @@ class TestEnergyBalance:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
-                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
+                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.K + 1)])
         st = af.SimState(0.0, planes(psi))
         E3 = sim.energies(st)[0]
         monkeypatch.setattr(af.simulator, "mode_energies",
@@ -210,14 +226,14 @@ class TestStructure:
         with pytest.raises(af.CFLViolation):
             sim.step(st)
 
-    @pytest.mark.parametrize("ntheta,modes", [(8, 4), (32, 1)])
+    @pytest.mark.parametrize("ntheta,modes", [(8, 2), (32, 1)])
     def test_cfl_check_reads_lattice_velocity(self, unstable, ntheta, modes):
         # the step's limit is lattice_velocity's on the ntheta lattice, to
-        # the 4 digits its message prints; v_r sets it with modes 1..4 on
-        # ntheta = 8 (up to the Nyquist mode), v_theta with mode 1 on 32
+        # the 4 digits its message prints; v_r sets it with modes 1..K = 2
+        # on ntheta = 8, v_theta with mode 1 on 32
         pr, mu, g, eig = unstable
         rng = np.random.default_rng(ntheta)
-        psi = np.zeros((ntheta // 2, g.N + 1), complex)
+        psi = np.zeros(((ntheta - 1) // 3, g.N + 1), complex)
         psi[:modes] = [(rng.standard_normal() + 1j * rng.standard_normal())
                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, modes + 1)]
         state = af.SimState(0.0, planes(psi))
@@ -239,16 +255,16 @@ class TestStructure:
             sim.step(st)
 
     def test_derived_state_is_read_only(self, unstable):
-        # psi and prev_nonlinear are derived from the planes on access, so a
-        # write into them would change nothing; it raises instead
+        # psi is derived from the planes on access, so a write into it would
+        # change nothing; it raises instead, as a write into the planes does
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.step(sim.init_from_mode(eig, 1e-2))
         with pytest.raises(ValueError):
             st.psi[0] = np.nan
         with pytest.raises(ValueError):
-            st.prev_nonlinear[0] = np.nan
-        assert np.isfinite(st.psi).all() and np.isfinite(st.prev_nonlinear).all()
+            st.prev_planes[0] = np.nan
+        assert np.isfinite(st.psi).all() and np.isfinite(st.prev_planes).all()
 
     def test_state_takes_real_planes(self, unstable):
         pr, mu, g, eig = unstable
@@ -256,10 +272,10 @@ class TestStructure:
         psi = sim.init_from_mode(eig, 1e-2).psi
         X = planes(psi)
         for bad in ((psi,), (X, psi), (X, planes(np.vstack([psi, psi]))),
-                    (X, X[:, :, 1:].copy()), (X[0],)):
+                    (X, X[:, :, 1:].copy()), (X[0],), (X, X[:1].copy())):
             with pytest.raises(af.GridMismatch):
                 af.SimState(0.0, *bad)
-        st = af.SimState(0.0, X, X[:2].copy())
+        st = af.SimState(0.0, X, X.copy())
         assert not st.planes.flags.writeable and not st.prev_planes.flags.writeable
 
     @pytest.mark.parametrize("ntheta", [4, 6, 16, 64])
@@ -268,7 +284,7 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
         for _ in range(10):
-            shape = (sim.M, g.N + 1)
+            shape = (sim.K, g.N + 1)
             st = af.SimState(0.0, planes(rng.standard_normal(shape)
                                          + 1j * rng.standard_normal(shape)))
             assert sim.max_psi(st) == np.abs(af.synthesize_lattice(st.psi, ntheta)).max()
@@ -281,12 +297,12 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
         psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
-                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.M + 1)])
+                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.K + 1)])
         for target, name in ((np.fft, "rfft"), (np.fft, "irfft"),
                              (af.domain, "synthesize_lattice")):
             monkeypatch.setattr(target, name, lambda *a, **k: pytest.fail("FFT in a step"))
         s2 = sim.step(sim.step(af.SimState(0.0, planes(psi))))
-        assert s2.t == pytest.approx(0.02) and np.abs(s2.prev_nonlinear).max() > 0
+        assert s2.t == pytest.approx(0.02) and np.abs(s2.prev_planes).max() > 0
 
     def test_rotational_equivariance_100_steps(self, unstable):
         pr, mu, g, eig = unstable
@@ -313,44 +329,38 @@ class TestStructure:
         assert np.isrealobj(phys.values)
 
     def test_velocity_lattice_matches_literal_sum(self, unstable, lattice_reference):
-        # ntheta = 8 puts the top mode M = 4 on the Nyquist bin; advection
-        # forces only n <= K = 2, so mode 4 is filled by hand
+        # four rows on ntheta = 8 put the top mode 4 on the Nyquist bin
         pr, mu, g, eig = unstable
-        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
-        st = sim.init_from_mode(eig, 1e-2)
-        st, _ = sim.run(st, 20, sample_every=20)
-        psi = st.psi.copy()
-        psi[3] = psi[3] + 1e-3 * eig.psi1
-        st = af.SimState(st.t, planes(psi), st.prev_planes)
-        vr, vt = lattice_velocity(st.psi, g, 8)
+        rng = np.random.default_rng(8)
+        c = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
+                      * np.sin(n * g.nodes) * eig.psi1 for n in range(1, 5)])
+        vr, vt = lattice_velocity(c, g, 8)
         n = np.arange(1, 5)[:, None]
-        c = st.psi
         ref_r = lattice_reference(-1j * n * c / g.nodes, 8)
         ref_t = lattice_reference(np.array([g.d1 @ ck for ck in c]), 8)
         assert np.abs(vr - ref_r).max() <= 1e-13 * np.abs(ref_r).max()
         assert np.abs(vt - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
 
-    @pytest.mark.parametrize("ntheta", [4, 6, 8, 32])
+    @pytest.mark.parametrize("ntheta", [8, 12, 16, 32])
     def test_advection_matches_mode_pair_loop(self, unstable, advection_reference,
                                               ntheta):
-        # every mode up to n = M (the Nyquist mode of the ntheta lattice)
-        # is populated, so any aliasing onto n <= K would show (advection
-        # on L = ntheta reads 0.90 to 1.06). The reference sums in long
-        # double: in float64 it is itself up to 7.3e-14 off, which leaves
-        # the 1e-13 bound no margin for a different float64 order of sums
+        # every mode 1..K is populated, so any aliasing of the product's
+        # modes K+1..2K onto n <= K would show; 16 is a tight lattice,
+        # 3K + 1 = ntheta, and 12 a multiple of 3. The reference sums in
+        # long double: in float64 it is itself up to 7.3e-14 off, which
+        # leaves the 1e-13 bound no margin for a different float64 order
+        # of sums
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=1e-6, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
         r = g.nodes
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1
-                        for n in range(1, sim.M + 1)])
-        nl = sim.step(af.SimState(0.0, planes(psi))).prev_nonlinear
+                        for n in range(1, sim.K + 1)])
+        nl = rows(sim.step(af.SimState(0.0, planes(psi))).prev_planes)
         ref = advection_reference(psi, g, sim.K, np.clongdouble)
-        K = sim.K
-        assert np.abs(nl[:K] - ref[:K]).max() <= 1e-13 * np.abs(ref).max()
         assert nl.shape == psi.shape
-        assert np.all(nl[K:] == 0.0)
+        assert np.abs(nl - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
     @pytest.mark.parametrize("ntheta", [4, 8, 32])
@@ -363,11 +373,11 @@ class TestStructure:
         rng = np.random.default_rng(ntheta)
         psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes + rng.uniform(0, np.pi)) * eig.psi1
-                        for n in range(1, sim.M + 1)])
+                        for n in range(1, sim.K + 1)])
         s0 = af.SimState(0.0, planes(psi))
         s1 = sim.step(s0)
         s2 = sim.step(s1)
-        forces = ([s1.prev_nonlinear, 1.5 * s2.prev_nonlinear - 0.5 * s1.prev_nonlinear]
+        forces = ([rows(s1.prev_planes), rows(1.5 * s2.prev_planes - 0.5 * s1.prev_planes)]
                   if nonlinear else [np.zeros_like(psi)] * 2)
         for before, after, force in zip((s0, s1), (s1, s2), forces):
             ref = implicit_reference(sim, before.psi, force)
