@@ -13,10 +13,11 @@ classifies the pitchfork, and constructs the bifurcated streamfunction
 
 with |s| = sqrt(-lambda_1 / l) when the branch exists.
 
-Every profile is a complex array over the radial nodes, its wavenumber an
-argument of the function that needs it; Psi_1 and G11 come back read-only.
-Psi_1 has unit L^2(r dr) norm and Psi_1'(a) > 0; l scales with the square
-of that normalization, but the physical bifurcated field does not.
+Psi_1 and G11 are complex arrays over the radial nodes, returned
+read-only; the velocity, the energy functionals and the bifurcated state
+take real planes (``domain.as_planes``). Psi_1 has unit L^2(r dr) norm and
+Psi_1'(a) > 0; l scales with the square of that normalization, but the
+physical bifurcated field does not.
 
 The projection onto the critical mode is taken in the velocity (energy)
 pairing <u, v> = int grad-pairing, which for profiles vanishing at both
@@ -34,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .critical import mu_c_closed
-from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
+from .domain import DomainParams, PhysicalField, as_planes, synthesize_physical
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import (
     RadialGrid,
@@ -54,16 +55,28 @@ class EigenResult:
     mu: float
 
 
-def modal_velocity(coeffs: np.ndarray, grid: RadialGrid,
-                   n: int | np.ndarray) -> tuple:
-    """The velocity (v_r, v_theta) = (-i n psi / r, psi') of mode-n
-    profiles, one per row of ``coeffs``."""
-    return -1j * n * coeffs / grid.nodes, coeffs @ grid.d1.T
+def velocity_factor(grid: RadialGrid, n: int | np.ndarray) -> np.ndarray:
+    """f such that z[..., ::-1, :] * f, the planes swapped, is -i n z / r;
+    ``n`` is a wavenumber or a column of them, one per mode of z."""
+    return np.stack([n / grid.nodes, -n / grid.nodes], axis=-2)
 
 
-def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
-                  n: int | np.ndarray = 1) -> tuple:
-    """Radial energy functionals (E3, E1, E2) of a mode-n profile.
+def modal_velocity(planes: np.ndarray, grid: RadialGrid, factor: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The planes of (v_r, v_theta) = (-i n psi / r, psi') of mode-n planes
+    (..., 2, N+1), stacked on a new first axis (into ``out`` if given);
+    ``factor`` is :func:`velocity_factor`. v_theta is one product X d1^T."""
+    if out is None:
+        out = np.empty((2, *planes.shape))
+    np.multiply(planes[..., ::-1, :], factor, out=out[0])
+    n1 = planes.shape[-1]
+    np.matmul(planes.reshape(-1, n1), grid.d1.T, out=out[1].reshape(-1, n1))
+    return out
+
+
+def mode_energies(params: DomainParams, planes: np.ndarray, grid: RadialGrid,
+                  factor: np.ndarray) -> tuple:
+    """Radial energy functionals (E3, E1, E2) of mode-n planes (..., 2, N+1).
 
     With v = (v_r, v_theta) of :func:`modal_velocity`, E3 = int |v|^2 r dr
     is the kinetic energy, E1 the gradient energy
@@ -71,17 +84,17 @@ def mode_energies(params: DomainParams, psi: np.ndarray, grid: RadialGrid,
     + |(i n v_theta + v_r)/r|^2) r dr plus the outer-boundary tangential
     term |v_theta(b)|^2, and E2 = a |v_theta(a)|^2 the inner-boundary
     tangential term. The field psi e^{i n theta} + c.c. carries 4 pi times
-    each. Stacked profiles, one per row, with ``n`` a column of their
-    wavenumbers give one array of values per functional.
+    each; ``factor`` is the modes' :func:`velocity_factor`. The velocity of
+    v gives v' and -i n v / r, so the last two gradient fields are, up to
+    sign, -i n v_r / r + v_theta / r and -i n v_theta / r - v_r / r.
     """
-    r, d1, w = grid.nodes, grid.d1, grid.weights
-    vr, vt = modal_velocity(psi, grid, n)
-    grads = (vr @ d1.T, vt @ d1.T, (1j * n * vr - vt) / r,
-             (1j * n * vt + vr) / r)
-    E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
-    E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[..., 0]) ** 2
-    E2 = params.a * np.abs(vt[..., -1]) ** 2
-    return E3, E1, E2
+    vr, vt = v = modal_velocity(planes, grid, factor)
+    (in_vr, in_vt), dv = modal_velocity(v, grid, factor)
+    grads = (*dv, in_vr + vt / grid.nodes, in_vt - vr / grid.nodes)
+    vt2 = (vt * vt).sum(axis=-2)
+    E3 = ((vr * vr).sum(axis=-2) + vt2) @ grid.weights
+    E1 = sum((g * g).sum(axis=-2) for g in grads) @ grid.weights + vt2[..., 0]
+    return E3, E1, params.a * vt2[..., -1]
 
 
 def energy_growth(params: DomainParams, mu: float, E1, E2):
@@ -100,7 +113,7 @@ def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
     self-adjoint in this pairing), so it polishes the eigenvalue of the
     collocation eigenvector.
     """
-    E3, E1, E2 = mode_energies(params, psi, grid)
+    E3, E1, E2 = mode_energies(params, as_planes(psi), grid, velocity_factor(grid, 1))
     return float(energy_growth(params, mu, E1, E2) / E3)
 
 
@@ -256,24 +269,13 @@ class BifurcationReport:
     g11: np.ndarray = field(repr=False)
 
     def coeffs(self, s: complex) -> np.ndarray:
-        """The modal rows of the bifurcated state at phase point s: row
-        n - 1 is the profile of mode n = 1, 2."""
-        return np.array([s * self.psi1, s**2 * self.g11])
+        """The (2, 2, N+1) modal planes of the bifurcated state at phase
+        point s: row n - 1 holds mode n = 1, 2."""
+        return as_planes(np.array([s * self.psi1, s**2 * self.g11]))
 
     def psi_s(self, s: complex, ntheta: int = 128) -> PhysicalField:
         """Bifurcated streamfunction on the physical lattice at phase s."""
         return synthesize_physical(self.coeffs(s), ntheta)
-
-
-def lattice_velocity(coeffs: np.ndarray, grid: RadialGrid,
-                     ntheta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v_r, v_theta) on the (r, theta) lattice of the streamfunction
-    sum_n (c_n e^{i n theta} + c.c.), with c_n in row n - 1 of ``coeffs``:
-    v_r = -(1/r) d psi / d theta and v_theta = d psi / dr, the rows of
-    :func:`modal_velocity`."""
-    n = np.arange(1, len(coeffs) + 1)[:, None]
-    return tuple(synthesize_lattice(
-        np.stack(modal_velocity(coeffs, grid, n)), ntheta))
 
 
 def classify_and_build(params: DomainParams, eig: EigenResult, l: float,

@@ -116,11 +116,11 @@ def cmd_bifurcate(args) -> dict:
     out = _outdir(args)
     outputs = []
     for j in range(args.phases):
-        coeffs = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
+        planes = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
         base = os.path.join(out, f"field_phase{j}")
-        write_field_csv(base + ".csv", coeffs, grid, args.ntheta)
+        write_field_csv(base + ".csv", planes, grid, args.ntheta)
         with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(synthesize_lattice(coeffs, args.ntheta), grid.nodes))
+            fh.write(field_svg(synthesize_lattice(planes, args.ntheta), grid.nodes))
         outputs += [base + ".csv", base + ".svg"]
     return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
 
@@ -217,7 +217,7 @@ def cmd_simulate(args) -> dict:
     outputs = [traj]
     if args.snapshot:
         snap = os.path.join(out, "snapshot.csv")
-        write_field_csv(snap, state.psi, grid, cfg["ntheta"])
+        write_field_csv(snap, state.planes, grid, cfg["ntheta"])
         outputs.append(snap)
     return _finish(out, "simulate", doc, "simulate", cfg, outputs)
 

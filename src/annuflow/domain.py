@@ -1,10 +1,11 @@
 """Parameter records and the modal representation of fields on the annulus.
 
 Perturbation streamfunctions are expanded in the angular basis e^{i n theta}.
-A modal profile is a plain complex array over the radial nodes; a set of
-modes is one (M, nr) array whose row n - 1 holds mode n, and its real
-field sum_n (c_n e^{i n theta} + c.c.) on the (r, theta) lattice is one
-product with the table of 2 cos(n theta_j) and -2 sin(n theta_j)
+A set of modes is one real (..., M, 2, nr) planes array: row n - 1 holds
+mode n, plane 0 its real and plane 1 its imaginary part, over the radial
+nodes. :func:`as_planes` turns complex profiles into planes. The real
+field sum_n (c_n e^{i n theta} + c.c.) of a set on the (r, theta) lattice
+is one product with the table of 2 cos(n theta_j) and -2 sin(n theta_j)
 (:func:`synthesis_table`), the matrix-multiplication transform (Boyd,
 Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 10). The zero-mean
 condition over theta excludes the n = 0 mode for streamfunction
@@ -82,27 +83,33 @@ def synthesis_table(M: int, ntheta: int) -> np.ndarray:
     return np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=2).reshape(ntheta, 2 * M)
 
 
-def synthesize_lattice(coeffs: np.ndarray, ntheta: int) -> np.ndarray:
+def as_planes(rows: np.ndarray) -> np.ndarray:
+    """The real (..., 2, nr) planes (real, imaginary part) of profiles (..., nr)."""
+    return np.stack([np.real(rows), np.imag(rows)], axis=-2)
+
+
+def synthesize_lattice(planes: np.ndarray, ntheta: int) -> np.ndarray:
     """The real field sum_{n=1}^{M} (c_n e^{i n theta} + c.c.) on the lattice.
 
-    ``coeffs`` is the (..., M, nr) array whose row n - 1 is the profile c_n;
+    ``planes`` is the real (..., M, 2, nr) array whose row n - 1 holds c_n;
     leading axes are a batch of such sets, and the result is the
-    (..., nr, ntheta) stack of their fields. The sum is one product of
-    :func:`synthesis_table` with the real and imaginary rows. For even
-    ntheta the top mode n = ntheta / 2 is the Nyquist mode, whose sine
-    column is rounding noise: the lattice sees its real part only. A mode
-    with n > ntheta / 2 cannot be represented on the lattice and raises
-    GridMismatch rather than aliasing onto a lower wavenumber.
+    (..., nr, ntheta) stack of their fields, one product with
+    :func:`synthesis_table`. Anything but such planes raises GridMismatch.
+    For even ntheta the top mode n = ntheta / 2 is the Nyquist mode, whose
+    sine column is rounding noise: the lattice sees its real part only. A
+    mode with n > ntheta / 2 cannot be represented on the lattice and
+    raises GridMismatch rather than aliasing onto a lower wavenumber.
     """
-    *lead, M, nr = coeffs.shape
+    if planes.dtype.kind != "f" or planes.ndim < 3 or planes.shape[-2] != 2:
+        raise GridMismatch("a set of modes takes real (..., M, 2, nr) planes")
+    *lead, M, _, nr = planes.shape
     if 2 * M > ntheta:
         raise GridMismatch(
             f"mode {M} is not resolved by ntheta={ntheta} (need n <= ntheta/2)")
-    planes = np.stack([np.real(coeffs), np.imag(coeffs)], axis=-2).reshape(*lead, 2 * M, nr)
-    return np.swapaxes(synthesis_table(M, ntheta) @ planes, -1, -2)
+    return np.swapaxes(synthesis_table(M, ntheta) @ planes.reshape(*lead, 2 * M, nr), -1, -2)
 
 
-def synthesize_physical(coeffs: np.ndarray, ntheta: int) -> PhysicalField:
-    """The :class:`PhysicalField` of the modal rows ``coeffs`` (row n - 1
-    is the profile of mode n), summed by :func:`synthesize_lattice`."""
-    return PhysicalField(synthesize_lattice(coeffs, ntheta))
+def synthesize_physical(planes: np.ndarray, ntheta: int) -> PhysicalField:
+    """The :class:`PhysicalField` of the modal planes ``planes`` (row n - 1
+    holds mode n), summed by :func:`synthesize_lattice`."""
+    return PhysicalField(synthesize_lattice(planes, ntheta))

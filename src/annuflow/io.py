@@ -4,7 +4,7 @@ CSV tables use the csv module's default dialect (comma-separated, fields
 quoted where they need it, CRLF line ends). Numbers are printed with 17
 significant digits, so round-tripping through text is exact for doubles,
 and None is an empty cell. A field dump holds psi, v_r and v_theta of one
-state, built here from its modal rows, on the (r, theta) lattice,
+state, built here from its modal planes, on the (r, theta) lattice,
 row-major with r as the outer index; its cells are all floats, which the
 csv module never quotes, so it is formatted row by row from one template
 into the same bytes. JSON documents, on stdout and on
@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bifurcation import lattice_velocity
+from .bifurcation import modal_velocity, velocity_factor
 from .domain import synthesize_lattice, theta_lattice
 from .simulator import Diagnostics
 from .spectral import RadialGrid
@@ -51,15 +51,16 @@ def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
         w.writerows([_cell(x) for x in row] for row in rows)
 
 
-def write_field_csv(path: str, coeffs: np.ndarray, grid: RadialGrid,
+def write_field_csv(path: str, planes: np.ndarray, grid: RadialGrid,
                     ntheta: int) -> None:
-    """Dump the state whose modal rows are ``coeffs`` (row n - 1 is mode n):
-    one (r, theta, psi, v_r, v_theta) row per point of the grid nodes x
-    :func:`theta_lattice` (ntheta), r outer, theta in radians; psi from
-    :func:`synthesize_lattice`, the velocity from :func:`lattice_velocity`."""
+    """Dump the state whose modal planes are ``planes`` (row n - 1 holds
+    mode n): one (r, theta, psi, v_r, v_theta) row per point of the grid
+    nodes x :func:`theta_lattice` (ntheta), r outer, theta in radians; psi
+    and :func:`modal_velocity` in one batched :func:`synthesize_lattice` call."""
     r, theta = np.meshgrid(grid.nodes, theta_lattice(ntheta), indexing="ij")
-    columns = (r, theta, synthesize_lattice(coeffs, ntheta),
-               *lattice_velocity(coeffs, grid, ntheta))
+    n = np.arange(1, len(planes) + 1)[:, None]
+    v = modal_velocity(planes, grid, velocity_factor(grid, n))
+    columns = (r, theta, *synthesize_lattice(np.concatenate([planes[None], v]), ntheta))
     row = ",".join(["{:.17g}"] * len(columns)).format
     lines = [",".join(FIELD_HEADER)]
     lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in columns))]

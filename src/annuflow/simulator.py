@@ -38,9 +38,9 @@ al., Phys. Rev. Research 2, 023068, 2020).
 The advection is a pseudo-spectral product, computed on the planes with
 no complex arithmetic and no FFT. One product of the per-mode stack
 S_n = [Delta_n; d1 Delta_n] with the planes gives omega and d omega/dr,
-and one product with d1 gives v_theta. Multiplying by i n / r swaps the
-two planes with a sign, so i n psi / r = -v_r and i n omega / r cost one
-scaled copy each. The four lattice fields are one product with the
+and bifurcation.modal_velocity gives v_r and v_theta. -i n / r swaps the
+two planes with a sign, so v_r = -i n psi / r and -(1/r) d omega/dtheta
+cost one scaled copy each. The four lattice fields are one product with the
 (L, 2K) table of 2 cos(m theta_l) and -2 sin(m theta_l) of
 :func:`annuflow.domain.synthesis_table` on the L = ntheta angles. They are
 multiplied pointwise, and one product with the (2K, L) analysis table,
@@ -61,8 +61,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bifurcation import EigenResult, energy_growth, mode_energies
-from .domain import DomainParams, synthesis_table
+from .bifurcation import (EigenResult, energy_growth, modal_velocity, mode_energies,
+                          velocity_factor)
+from .domain import DomainParams, as_planes, synthesis_table
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
@@ -82,11 +83,6 @@ def lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"singular implicit matrix: {exc}") from exc
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SimState:
     """Immutable snapshot: time, the real planes (K, 2, N+1) of the modal
@@ -94,9 +90,6 @@ class SimState:
     imaginary part), and the planes of the previous step's advection, of
     the same shape (None before the first step). Both arrays become
     read-only; anything but such real planes raises GridMismatch.
-
-    ``psi`` gives the complex (K, N+1) rows back as a read-only array
-    derived on access.
     """
 
     t: float
@@ -111,13 +104,9 @@ class SimState:
         if prev is not None and not (isinstance(prev, np.ndarray) and prev.dtype == X.dtype
                                      and prev.shape == X.shape):
             raise GridMismatch("the previous advection takes planes like the state's")
-        _read_only(X)
+        X.setflags(write=False)
         if prev is not None:
-            _read_only(prev)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return _read_only(self.planes[:, 0] + 1j * self.planes[:, 1])
+            prev.setflags(write=False)
 
     def rotated(self, theta0: float) -> "SimState":
         """The state rotated by theta0: mode n picks up e^{i n theta0}, a
@@ -137,10 +126,11 @@ class Diagnostics:
     E3 is the kinetic energy integral |v|^2; E1 is the gradient energy
     plus the outer-boundary tangential term; E2 is the inner-boundary
     tangential term. All are nonnegative; the linear balance is
-    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2. ``energy_residual`` is
-    that balance's relative defect across the step that ended here (see
-    :meth:`Simulator.energy_residual`); :meth:`Simulator.run` fills it in
-    on every sample but the initial one.
+    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2. ``energy_residual``, set by
+    :meth:`Simulator.run` on every sample but the initial one, is that
+    balance's defect across the step that ended here relative to its right
+    side. That side cancels on a plateau, so there the ratio measures the
+    cancellation: the README's saturating run has terms of 5,025 summing to 0.03.
     """
 
     t: float
@@ -182,7 +172,6 @@ class Simulator:
         self.ntheta = ntheta
         self.nonlinear = nonlinear
         self.K = (ntheta - 1) // 3
-        self._n = np.arange(1, self.K + 1)[:, None]
         modes = range(1, self.K + 1)
         # omega needs the boundary-node rows of Delta_n that the mass zeroes;
         # one product with S_n = [Delta_n; d1 Delta_n] gives omega and d omega/dr
@@ -211,9 +200,7 @@ class Simulator:
         inv[:, :, BC_ROWS] = 0.0
         self._Qt = (self.dt * inv).transpose(0, 2, 1)
         self._A_bct = A[:, BC_ROWS].transpose(0, 2, 1)
-        # i n z / r of planes z: the planes swapped, times (-n/r, n/r)
-        nr = self._n / grid.nodes
-        self._in_r = np.stack([-nr, nr], axis=1)
+        self._factor = velocity_factor(grid, np.arange(1, self.K + 1)[:, None])
         # synthesis (ntheta, 2K) and analysis (2K, ntheta) tables; the
         # analysis table is copied C-ordered, as BLAS's sums depend on it
         self._synth = synthesis_table(self.K, ntheta)
@@ -237,7 +224,7 @@ class Simulator:
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
         planes = np.zeros((self.K, 2, self.grid.N + 1))
-        planes[0] = np.real(eig.psi1), np.imag(eig.psi1)
+        planes[0] = as_planes(eig.psi1)
         return SimState(0.0, delta * planes)
 
     def _check(self, state: SimState) -> None:
@@ -265,16 +252,16 @@ class Simulator:
         when the new state is not finite (a blown-up run)."""
         self._check(state)
         X, n1, K = state.planes, self.grid.N + 1, self.K
-        # the planes of -v_r, v_theta and, for the advection, d omega/dr
-        # and (1/r) d omega/dtheta
+        # the planes of v_r, v_theta and, for the advection, d omega/dr
+        # and -(1/r) d omega/dtheta
         fields = np.empty((4 if self.nonlinear else 2, K, 2, n1))
-        self._velocity(X, fields)
+        modal_velocity(X, self.grid, self._factor, out=fields[:2])
         # the radial product S_n X^T, whose sums the advection's 1e-13
         # reference bound was set on
         if self.nonlinear:
             omega = (self._S @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
             fields[2] = omega[:, :, n1:]
-            np.multiply(omega[:, ::-1, :n1], self._in_r, out=fields[3])
+            np.multiply(omega[:, ::-1, :n1], self._factor, out=fields[3])
         # synthesized on the lattice, one (ntheta, N+1) array per field
         f = self._synth @ fields.reshape(len(fields), 2 * K, n1)
         limit = self.cfl_limit(f[0].T, f[1].T)
@@ -284,8 +271,8 @@ class Simulator:
         new = X @ self._Pt
         nl = None
         if self.nonlinear:
-            # -v . grad omega, with f[0] = -v_r
-            nl = (self._analysis @ (f[0] * f[2] - f[1] * f[3])).reshape(K, 2, n1)
+            # -v . grad omega = v_theta f[3] - v_r d omega/dr
+            nl = (self._analysis @ (f[1] * f[3] - f[0] * f[2])).reshape(K, 2, n1)
             prev = state.prev_planes
             force = nl if prev is None else 1.5 * nl - 0.5 * prev
             new += force @ self._Qt
@@ -295,19 +282,13 @@ class Simulator:
             raise SolverFailure(f"non-finite state at t={state.t + self.dt:.6g}")
         return SimState(state.t + self.dt, new, nl)
 
-    def _velocity(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Fill out[0] and out[1] with the planes of i n psi / r = -v_r and
-        v_theta, the latter as d1 X^T (d1.T is a view, so BLAS forms X d1^T)."""
-        np.multiply(X[:, ::-1], self._in_r, out=out[0])
-        np.matmul(X.reshape(-1, X.shape[2]), self.grid.d1.T, out=out[1].reshape(-1, X.shape[2]))
-
     # -------------------------------------------------------- diagnostics
 
     def _mode_energies(self, state: SimState) -> np.ndarray:
         """(E3, E1, E2) of each mode of the field, one row per mode."""
         self._check(state)
         return 4.0 * np.pi * np.column_stack(
-            mode_energies(self.params, state.psi, self.grid, self._n))
+            mode_energies(self.params, state.planes, self.grid, self._factor))
 
     def energies(self, state: SimState) -> tuple[float, float, float]:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
@@ -316,14 +297,13 @@ class Simulator:
     def kinetic_energy(self, state: SimState) -> float:
         """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity planes."""
         self._check(state)
-        v = np.empty((2, *state.planes.shape))
-        self._velocity(state.planes, v)
+        v = modal_velocity(state.planes, self.grid, self._factor)
         return float((4.0 * np.pi * ((v * v).sum(axis=(0, 2)) @ self.grid.weights)).sum())
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
-        """Relative defect of the balance of :class:`Diagnostics` across one
-        step, its right side (:func:`energy_growth`) averaged over the two
-        endpoint states (matching the scheme's second-order accuracy)."""
+        """Defect of the balance of :class:`Diagnostics` across one step,
+        relative to its right side (:func:`energy_growth`) averaged over the
+        two endpoint states (matching the scheme's second-order accuracy)."""
         dt = after.t - before.t
         if dt <= 0:
             raise GridMismatch("states are not consecutive")
@@ -389,19 +369,22 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
                       *, eps_thr: float) -> list[tuple[float, float]]:
     """Escape times: for each delta, the first t with ||v(t)|| >= eps_thr.
 
-    Raises ValueError unless eps_thr and every delta are positive (the zero
-    state never grows), and NoEscape without growth (lambda_1 <= 0 at the
-    simulator's mu) or when a delta does not reach the threshold within
-    ESCAPE_MAX_STEPS. The slope of T vs ln(1/delta) estimates 1/lambda_1.
+    Raises ValueError unless every delta is positive (the zero state never
+    grows) and eps_thr > 0 has a positive, finite square, and NoEscape
+    without growth (lambda_1 <= 0 at the simulator's mu) or when a delta
+    does not reach the threshold within ESCAPE_MAX_STEPS. The slope of T
+    vs ln(1/delta) estimates 1/lambda_1.
     """
-    if not (eps_thr > 0 and all(d > 0 for d in delta_list)):
-        raise ValueError(f"need eps_thr > 0 and deltas > 0, got {eps_thr}, {delta_list}")
+    thr2 = eps_thr * eps_thr
+    if not (eps_thr > 0 and 0 < thr2 < np.inf and all(d > 0 for d in delta_list)):
+        raise ValueError(f"need 0 < eps_thr, 0 < eps_thr**2 < inf and deltas > 0, "
+                         f"got {eps_thr}, {delta_list}")
     if eig.lambda1 <= 0:
         raise NoEscape(f"no instability at mu={sim.mu}: lambda1={eig.lambda1}")
     out = []
     for delta in delta_list:
         state, steps = sim.init_from_mode(eig, delta), 0
-        while sim.kinetic_energy(state) < eps_thr**2:
+        while sim.kinetic_energy(state) < thr2:
             if steps == ESCAPE_MAX_STEPS:
                 raise NoEscape(f"threshold {eps_thr} not reached from delta={delta} "
                                f"within {ESCAPE_MAX_STEPS} steps (t={state.t:.1f})")

@@ -3,16 +3,22 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 import annuflow as af
-
-
-def planes(rows: np.ndarray) -> np.ndarray:
-    """The real (K, 2, N+1) planes of complex (K, N+1) modal rows."""
-    return np.stack([rows.real, rows.imag], axis=1)
+from annuflow.bifurcation import modal_velocity, velocity_factor
 
 
 def rows(planes: np.ndarray) -> np.ndarray:
-    """The complex (K, N+1) modal rows of real (K, 2, N+1) planes."""
+    """The complex (K, N+1) modal rows of real (K, 2, N+1) planes, the
+    inverse of annuflow.as_planes."""
     return planes[:, 0] + 1j * planes[:, 1]
+
+
+def lattice_velocity(planes: np.ndarray, grid, ntheta: int) -> np.ndarray:
+    """(v_r, v_theta) on the (r, theta) lattice of the modes whose planes
+    are given (row n - 1 holds mode n), as the field dump forms them: the
+    planes of modal_velocity through synthesize_lattice."""
+    n = np.arange(1, len(planes) + 1)[:, None]
+    return af.synthesize_lattice(
+        modal_velocity(planes, grid, velocity_factor(grid, n)), ntheta)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.bifurcation import lattice_velocity
+from annuflow import as_planes
+from annuflow.bifurcation import velocity_factor
+from conftest import lattice_velocity
 
 
 class TestLeadingEigenpair:
@@ -75,8 +77,8 @@ class TestEnergyFunctionals:
         E3 = (np.abs(vr) ** 2 + np.abs(vt) ** 2) @ w
         E1 = sum(np.abs(g) ** 2 for g in grads) @ w + np.abs(vt[:, 0]) ** 2
         E2 = params135.a * np.abs(vt[:, -1]) ** 2
-        for got, ref in zip(af.bifurcation.mode_energies(params135, psi, grid48, n),
-                            (E3, E1, E2)):
+        for got, ref in zip(af.bifurcation.mode_energies(
+                params135, as_planes(psi), grid48, velocity_factor(grid48, n)), (E3, E1, E2)):
             assert np.allclose(got, ref, rtol=1e-13, atol=0)
 
     def test_lattice_velocity_carries_the_kinetic_energy(self, params135, grid48):
@@ -88,10 +90,11 @@ class TestEnergyFunctionals:
         rng = np.random.default_rng(5)
         c = rng.standard_normal((M, 49)) + 1j * rng.standard_normal((M, 49))
         n = np.arange(1, M + 1)[:, None]
-        E3 = 4.0 * np.pi * af.bifurcation.mode_energies(params135, c, grid48, n)[0].sum()
+        E3 = 4.0 * np.pi * af.bifurcation.mode_energies(
+            params135, as_planes(c), grid48, velocity_factor(grid48, n))[0].sum()
 
         def gap(ntheta):
-            vr, vt = lattice_velocity(c, grid48, ntheta)
+            vr, vt = lattice_velocity(as_planes(c), grid48, ntheta)
             quad = grid48.weights @ (vr**2 + vt**2).sum(axis=1) * 2 * np.pi / ntheta
             return abs(quad - E3) / E3
 
@@ -126,7 +129,8 @@ class TestEnergyFunctionals:
         x = np.random.default_rng(N).standard_normal((4, N - 1))
         psi = np.pad(x, ((0, 0), (1, 1)))
         A, B = af.bifurcation.energy_pencil(params, mu, grid)
-        E3, E1, E2 = af.bifurcation.mode_energies(params, psi, grid)
+        E3, E1, E2 = af.bifurcation.mode_energies(params, as_planes(psi), grid,
+                                                  velocity_factor(grid, 1))
         slip = params.alpha - mu / params.a
         assert np.allclose(np.einsum("ki,ij,kj->k", x, B, x), E3,
                            rtol=1e-13, atol=0)

@@ -17,6 +17,7 @@ from annuflow.cli import main
 from annuflow.domain import RATIO_LIMIT
 from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
 from annuflow.sweep import SWEEP_HEADER, SweepRow, SweepSpec
+from conftest import rows
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -25,11 +26,12 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
-def assert_literal_dump(path, coeffs, grid, ntheta, lattice_reference):
+def assert_literal_dump(path, planes, grid, ntheta, lattice_reference):
     """The field CSV at path holds the grid nodes x theta_lattice(ntheta)
     and, to 1e-13 of each column's max, the literal modal sums of psi,
     v_r = -(1/r) d psi / d theta and v_theta = d psi / dr for the modal
-    rows coeffs."""
+    planes."""
+    coeffs = rows(planes)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     nr = len(grid.nodes)
     r, theta, *fields = (col.reshape(nr, ntheta) for col in data.T)
@@ -252,7 +254,7 @@ class TestSimulate:
         sim = af.Simulator(params, grid, mu=1.2, dt=0.005, ntheta=8)
         eig = af.leading_eigenpair(params, 1.2, grid)
         state, _ = sim.run(sim.init_from_mode(eig, 0.05), 5, 10)
-        assert_literal_dump(tmp_path / "snapshot.csv", state.psi, grid, 8,
+        assert_literal_dump(tmp_path / "snapshot.csv", state.planes, grid, 8,
                             lattice_reference)
 
     def test_cfl_exit_5(self, tmp_path, capsys):
@@ -293,6 +295,16 @@ class TestSimulate:
                             "--ntheta", "8", "-N", "32", "-o", str(tmp_path))
         assert code == 2
         assert doc["error"] == "ValueError"
+        validate_against_schema(doc, "error")
+
+    @pytest.mark.parametrize("eps_thr", ["1e200", "inf"])
+    def test_escape_threshold_square_must_be_finite(self, tmp_path, capsys, eps_thr):
+        # 1e200 squared overflows a float, and an infinite threshold is
+        # never reached: both are invalid input, rejected before a step
+        code, doc = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",
+                            "--eps-thr", eps_thr, "--dt", "0.005", "--ntheta", "8",
+                            "-N", "24", "-o", str(tmp_path))
+        assert code == 2 and doc["error"] == "ValueError"
         validate_against_schema(doc, "error")
 
     def test_escape_manifest_records_only_what_it_reads(self, tmp_path, capsys):

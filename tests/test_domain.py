@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.domain import RATIO_LIMIT, synthesis_table
+from annuflow.domain import RATIO_LIMIT, as_planes, synthesis_table
 
 
 class TestValidate:
@@ -49,7 +49,7 @@ class TestSynthesize:
         c = np.array([0.3 + 0.4j])
         coeffs = np.zeros((n, 1), complex)
         coeffs[n - 1] = c
-        phys = af.synthesize_physical(coeffs, ntheta)
+        phys = af.synthesize_physical(as_planes(coeffs), ntheta)
         theta = af.theta_lattice(ntheta)
         expected = 2 * np.real(c[0] * np.exp(1j * n * theta))
         assert np.allclose(phys.values[0], expected)
@@ -61,15 +61,34 @@ class TestSynthesize:
         M = ntheta // 2
         coeffs = rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
         ref = lattice_reference(coeffs, ntheta)
-        out = af.synthesize_lattice(coeffs, ntheta)
+        out = af.synthesize_lattice(as_planes(coeffs), ntheta)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n,ntheta", [(3, 5), (5, 8), (2, 3)])
     def test_unresolved_mode_rejected(self, n, ntheta):
         with pytest.raises(af.GridMismatch):
-            af.synthesize_lattice(np.ones((n, 3)), ntheta)
+            af.synthesize_lattice(np.ones((n, 2, 3)), ntheta)
         with pytest.raises(af.GridMismatch):
-            af.synthesize_lattice(np.ones((4, n, 3)), ntheta)
+            af.synthesize_lattice(np.ones((4, n, 2, 3)), ntheta)
+
+    def test_as_planes_takes_one_profile_or_a_stack(self):
+        c = np.array([1 + 2j, 3 - 4j])
+        assert np.array_equal(as_planes(c), [[1.0, 3.0], [2.0, -4.0]])
+        assert np.array_equal(as_planes(np.stack([c, 2 * c])),
+                              [as_planes(c), as_planes(2 * c)])
+        assert as_planes(c.real).dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 2, 5), (4, 3, 2, 5)])
+    def test_complex_rows_rejected(self, shape):
+        # a set of modes is real planes, as a simulator state is: complex
+        # rows raise, also where their shape would pass as planes
+        with pytest.raises(af.GridMismatch):
+            af.synthesize_lattice(np.ones(shape, complex), 8)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 1, 5), (3, 3, 5), (4, 3, 3, 5)])
+    def test_planes_axis_other_than_2_rejected(self, shape):
+        with pytest.raises(af.GridMismatch):
+            af.synthesize_lattice(np.ones(shape), 8)
 
     @pytest.mark.parametrize("ntheta", [4, 7, 8])
     def test_leading_axes_batch_the_transform(self, ntheta, lattice_reference):
@@ -78,10 +97,10 @@ class TestSynthesize:
         rng = np.random.default_rng(ntheta)
         shape = (3, 2, ntheta // 2, 5)
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out = af.synthesize_lattice(coeffs, ntheta)
+        out = af.synthesize_lattice(as_planes(coeffs), ntheta)
         assert out.shape == (3, 2, 5, ntheta)
         for idx in np.ndindex(3, 2):
-            assert np.array_equal(out[idx], af.synthesize_lattice(coeffs[idx], ntheta))
+            assert np.array_equal(out[idx], af.synthesize_lattice(as_planes(coeffs[idx]), ntheta))
             ref = lattice_reference(coeffs[idx], ntheta)
             assert np.abs(out[idx] - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -109,7 +128,7 @@ class TestSynthesize:
         rng = np.random.default_rng(7)
         ntheta = 32
         coeffs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        back = np.fft.rfft(af.synthesize_lattice(coeffs, ntheta), axis=1) / ntheta
+        back = np.fft.rfft(af.synthesize_lattice(as_planes(coeffs), ntheta), axis=1) / ntheta
         assert np.allclose(back[:, 0], 0.0, atol=1e-12)
         for n, c in enumerate(coeffs, start=1):
             assert np.allclose(back[:, n], c, atol=1e-12)

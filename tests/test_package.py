@@ -152,6 +152,15 @@ def test_no_module_reads_fft(path):
     assert "fft" not in _read_names(path.read_text())
 
 
+def test_simulator_builds_no_complex_array():
+    # the simulator's state, step and diagnostics stay on real planes: it
+    # writes no complex literal and reads no real, imag or psi name
+    source = (ROOT / "src" / "annuflow" / "simulator.py").read_text()
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant) and isinstance(node.value, complex)]
+    assert not {"real", "imag", "psi"} & _read_names(source)
+
+
 def test_every_export_is_used():
     # a re-exported name is read inside the package, shown in the README
     # or used by the benchmark; otherwise it is dead public surface

@@ -3,8 +3,8 @@ import pytest
 
 import annuflow as af
 import annuflow.simulator
-from annuflow.bifurcation import lattice_velocity
-from conftest import planes, rows
+from annuflow import as_planes
+from conftest import lattice_velocity, rows
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ class TestZeroState:
         st = sim.zero_state()
         for _ in range(1000):
             st = sim.step(st)
-        assert all(np.abs(c).max() == 0.0 for c in st.psi)
+        assert all(np.abs(c).max() == 0.0 for c in rows(st.planes))
 
     def test_zero_amplitude_init(self, stable):
         pr, mu, g, eig = stable
@@ -125,9 +125,9 @@ class TestLinearRates:
         lams = af.generalized_eig(pencil, 1e6 * mu / 4.0)
         lam2, vec2 = lams[0], af.eigenvector(pencil, lams[0].real)
         sim = af.Simulator(pr, g, mu=mu, dt=0.001, ntheta=8, nonlinear=False)
-        psi = sim.zero_state().psi.copy()
+        psi = rows(sim.zero_state().planes)
         psi[1] = 1e-4 * vec2 / np.abs(vec2).max()
-        st = af.SimState(0.0, planes(psi))
+        st = af.SimState(0.0, as_planes(psi))
         _, diags = sim.run(st, 100, sample_every=10)
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
@@ -183,6 +183,27 @@ class TestEnergyBalance:
         sim.energy_residual(s0, s1)
         assert len(calls) == 2
 
+    def test_energies_hand_mode_energies_the_planes(self, unstable, monkeypatch):
+        # energies, diagnostics and energy_residual pass each state's real
+        # planes themselves to the energy functionals, no complex rows
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        s0 = sim.init_from_mode(eig, 1e-3)
+        s1 = sim.step(s0)
+        seen = []
+        orig = af.simulator.mode_energies
+
+        def recorded(params, modes, *args, **kwargs):
+            seen.append(modes)
+            return orig(params, modes, *args, **kwargs)
+
+        monkeypatch.setattr(af.simulator, "mode_energies", recorded)
+        sim.energies(s0)
+        sim.diagnostics(s1)
+        sim.energy_residual(s0, s1)
+        assert [m is st.planes for m, st in zip(seen, (s0, s1, s0, s1))] == [True] * 4
+        assert all(m.dtype == np.float64 and m.shape == (sim.K, 2, g.N + 1) for m in seen)
+
     def test_run_samples_carry_the_step_residual(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
@@ -211,7 +232,7 @@ class TestEnergyBalance:
         rng = np.random.default_rng(ntheta)
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.K + 1)])
-        st = af.SimState(0.0, planes(psi))
+        st = af.SimState(0.0, as_planes(psi))
         E3 = sim.energies(st)[0]
         monkeypatch.setattr(af.simulator, "mode_energies",
                             lambda *a, **k: pytest.fail("E1 and E2 formed"))
@@ -236,9 +257,9 @@ class TestStructure:
         psi = np.zeros(((ntheta - 1) // 3, g.N + 1), complex)
         psi[:modes] = [(rng.standard_normal() + 1j * rng.standard_normal())
                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, modes + 1)]
-        state = af.SimState(0.0, planes(psi))
+        state = af.SimState(0.0, as_planes(psi))
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
-        lim = sim.cfl_limit(*lattice_velocity(psi, g, ntheta))
+        lim = sim.cfl_limit(*lattice_velocity(state.planes, g, ntheta))
         with pytest.raises(af.CFLViolation) as exc:
             af.Simulator(pr, g, mu=mu, dt=1.001 * lim, ntheta=ntheta).step(state)
         printed = float(str(exc.value).rsplit(" ", 1)[1])
@@ -248,30 +269,29 @@ class TestStructure:
     def test_non_finite_state_raises_solver_failure(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
-        psi = sim.init_from_mode(eig, 1e-2).psi.copy()
+        psi = rows(sim.init_from_mode(eig, 1e-2).planes)
         psi[0] = np.nan
-        st = af.SimState(0.0, planes(psi))
+        st = af.SimState(0.0, as_planes(psi))
         with pytest.raises(af.SolverFailure):
             sim.step(st)
 
     def test_derived_state_is_read_only(self, unstable):
-        # psi is derived from the planes on access, so a write into it would
-        # change nothing; it raises instead, as a write into the planes does
+        # a write into a state's planes or its previous advection raises
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.step(sim.init_from_mode(eig, 1e-2))
         with pytest.raises(ValueError):
-            st.psi[0] = np.nan
+            st.planes[0] = np.nan
         with pytest.raises(ValueError):
             st.prev_planes[0] = np.nan
-        assert np.isfinite(st.psi).all() and np.isfinite(st.prev_planes).all()
+        assert np.isfinite(st.planes).all() and np.isfinite(st.prev_planes).all()
 
     def test_state_takes_real_planes(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
-        psi = sim.init_from_mode(eig, 1e-2).psi
-        X = planes(psi)
-        for bad in ((psi,), (X, psi), (X, planes(np.vstack([psi, psi]))),
+        psi = rows(sim.init_from_mode(eig, 1e-2).planes)
+        X = as_planes(psi)
+        for bad in ((psi,), (X, psi), (X, as_planes(np.vstack([psi, psi]))),
                     (X, X[:, :, 1:].copy()), (X[0],), (X, X[:1].copy())):
             with pytest.raises(af.GridMismatch):
                 af.SimState(0.0, *bad)
@@ -285,9 +305,9 @@ class TestStructure:
         rng = np.random.default_rng(ntheta)
         for _ in range(10):
             shape = (sim.K, g.N + 1)
-            st = af.SimState(0.0, planes(rng.standard_normal(shape)
-                                         + 1j * rng.standard_normal(shape)))
-            assert sim.max_psi(st) == np.abs(af.synthesize_lattice(st.psi, ntheta)).max()
+            st = af.SimState(0.0, as_planes(rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)))
+            assert sim.max_psi(st) == np.abs(af.synthesize_lattice(st.planes, ntheta)).max()
 
     @pytest.mark.parametrize("ntheta", [8, 32])
     def test_step_does_no_fft(self, unstable, ntheta, monkeypatch):
@@ -301,7 +321,7 @@ class TestStructure:
         for target, name in ((np.fft, "rfft"), (np.fft, "irfft"),
                              (af.domain, "synthesize_lattice")):
             monkeypatch.setattr(target, name, lambda *a, **k: pytest.fail("FFT in a step"))
-        s2 = sim.step(sim.step(af.SimState(0.0, planes(psi))))
+        s2 = sim.step(sim.step(af.SimState(0.0, as_planes(psi))))
         assert s2.t == pytest.approx(0.02) and np.abs(s2.prev_planes).max() > 0
 
     def test_rotational_equivariance_100_steps(self, unstable):
@@ -314,9 +334,10 @@ class TestStructure:
             a_state = sim.step(a_state)
             b_state = sim.step(b_state)
         rotated_after = a_state.rotated(theta0)
-        for n in range(len(a_state.psi)):
-            scale = max(np.abs(rotated_after.psi[n]).max(), 1e-30)
-            diff = np.abs(rotated_after.psi[n] - b_state.psi[n]).max()
+        a_rows, b_rows = rows(rotated_after.planes), rows(b_state.planes)
+        for n in range(len(a_rows)):
+            scale = max(np.abs(a_rows[n]).max(), 1e-30)
+            diff = np.abs(a_rows[n] - b_rows[n]).max()
             assert diff < 1e-8 * max(scale, 1.0)
 
     def test_field_is_real(self, unstable):
@@ -325,7 +346,7 @@ class TestStructure:
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 20, sample_every=20)
         # the synthesized lattice field is real by construction
-        phys = af.synthesize_physical(st.psi, 16)
+        phys = af.synthesize_physical(st.planes, 16)
         assert np.isrealobj(phys.values)
 
     def test_velocity_lattice_matches_literal_sum(self, unstable, lattice_reference):
@@ -334,7 +355,7 @@ class TestStructure:
         rng = np.random.default_rng(8)
         c = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                       * np.sin(n * g.nodes) * eig.psi1 for n in range(1, 5)])
-        vr, vt = lattice_velocity(c, g, 8)
+        vr, vt = lattice_velocity(as_planes(c), g, 8)
         n = np.arange(1, 5)[:, None]
         ref_r = lattice_reference(-1j * n * c / g.nodes, 8)
         ref_t = lattice_reference(np.array([g.d1 @ ck for ck in c]), 8)
@@ -357,7 +378,7 @@ class TestStructure:
         psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * r + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.K + 1)])
-        nl = rows(sim.step(af.SimState(0.0, planes(psi))).prev_planes)
+        nl = rows(sim.step(af.SimState(0.0, as_planes(psi))).prev_planes)
         ref = advection_reference(psi, g, sim.K, np.clongdouble)
         assert nl.shape == psi.shape
         assert np.abs(nl - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -374,14 +395,14 @@ class TestStructure:
         psi = np.array([0.02 * (rng.standard_normal() + 1j * rng.standard_normal())
                         * np.sin(n * g.nodes + rng.uniform(0, np.pi)) * eig.psi1
                         for n in range(1, sim.K + 1)])
-        s0 = af.SimState(0.0, planes(psi))
+        s0 = af.SimState(0.0, as_planes(psi))
         s1 = sim.step(s0)
         s2 = sim.step(s1)
         forces = ([rows(s1.prev_planes), rows(1.5 * s2.prev_planes - 0.5 * s1.prev_planes)]
                   if nonlinear else [np.zeros_like(psi)] * 2)
         for before, after, force in zip((s0, s1), (s1, s2), forces):
-            ref = implicit_reference(sim, before.psi, force)
-            assert np.abs(after.psi - ref).max() <= 1e-10 * np.abs(ref).max()
+            ref = implicit_reference(sim, rows(before.planes), force)
+            assert np.abs(rows(after.planes) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_singular_implicit_matrix_fails_at_construction(self, unstable, monkeypatch):
         # a zero pencil makes every implicit matrix zero
@@ -405,10 +426,10 @@ class TestStructure:
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(eig, 1e-2)
         st, _ = sim.run(st, 10, sample_every=10)
-        rows = af.navier_slip_bcs(g, pr, mu=mu)
-        for c in st.psi:
+        bc = af.navier_slip_bcs(g, pr, mu=mu)
+        for c in rows(st.planes):
             scale = max(np.abs(c).max(), 1e-30)
-            assert np.abs(rows @ c).max() < 1e-8 * max(scale, 1.0)
+            assert np.abs(bc @ c).max() < 1e-8 * max(scale, 1.0)
 
 
     def test_boundary_rows_at_unit_scale(self):
@@ -419,10 +440,11 @@ class TestStructure:
         g = af.build_grid(1, 3, 48)
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
         st = sim.init_from_mode(af.leading_eigenpair(pr, mu, g), 0.2)
-        rows = af.navier_slip_bcs(g, pr, mu)
+        bc = af.navier_slip_bcs(g, pr, mu)
         for _ in range(300):
             st = sim.step(st)
-            assert np.abs(st.psi @ rows.T).max() <= 1e-10 * np.abs(st.psi).max()
+            psi = rows(st.planes)
+            assert np.abs(psi @ bc.T).max() <= 1e-10 * np.abs(psi).max()
 
 
 class TestEscape:
@@ -464,8 +486,10 @@ class TestEscape:
             af.escape_experiment(sim, eig, [1e-6], eps_thr=1e-2)
 
     @pytest.mark.parametrize("eps_thr,deltas", [
-        (-1.0, [1e-3]), (0.0, [1e-3]), (1e-2, [1e-3, 0.0]), (1e-2, [-1e-3])],
-        ids=["eps-negative", "eps-zero", "delta-zero", "delta-negative"])
+        (-1.0, [1e-3]), (0.0, [1e-3]), (1e-2, [1e-3, 0.0]), (1e-2, [-1e-3]),
+        (1e200, [1e-3]), (np.inf, [1e-3]), (1e-200, [1e-3])],
+        ids=["eps-negative", "eps-zero", "delta-zero", "delta-negative",
+             "eps-square-overflows", "eps-inf", "eps-square-underflows"])
     def test_nonpositive_inputs_rejected(self, unstable, eps_thr, deltas):
         # the zero state never grows: delta = 0 would step to max_steps
         pr, mu, g, eig = unstable
