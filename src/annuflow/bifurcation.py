@@ -278,15 +278,22 @@ class BifurcationReport:
         return synthesize_physical(self.coeffs(s), ntheta)
 
 
+#: bifurcate's and sweep's default mu = mu_c (1 + DEFAULT_MU_OFFSET)
+DEFAULT_MU_OFFSET = -1e-4
+
+
 def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
                        g11: np.ndarray) -> BifurcationReport:
     """Classify the pitchfork by sign(l) and attach the branch constructor.
 
-    The amplitude |s| = sqrt(-lambda_1 / l) is defined only when lambda_1
-    and l have opposite signs (the side of mu_c where the branch lives).
+    At fixed b/a and mu / mu_c, l scales as 1 / (alpha a^5), so the class
+    depends on those two alone, and so does the dead zone: |l| <= 1e-10 /
+    (alpha a (b - a)^4), 3e-12 to 2e-11 of |l| at mu_c, raises
+    DegenerateCoefficient. The amplitude |s| = sqrt(-lambda_1 / l) is
+    defined only when lambda_1 and l have opposite signs (the side of mu_c
+    where the branch lives).
     """
-    # dead zone for sign(l): 1e-10 of the natural coefficient scale
-    tol = 1e-10 * params.a * params.alpha / (params.b - params.a) ** 4
+    tol = 1e-10 / (params.alpha * params.a * (params.b - params.a) ** 4)
     if abs(l) <= tol:
         raise DegenerateCoefficient(f"|l| = {abs(l)} below tolerance {tol}")
     cls = Classification.SUPERCRITICAL if l < 0 else Classification.SUBCRITICAL

@@ -22,10 +22,10 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__
-from .bifurcation import bifurcation_report, leading_eigenpair
+from .bifurcation import DEFAULT_MU_OFFSET, bifurcation_report, leading_eigenpair
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
-from .domain import synthesize_lattice, validate
+from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (
     json_text,
@@ -101,7 +101,7 @@ def cmd_bifurcate(args) -> dict:
         raise InvalidPhysics(f"--phases must be >= 0, got {args.phases}")
     params = validate(args.a, args.b, args.alpha, args.mu)
     muc = mu_c_closed(params)
-    mu = args.mu if args.mu is not None else muc * (1.0 - 1e-4)
+    mu = args.mu if args.mu is not None else muc * (1.0 + DEFAULT_MU_OFFSET)
     grid = build_grid(params.a, params.b, args.N)
     report = bifurcation_report(params, mu, grid)
     if report.amplitude is None:
@@ -118,9 +118,9 @@ def cmd_bifurcate(args) -> dict:
     for j in range(args.phases):
         planes = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
         base = os.path.join(out, f"field_phase{j}")
-        write_field_csv(base + ".csv", planes, grid, args.ntheta)
+        psi = write_field_csv(base + ".csv", planes, grid, args.ntheta)[0]
         with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(synthesize_lattice(planes, args.ntheta), grid.nodes))
+            fh.write(field_svg(psi, grid.nodes))
         outputs += [base + ".csv", base + ".svg"]
     return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
 

@@ -52,20 +52,22 @@ def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
 
 
 def write_field_csv(path: str, planes: np.ndarray, grid: RadialGrid,
-                    ntheta: int) -> None:
+                    ntheta: int) -> np.ndarray:
     """Dump the state whose modal planes are ``planes`` (row n - 1 holds
     mode n): one (r, theta, psi, v_r, v_theta) row per point of the grid
     nodes x :func:`theta_lattice` (ntheta), r outer, theta in radians; psi
-    and :func:`modal_velocity` in one batched :func:`synthesize_lattice` call."""
+    and :func:`modal_velocity` in one batched :func:`synthesize_lattice`
+    call, whose (3, N+1, ntheta) lattices of (psi, v_r, v_theta) it returns."""
     r, theta = np.meshgrid(grid.nodes, theta_lattice(ntheta), indexing="ij")
     n = np.arange(1, len(planes) + 1)[:, None]
     v = modal_velocity(planes, grid, velocity_factor(grid, n))
-    columns = (r, theta, *synthesize_lattice(np.concatenate([planes[None], v]), ntheta))
-    row = ",".join(["{:.17g}"] * len(columns)).format
+    fields = synthesize_lattice(np.concatenate([planes[None], v]), ntheta)
+    row = ",".join(["{:.17g}"] * len(FIELD_HEADER)).format
     lines = [",".join(FIELD_HEADER)]
-    lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in columns))]
+    lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in (r, theta, *fields)))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
+    return fields
 
 
 def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bifurcation import EigenResult, bifurcation_report, classify_and_build
+from .bifurcation import DEFAULT_MU_OFFSET, bifurcation_report
 from .critical import mu_c_closed
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, TooCoarse
@@ -37,7 +37,7 @@ class SweepSpec:
     alpha_samples: int = 6
     b_range: tuple[float, float] = (5.0, 15.0)
     b_samples: int = 6
-    mu_offset: float = -1e-4
+    mu_offset: float = DEFAULT_MU_OFFSET
     N: int = 48
 
     def __post_init__(self):
@@ -98,35 +98,24 @@ def evaluate_column(a: float, b: float, alphas: list[float], mu_offset: float,
     At fixed a, b and mu / mu_c the slip rows' alpha / mu is fixed, and
     with k = alpha / alphas[0] every interior row of the mode-1 and mode-2
     pencils scales by k. So Psi_1 is shared, and lambda_1, G11 and l scale
-    by k, 1/k and 1/k; each row is still classified at its own alpha.
+    by k, 1/k and 1/k. classify_and_build's dead zone scales as l does, so
+    the class is fixed by b/a and mu / mu_c, and every row takes the base's.
     """
     try:
         params = validate(a, b, alphas[0])
         base = bifurcation_report(params, mu_c_closed(params) * (1.0 + mu_offset),
                                   grid)
     except AnnuflowError as exc:
-        return [_failed(alpha, b, exc) for alpha in alphas]
+        return [SweepRow(alpha=alpha, b=b, mu_c=None, lambda1=None, l=None,
+                         classification="", status=f"{type(exc).__name__}: {exc}")
+                for alpha in alphas]
     rows = []
     for alpha in alphas:
         k = alpha / alphas[0]
-        try:
-            params = validate(a, b, alpha)
-            muc = mu_c_closed(params)
-            eig = EigenResult(lambda1=base.lambda1 * k, psi1=base.psi1,
-                              mu=muc * (1.0 + mu_offset))
-            report = classify_and_build(params, eig, base.l / k, base.g11 / k)
-            rows.append(SweepRow(alpha=alpha, b=b, mu_c=muc,
-                                 lambda1=report.lambda1, l=report.l,
-                                 classification=report.classification.value,
-                                 status="ok"))
-        except AnnuflowError as exc:
-            rows.append(_failed(alpha, b, exc))
+        rows.append(SweepRow(alpha=alpha, b=b, mu_c=mu_c_closed(validate(a, b, alpha)),
+                             lambda1=base.lambda1 * k, l=base.l / k,
+                             classification=base.classification.value, status="ok"))
     return rows
-
-
-def _failed(alpha: float, b: float, exc: AnnuflowError) -> SweepRow:
-    return SweepRow(alpha=alpha, b=b, mu_c=None, lambda1=None, l=None,
-                    classification="", status=f"{type(exc).__name__}: {exc}")
 
 
 def evaluate_point(a: float, b: float, alpha: float, mu_offset: float,

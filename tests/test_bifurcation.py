@@ -239,6 +239,22 @@ class TestClassification:
         with pytest.raises(af.DegenerateCoefficient):
             af.classify_and_build(pr, eig, 0.0, g11)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [5.0, 1e6])
+    def test_dead_zone_takes_the_scale_of_l(self, eig_099, a, alpha):
+        # l scales as 1 / (alpha a^5) at fixed b/a, and the dead zone with it
+        _, _, eig = eig_099
+        pr = af.validate(a, 3 * a, alpha)
+        tol = 1e-10 / (alpha * a * (2 * a) ** 4)
+        g11 = np.zeros(5, complex)
+        for sign in (-1.0, 1.0):
+            with pytest.raises(af.DegenerateCoefficient):
+                af.classify_and_build(pr, eig, sign * 0.5 * tol, g11)
+            rep = af.classify_and_build(pr, eig, sign * 2.0 * tol, g11)
+            assert rep.classification is (af.Classification.SUPERCRITICAL
+                                          if sign < 0 else
+                                          af.Classification.SUBCRITICAL)
+
     def test_amplitude_from_rate_ratio(self, eig_099, report_099):
         _, _, eig = eig_099
         assert report_099.amplitude == pytest.approx(

@@ -199,6 +199,43 @@ class TestBifurcate:
         assert code == 0
         assert len(calls) == 1
 
+    def test_synthesizes_each_phase_once(self, tmp_path, capsys, monkeypatch):
+        # the SVG draws the psi lattice that the field CSV wrote
+        import annuflow.io
+        synth = annuflow.io.synthesize_lattice
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(annuflow.io, "synthesize_lattice", counted)
+        monkeypatch.setattr(annuflow.cli, "synthesize_lattice", counted, raising=False)
+        code, _ = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "3",
+                          "-N", "24", "--ntheta", "16", "-o", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_default_mu_is_the_shared_offset(self, tmp_path, capsys):
+        from annuflow.bifurcation import DEFAULT_MU_OFFSET
+        code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "-N", "24",
+                            "-o", str(tmp_path))
+        assert code == 0
+        assert doc["mu"] == doc["mu_c"] * (1.0 + DEFAULT_MU_OFFSET)
+        assert SweepSpec().mu_offset == DEFAULT_MU_OFFSET
+
+    def test_large_alpha_is_classified(self, tmp_path, capsys):
+        # alpha l depends on b/a alone; the parent's dead zone grew with
+        # alpha and refused (1, 3, 1e6) as DegenerateCoefficient
+        scaled = []
+        for alpha in ("5", "1e6"):
+            code, doc = run_cli(capsys, "bifurcate", "1", "3", alpha,
+                                "-o", str(tmp_path / alpha))
+            assert code == 0
+            assert doc["classification"] == "Supercritical"
+            scaled.append(doc["alpha"] * doc["l"])
+        assert abs(scaled[1] - scaled[0]) <= 1e-9
+
     def test_unresolved_ntheta_exit_2(self, tmp_path, capsys):
         # psi_s carries modes 1 and 2, which three angles cannot resolve
         code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "1",

@@ -112,6 +112,33 @@ class TestRescaling:
                 assert row.lambda1 == pytest.approx(direct.lambda1, rel=1e-8, abs=0)
                 assert row.l == pytest.approx(direct.l, rel=1e-8, abs=0)
 
+    def test_large_alphas_keep_the_class(self):
+        # the parent's dead zone grew with alpha and marked the rows at
+        # 5.0e5 and 1e6 DegenerateCoefficient
+        spec = af.SweepSpec(alpha_range=(5.0, 1e6), alpha_samples=5,
+                            b_range=(3.0, 3.0), b_samples=1, N=48)
+        rows = af.sweep_l(spec)
+        assert all(r.status == "ok" for r in rows)
+        assert all(r.classification == "Supercritical" for r in rows)
+        scaled = [r.alpha * r.l for r in rows]
+        assert max(scaled) - min(scaled) <= 1e-12 * abs(scaled[0])
+
+    def test_classifies_once_per_b(self, small_spec, monkeypatch):
+        import annuflow.bifurcation
+        import annuflow.sweep
+        classify = annuflow.bifurcation.classify_and_build
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(annuflow.bifurcation, "classify_and_build", counted)
+        monkeypatch.setattr(annuflow.sweep, "classify_and_build", counted,
+                            raising=False)
+        af.sweep_l(small_spec)
+        assert len(calls) == small_spec.b_samples
+
     def test_failed_reduction_fails_every_alpha(self):
         spec = af.SweepSpec(alpha_range=(5.0, 15.0), alpha_samples=3,
                             b_range=(1000.0, 1000.0), b_samples=1, N=48)
