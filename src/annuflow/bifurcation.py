@@ -247,7 +247,9 @@ def lyapunov_coeff(psi1: np.ndarray, g11: np.ndarray,
     total = interaction(c, -1, g11, 2, grid) + interaction(g11, 2, c, -1, grid)
     # Python complex division: numpy's rounds l differently in the last ulps
     num = -complex(grid.weights @ (total * c))
-    den = -complex(grid.weights @ ((laplacian_n(grid, 1) @ psi1) * c))
+    # Delta_1 applied to psi1 without forming its matrix
+    lap = grid.d2 @ psi1 + (grid.d1 @ psi1) / grid.nodes - psi1 / grid.nodes**2
+    den = -complex(grid.weights @ (lap * c))
     val = num / den
     return float(val.real), float(val.imag)
 

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b", type=float)
     sp.add_argument("alpha", type=float)
     sp.add_argument("--mu", type=float, default=None,
-                    help="viscosity (default: mu_c * (1 - 1e-4))")
+                    help=f"viscosity (default: mu_c * (1 + {DEFAULT_MU_OFFSET:g}))")
     sp.add_argument("--phases", type=int, default=0,
                     help="emit this many bifurcated fields at phases 2 pi j / k")
     sp.add_argument("-N", type=int, default=48)

@@ -31,13 +31,15 @@ scipy. The products meet the boundary rows A_bc psi = 0 only to about
 1e-9 of max|psi|, so each step re-imposes them exactly by
 psi -= W (A_bc psi), W = lhs^-1 E_bc, with E_bc the boundary columns of
 the identity (so A_bc W = I). Being real, the propagators act on both
-planes of a mode at once, transposed: X P^T, F Q^T and
+planes of a mode at once, transposed: P and Q in one product
+[X | F] [P^T; Q^T] of the planes X and forcing F side by side, then
 X - (X A_bc^T) W^T. Dedalus steps its linear part the same way (Burns et
 al., Phys. Rev. Research 2, 023068, 2020).
 
 The advection is a pseudo-spectral product, computed on the planes with
-no complex arithmetic and no FFT. One product of the per-mode stack
-S_n = [Delta_n; d1 Delta_n] with the planes gives omega and d omega/dr,
+no complex arithmetic and no FFT. One product X S_n^T of the planes with
+the per-mode stack S_n = [Delta_n; d1 Delta_n], held transposed, gives
+omega and d omega/dr,
 and bifurcation.modal_velocity gives v_r and v_theta. -i n / r swaps the
 two planes with a sign, so v_r = -i n psi / r and -(1/r) d omega/dtheta
 cost one scaled copy each. The four lattice fields are one product with the
@@ -50,7 +52,9 @@ none of them aliases onto a mode n <= K: this is the 2/3-rule Galerkin
 truncation (Orszag, J. Atmos. Sci. 28 (1971) 1074; Boyd, Chebyshev and
 Fourier Spectral Methods, 2nd ed., ch. 11). The mean (n = 0) mode is
 dropped the same way, keeping the dynamics inside the zero-mean-swirl
-phase space. The CFL check and ``max_psi`` read the same table. The
+phase space. The CFL check and ``max_psi`` read the same table; the
+check reduces |v| over the angles before it divides by each radius's
+cell sizes. The
 table costs O(K L) per radius against an FFT's O(L log L): up to
 ntheta = 64 the few large products are the faster step.
 """
@@ -174,9 +178,10 @@ class Simulator:
         self.K = (ntheta - 1) // 3
         modes = range(1, self.K + 1)
         # omega needs the boundary-node rows of Delta_n that the mass zeroes;
-        # one product with S_n = [Delta_n; d1 Delta_n] gives omega and d omega/dr
+        # one product of the planes with S_n = [Delta_n; d1 Delta_n], held
+        # transposed and C-ordered, gives omega and d omega/dr
         lap = np.array([laplacian_n(grid, n) for n in modes])
-        self._S = np.concatenate([lap, grid.d1 @ lap], axis=1)
+        self._St = np.concatenate([lap, grid.d1 @ lap], axis=1).transpose(0, 2, 1).copy()
         pencils = [mode_pencil(grid, params, self.mu, n) for n in modes]
         A = np.array([p.matrix for p in pencils])
         B = np.array([p.mass for p in pencils])
@@ -193,24 +198,25 @@ class Simulator:
         if not np.isfinite(sol).all():
             raise SolverFailure("non-finite implicit propagator (singular matrix)")
         inv = sol[:, :, n1:]
-        # transposed, the propagators act on the (2, N+1) planes of each mode;
-        # P is copied so that the rest of the solve is freed
-        self._Pt = sol[:, :, :n1].copy().transpose(0, 2, 1)
+        # transposed, the propagators act on the (2, N+1) planes of each mode
         self._Wt = inv[:, :, BC_ROWS].transpose(0, 2, 1)
         inv[:, :, BC_ROWS] = 0.0
-        self._Qt = (self.dt * inv).transpose(0, 2, 1)
+        inv *= self.dt
+        # sol is now [P | Q]; [P^T; Q^T] acts on [X | F] in one product, and
+        # the linear step reads its P^T half
+        self._PQt = sol.transpose(0, 2, 1).copy()
         self._A_bct = A[:, BC_ROWS].transpose(0, 2, 1)
         self._factor = velocity_factor(grid, np.arange(1, self.K + 1)[:, None])
         # synthesis (ntheta, 2K) and analysis (2K, ntheta) tables; the
         # analysis table is copied C-ordered, as BLAS's sums depend on it
         self._synth = synthesis_table(self.K, ntheta)
         self._analysis = (self._synth.T / (2 * ntheta)).copy()
-        # per-node advective cell sizes: radial spacing (distance to the
-        # nearer neighbor) and local azimuthal arc length
+        # per-node advective cell sizes, one row per velocity component:
+        # radial spacing (distance to the nearer neighbor) for v_r and
+        # local azimuthal arc length for v_theta
         dr = np.abs(np.diff(grid.nodes))
-        self._dr_local = np.minimum(np.append(dr, dr[-1]),
-                                    np.append(dr[0], dr))
-        self._arc_local = grid.nodes * 2.0 * np.pi / ntheta
+        self._cells = np.stack([np.minimum(np.append(dr, dr[-1]), np.append(dr[0], dr)),
+                                grid.nodes * 2.0 * np.pi / ntheta])
 
     # ------------------------------------------------------------- state
 
@@ -236,14 +242,15 @@ class Simulator:
 
     # ----------------------------------------------------------- physics
 
-    def cfl_limit(self, vr: np.ndarray, vt: np.ndarray) -> float:
-        """Largest admissible dt for the velocity (v_r, v_theta) on the
-        ntheta lattice: 0.5 / max crossing rate, where each component is
+    def cfl_limit(self, v: np.ndarray) -> float:
+        """Largest admissible dt for the (2, ntheta, N+1) lattice velocity
+        (v_r, v_theta): 0.5 / max crossing rate, where each component is
         measured against the cell size it crosses (radial spacing for v_r,
-        local arc length for v_theta). Infinite for a zero velocity."""
-        rate_r = (np.abs(vr) / self._dr_local[:, None]).max()
-        rate_t = (np.abs(vt) / self._arc_local[:, None]).max()
-        rate = max(rate_r, rate_t)
+        local arc length for v_theta). |v| is reduced over theta first:
+        dividing by a positive size keeps the order of rounded values, so
+        the maximum is the full lattice's, bit for bit. Infinite for a
+        zero velocity."""
+        rate = (np.abs(v).max(axis=1) / self._cells).max()
         return float(0.5 / rate) if rate > 0 else float("inf")
 
     def step(self, state: SimState) -> SimState:
@@ -256,26 +263,28 @@ class Simulator:
         # and -(1/r) d omega/dtheta
         fields = np.empty((4 if self.nonlinear else 2, K, 2, n1))
         modal_velocity(X, self.grid, self._factor, out=fields[:2])
-        # the radial product S_n X^T, whose sums the advection's 1e-13
+        # the radial product X S_n^T, whose sums the advection's 1e-13
         # reference bound was set on
         if self.nonlinear:
-            omega = (self._S @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
+            omega = X @ self._St
             fields[2] = omega[:, :, n1:]
             np.multiply(omega[:, ::-1, :n1], self._factor, out=fields[3])
         # synthesized on the lattice, one (ntheta, N+1) array per field
         f = self._synth @ fields.reshape(len(fields), 2 * K, n1)
-        limit = self.cfl_limit(f[0].T, f[1].T)
+        limit = self.cfl_limit(f[:2])
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
-        new = X @ self._Pt
-        nl = None
         if self.nonlinear:
             # -v . grad omega = v_theta f[3] - v_r d omega/dr
             nl = (self._analysis @ (f[1] * f[3] - f[0] * f[2])).reshape(K, 2, n1)
             prev = state.prev_planes
             force = nl if prev is None else 1.5 * nl - 0.5 * prev
-            new += force @ self._Qt
+            # P and Q act in one product of [X | F]
+            new = np.concatenate([X, force], axis=2) @ self._PQt
+        else:
+            nl = None
+            new = X @ self._PQt[:, :n1]
         # re-impose the boundary rows, which the products meet only to ~1e-9
         new -= (new @ self._A_bct) @ self._Wt
         if not np.isfinite(new).all():

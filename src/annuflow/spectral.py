@@ -163,22 +163,26 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
 
 def _row_lu(matrix: np.ndarray) -> tuple:
     """A solve x = matrix^-1 f on the LU factors of ``matrix`` with every
-    row scaled to unit max-norm, and the scaled matrix's infinity-norm
-    condition number (LAPACK gecon on the factors; 0.65-0.78 times the
-    2-norm one on thin-gap G11 matrices). Boundary rows are O(1) while
-    interior rows grow like N^8: unscaled, the condition number reflects
-    row scaling rather than a shift near an eigenvalue, and the LU loses
-    the interior digits."""
+    row scaled to unit max-norm, and a function that gives the scaled
+    matrix's infinity-norm condition number (LAPACK gecon on the factors,
+    run only when it is called; 0.65-0.78 times the 2-norm one on
+    thin-gap G11 matrices). Boundary rows are O(1) while interior rows
+    grow like N^8: unscaled, the condition number reflects row scaling
+    rather than a shift near an eigenvalue, and the LU loses the interior
+    digits."""
     import scipy.linalg as sla
 
     scale = np.abs(matrix).max(axis=1)
     if not np.all(scale > 0):
         raise SingularSystem("operator has an identically zero row")
     scaled = matrix / scale[:, None]
-    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (scaled,))
-    lu, piv, info = getrf(scaled)
-    rcond, _ = gecon(lu, np.abs(scaled).sum(axis=1).max(), norm="I")
-    cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
+    lu, piv, info = sla.get_lapack_funcs("getrf", (scaled,))(scaled)
+
+    def cond() -> float:
+        gecon = sla.get_lapack_funcs("gecon", (lu,))
+        rcond, _ = gecon(lu, np.abs(scaled).sum(axis=1).max(), norm="I")
+        return np.inf if info > 0 or rcond == 0 else 1.0 / rcond
+
     return (lambda f: sla.lu_solve((lu, piv), f / scale)), cond
 
 
@@ -190,7 +194,7 @@ def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     f = np.array(rhs, dtype=complex)
     f[BC_ROWS] = 0.0
     solve, cond = _row_lu(matrix)
-    if cond > COND_LIMIT:
+    if cond() > COND_LIMIT:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")

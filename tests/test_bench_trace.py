@@ -53,6 +53,25 @@ print(json.dumps({{"codes": codes, "absent": sorted(absent),
 """
 
 
+SIM_SCRIPT = """
+import json, sys
+sys.path.insert(0, {bench!r})
+import spans
+import annuflow as af
+
+rec = spans.Recorder()
+absent = spans.install(rec)
+params = af.validate(1.0, 3.0, 5.0)
+grid = af.build_grid(1.0, 3.0, 24)
+sim = af.Simulator(params, grid, mu=1.2, dt=0.005, ntheta=8)
+sim.run(sim.init_from_mode(af.leading_eigenpair(params, 1.2, grid), 1e-2), 7,
+        sample_every=7)
+names = [s[0] for s in rec.spans]
+print(json.dumps({{"absent": sorted(absent),
+                  "calls": {{n: names.count(n) for n in set(names)}}}}))
+"""
+
+
 def run_traced(script: str) -> dict:
     """Run script in a fresh interpreter on this checkout's src/; return
     the JSON document on its last stdout line."""
@@ -88,3 +107,14 @@ def test_traced_cli_field_outputs(tmp_path):
     assert out["absent"] == []
     assert out["counters"]["io.write_field_csv.bytes"] > 0
     assert out["counters"]["contours.field_svg.bytes"] > 0
+
+
+def test_traced_simulator_layers():
+    # each traced simulator layer keeps its meaning: one CFL check per
+    # step and one batched solve per constructor
+    out = run_traced(SIM_SCRIPT.format(bench=os.path.join(ROOT, "bench")))
+    assert out["absent"] == []
+    calls = out["calls"]
+    assert calls["simulator.step"] == 7
+    assert calls["simulator.cfl_limit"] == 7
+    assert calls["simulator.Simulator"] == calls["simulator.lu_solve"] == 1

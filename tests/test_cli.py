@@ -13,6 +13,7 @@ import annuflow.cli
 import annuflow.critical
 import annuflow.simulator
 from annuflow import errors
+from annuflow.bifurcation import DEFAULT_MU_OFFSET
 from annuflow.cli import main
 from annuflow.domain import RATIO_LIMIT
 from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
@@ -223,6 +224,15 @@ class TestBifurcate:
         assert code == 0
         assert doc["mu"] == doc["mu_c"] * (1.0 + DEFAULT_MU_OFFSET)
         assert SweepSpec().mu_offset == DEFAULT_MU_OFFSET
+
+    @pytest.mark.parametrize("offset", [DEFAULT_MU_OFFSET, -3e-5])
+    def test_help_shows_the_default_offset(self, capsys, monkeypatch, offset):
+        # the --mu help is formatted from the constant, so it follows it
+        monkeypatch.setattr(annuflow.cli, "DEFAULT_MU_OFFSET", offset)
+        with pytest.raises(SystemExit) as exc:
+            main(["bifurcate", "--help"])
+        assert exc.value.code == 0
+        assert f"mu_c * (1 + {offset:g})" in " ".join(capsys.readouterr().out.split())
 
     def test_large_alpha_is_classified(self, tmp_path, capsys):
         # alpha l depends on b/a alone; the parent's dead zone grew with

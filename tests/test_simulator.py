@@ -251,7 +251,8 @@ class TestStructure:
     def test_cfl_check_reads_lattice_velocity(self, unstable, ntheta, modes):
         # the step's limit is lattice_velocity's on the ntheta lattice, to
         # the 4 digits its message prints; v_r sets it with modes 1..K = 2
-        # on ntheta = 8, v_theta with mode 1 on 32
+        # on ntheta = 8, v_theta with mode 1 on 32. cfl_limit takes the
+        # step's (2, ntheta, N+1) layout
         pr, mu, g, eig = unstable
         rng = np.random.default_rng(ntheta)
         psi = np.zeros(((ntheta - 1) // 3, g.N + 1), complex)
@@ -259,12 +260,32 @@ class TestStructure:
                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, modes + 1)]
         state = af.SimState(0.0, as_planes(psi))
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
-        lim = sim.cfl_limit(*lattice_velocity(state.planes, g, ntheta))
+        lim = sim.cfl_limit(np.swapaxes(lattice_velocity(state.planes, g, ntheta), 1, 2))
         with pytest.raises(af.CFLViolation) as exc:
             af.Simulator(pr, g, mu=mu, dt=1.001 * lim, ntheta=ntheta).step(state)
         printed = float(str(exc.value).rsplit(" ", 1)[1])
         assert abs(printed - lim) <= 1e-3 * lim
         af.Simulator(pr, g, mu=mu, dt=0.999 * lim, ntheta=ntheta).step(state)
+
+    @pytest.mark.parametrize("ntheta", [8, 16, 32, 64])
+    def test_cfl_limit_is_the_full_lattice_formula(self, unstable, ntheta):
+        # the limit from each radius's largest |v| equals, bit for bit, the
+        # literal formula over every lattice point: |v_r| against the
+        # distance to the nearer radial neighbor, |v_theta| against the
+        # local arc, on fields whose magnitudes span six decades so that
+        # either component and any node can set it
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
+        dr = np.abs(np.diff(g.nodes))
+        cells = (np.minimum(np.append(dr, dr[-1]), np.append(dr[0], dr)),
+                 g.nodes * 2.0 * np.pi / ntheta)
+        rng = np.random.default_rng(ntheta)
+        shape = (2, ntheta, g.N + 1)
+        for _ in range(20):
+            v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            rate = max((np.abs(c.T) / cell[:, None]).max() for c, cell in zip(v, cells))
+            assert sim.cfl_limit(v) == float(0.5 / rate)
+        assert sim.cfl_limit(np.zeros(shape)) == float("inf")
 
     def test_non_finite_state_raises_solver_failure(self, unstable):
         pr, mu, g, eig = unstable

@@ -88,6 +88,37 @@ class TestBoundaryRows:
         assert np.abs(shifted @ x - rhs).max() <= 1e-12 * np.abs(shifted).max()
 
 
+class TestEigenvector:
+    def test_inverse_iteration_on_the_row_scaled_lu(self, grid48, params135, monkeypatch):
+        # the vector is the literal inverse iteration on getrf's LU of the
+        # row-scaled shifted matrix, bit for bit, and no condition estimate
+        # (gecon) is formed for it; solve_bvp, which reads one, forms it
+        import scipy.linalg as sla
+
+        mu = 2.0
+        p = af.mode_pencil(grid48, params135, mu, 1)
+        lam = af.leading_eigenpair(params135, mu, grid48).lambda1
+        shifted = p.matrix - lam * p.mass
+        scale = np.abs(shifted).max(axis=1)
+        lu = sla.lu_factor(shifted / scale[:, None])
+        x = np.ones(grid48.N + 1)
+        for _ in range(af.spectral.INVERSE_ITERATIONS):
+            x = sla.lu_solve(lu, (p.mass @ x) / scale)
+            x /= np.abs(x).max()
+        asked = []
+        real = sla.get_lapack_funcs
+
+        def recorded(names, arrays=()):
+            asked.append(names)
+            return real(names, arrays)
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", recorded)
+        assert np.array_equal(af.eigenvector(p, lam), x)
+        assert asked == ["getrf"]
+        af.solve_bvp(p.matrix - 2.0 * lam * p.mass, np.ones(grid48.N + 1))
+        assert asked == ["getrf", "getrf", "gecon"]
+
+
 class TestModePencil:
     def test_boundary_rows_only_in_bc_rows(self, grid32, params135, bilaplacian_n):
         mu = 2.0
