@@ -29,7 +29,6 @@ from .critical import (
 from .domain import (
     DomainParams,
     PhysicalField,
-    as_planes,
     synthesize_lattice,
     synthesize_physical,
     theta_lattice,

@@ -9,19 +9,20 @@ coefficient l of the reduced amplitude equation
 
 classifies the pitchfork, and constructs the bifurcated streamfunction
 
-    psi_s = s Psi_1 e^{i theta} + c.c. + s^2 G11 e^{2 i theta} + c.c.
+    psi_s = s Psi_1 e^{i theta} + s^2 i g e^{2 i theta} + c.c.
 
 with |s| = sqrt(-lambda_1 / l) when the branch exists.
 
-Psi_1 and G11 are complex arrays over the radial nodes, returned
-read-only; the velocity, the energy functionals and the bifurcated state
-take real planes (``domain.as_planes``). Psi_1 has unit L^2(r dr) norm and
-Psi_1'(a) > 0; l scales with the square of that normalization, but the
-physical bifurcated field does not.
+Every operator here is real, and so is the reduction: Psi_1 is a real
+profile over the radial nodes, the advection of real profiles is i times
+a real one, so G11 = i g with g real, and l is real. The module stores
+Psi_1 and g, read-only. Psi_1 has unit L^2(r dr) norm and Psi_1'(a) > 0;
+l scales with the square of that normalization, but the physical
+bifurcated field does not.
 
 The projection onto the critical mode is taken in the velocity (energy)
-pairing <u, v> = int grad-pairing, which for profiles vanishing at both
-radii reduces to -int (Delta_n F) conj(G) r dr. The linearized operator is
+pairing <u, v> = int grad-pairing, which for real profiles vanishing at
+both radii reduces to -int (Delta_n F) G r dr. The linearized operator is
 self-adjoint in that pairing, so it is the one in which the critical-mode
 projection is exact. At mu = mu_c, l has a closed form on the span of
 r^k (ln r)^m; the tests compare it with this module's l there.
@@ -35,24 +36,22 @@ from enum import Enum
 import numpy as np
 
 from .critical import mu_c_closed
-from .domain import DomainParams, PhysicalField, as_planes, synthesize_physical
+from .domain import DomainParams, PhysicalField, synthesize_physical
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
-from .spectral import (
-    RadialGrid,
-    eigenvector,
-    laplacian_n,
-    mode_pencil,
-    solve_bvp,
-)
+from .spectral import RadialGrid, eigenvector, mode_pencil, solve_bvp
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Leading growth rate and its unit-norm mode-1 eigenfunction."""
+    """Leading growth rate and its real, unit-norm mode-1 eigenfunction."""
 
     lambda1: float
     psi1: np.ndarray
     mu: float
+
+    def __post_init__(self):
+        if np.asarray(self.psi1).dtype.kind != "f" or np.ndim(self.psi1) != 1:
+            raise GridMismatch("psi1 must be a real 1-D profile")
 
 
 def velocity_factor(grid: RadialGrid, n: int | np.ndarray) -> np.ndarray:
@@ -113,7 +112,8 @@ def energy_rayleigh(params: DomainParams, mu: float, psi: np.ndarray,
     self-adjoint in this pairing), so it polishes the eigenvalue of the
     collocation eigenvector.
     """
-    E3, E1, E2 = mode_energies(params, as_planes(psi), grid, velocity_factor(grid, 1))
+    planes = np.stack([psi, np.zeros_like(psi)])
+    E3, E1, E2 = mode_energies(params, planes, grid, velocity_factor(grid, 1))
     return float(energy_growth(params, mu, E1, E2) / E3)
 
 
@@ -180,7 +180,7 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
     pencil = mode_pencil(grid, params, mu, 1)
-    psi = _normalize(eigenvector(pencil, lam).astype(complex), grid)
+    psi = _normalize(eigenvector(pencil, lam), grid)
     psi.setflags(write=False)
     polished = energy_rayleigh(params, mu, psi, grid)
     muc = mu_c_closed(params)
@@ -197,61 +197,62 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
 
 
 def _normalize(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Unit L^2(r dr) norm, phase rotated so Psi'(a) is real positive."""
-    v = values / np.sqrt(grid.weights @ np.abs(values) ** 2)
-    slope = grid.d1[grid.N, :] @ v
-    if abs(slope) > 0:
-        v = v * (np.conj(slope) / abs(slope))
-    return v
+    """Unit L^2(r dr) norm, sign flipped so Psi'(a) > 0."""
+    v = values / np.sqrt(grid.weights @ values**2)
+    return -v if grid.d1[grid.N] @ v < 0 else v
+
+
+def _laplacian(g: np.ndarray, n: int, grid: RadialGrid) -> np.ndarray:
+    """Delta_n g = g'' + g' / r - n^2 g / r^2, without forming the matrix."""
+    r = grid.nodes
+    return grid.d2 @ g + (grid.d1 @ g) / r - n**2 * g / r**2
 
 
 def interaction(f: np.ndarray, nf: int, g: np.ndarray, ng: int,
                 grid: RadialGrid) -> np.ndarray:
-    """Advection bilinear form on the profiles f of mode nf and g of mode ng.
-
-    G(f, g) is the mode nf + ng profile i (nf f / r (Delta_ng g)'
-    - ng f' / r Delta_ng g); it vanishes when g is Delta_ng-harmonic.
+    """Advection bilinear form on the real profiles f of mode nf and g of
+    mode ng: G(f, g) = i h is the mode nf + ng profile with the real bracket
+    h = nf f / r (Delta_ng g)' - ng f' / r Delta_ng g, which this returns;
+    it vanishes when g is Delta_ng-harmonic.
     """
-    if len(f) != grid.N + 1 or len(g) != grid.N + 1:
-        raise GridMismatch("interaction operands on different grids")
+    if any(p.dtype.kind != "f" or p.shape != (grid.N + 1,) for p in (f, g)):
+        raise GridMismatch("interaction takes real profiles on its grid")
     r = grid.nodes
-    om = laplacian_n(grid, ng) @ g
-    return 1j * (nf * f / r * (grid.d1 @ om) - ng * (grid.d1 @ f) / r * om)
+    om = _laplacian(g, ng, grid)
+    return nf * f / r * (grid.d1 @ om) - ng * (grid.d1 @ f) / r * om
 
 
 def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
               grid: RadialGrid) -> np.ndarray:
-    """The quadratic center-manifold coefficient G11 (g12 = 0 and
-    g22 = conj(g11)): mu Delta_2^2 G11 - 2 lambda_1 Delta_2 G11 =
-    -G(psi1, psi1), with the mode-2 pencil's boundary rows."""
+    """The real g of the quadratic center-manifold coefficient G11 = i g
+    (g12 = 0 and g22 = conj(G11)): mu Delta_2^2 g - 2 lambda_1 Delta_2 g =
+    -h(Psi_1, Psi_1), the :func:`interaction` bracket, with the mode-2
+    pencil's boundary rows."""
     quad = interaction(eig.psi1, 1, eig.psi1, 1, grid)
     p = mode_pencil(grid, params, mu, 2)
-    g11 = solve_bvp(p.matrix - 2.0 * eig.lambda1 * p.mass, -quad)
-    g11.setflags(write=False)
-    return g11
+    g = solve_bvp(p.matrix - 2.0 * eig.lambda1 * p.mass, -quad)
+    g.setflags(write=False)
+    return g
 
 
-def lyapunov_coeff(psi1: np.ndarray, g11: np.ndarray,
-                   grid: RadialGrid) -> tuple[float, float]:
-    """Cubic coefficient l of the reduced amplitude equation and its
-    (diagnostic) imaginary residue.
+def lyapunov_coeff(psi1: np.ndarray, g: np.ndarray, grid: RadialGrid) -> float:
+    """Cubic coefficient l of the reduced amplitude equation, for the real
+    Psi_1 and the g of G11 = i g.
 
-    l = <A^{-1} G(conj(psi1), g11) + A^{-1} G(g11, conj(psi1)), psi1>
-        / <psi1, psi1>
+    l = <A^{-1} G(conj(Psi_1), G11) + A^{-1} G(G11, conj(Psi_1)), Psi_1>
+        / <Psi_1, Psi_1>
     in the velocity pairing; integrating by parts against the eigenfunction
     (which vanishes at both radii) turns the numerator into a plain
-    r-weighted integral of the interaction profiles, with
-    <psi1, psi1> = -int (Delta_1 Psi_1) conj(Psi_1) r dr.
+    r-weighted integral of the interaction profiles. Both factors of i
+    cancel, so with the brackets h of :func:`interaction`
+
+    l = int (h(Psi_1, -1; g, 2) + h(g, 2; Psi_1, -1)) Psi_1 r dr
+        / -int (Delta_1 Psi_1) Psi_1 r dr.
     """
-    c = np.conj(psi1)
-    total = interaction(c, -1, g11, 2, grid) + interaction(g11, 2, c, -1, grid)
-    # Python complex division: numpy's rounds l differently in the last ulps
-    num = -complex(grid.weights @ (total * c))
-    # Delta_1 applied to psi1 without forming its matrix
-    lap = grid.d2 @ psi1 + (grid.d1 @ psi1) / grid.nodes - psi1 / grid.nodes**2
-    den = -complex(grid.weights @ (lap * c))
-    val = num / den
-    return float(val.real), float(val.imag)
+    total = interaction(psi1, -1, g, 2, grid) + interaction(g, 2, psi1, -1, grid)
+    num = grid.weights @ (total * psi1)
+    den = -(grid.weights @ (_laplacian(psi1, 1, grid) * psi1))
+    return float(num / den)
 
 
 class Classification(str, Enum):
@@ -261,7 +262,8 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class BifurcationReport:
-    """Pitchfork classification with the bifurcated-state constructor."""
+    """Pitchfork classification with the bifurcated-state constructor;
+    ``g11`` holds the real g of G11 = i g."""
 
     lambda1: float
     l: float
@@ -272,8 +274,10 @@ class BifurcationReport:
 
     def coeffs(self, s: complex) -> np.ndarray:
         """The (2, 2, N+1) modal planes of the bifurcated state at phase
-        point s: row n - 1 holds mode n = 1, 2."""
-        return as_planes(np.array([s * self.psi1, s**2 * self.g11]))
+        point s: row 0 holds mode 1, s Psi_1, and row 1 mode 2, s^2 i g."""
+        s2 = s**2
+        return np.array([np.outer([s.real, s.imag], self.psi1),
+                         np.outer([-s2.imag, s2.real], self.g11)])
 
     def psi_s(self, s: complex, ntheta: int = 128) -> PhysicalField:
         """Bifurcated streamfunction on the physical lattice at phase s."""
@@ -311,5 +315,5 @@ def bifurcation_report(params: DomainParams, mu: float,
     """The one reduction chain: eigenpair, G11, l, classification."""
     eig = leading_eigenpair(params, mu, grid)
     g11 = solve_G11(params, mu, eig, grid)
-    l, _ = lyapunov_coeff(eig.psi1, g11, grid)
+    l = lyapunov_coeff(eig.psi1, g11, grid)
     return classify_and_build(params, eig, l, g11)

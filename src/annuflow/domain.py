@@ -3,13 +3,12 @@
 Perturbation streamfunctions are expanded in the angular basis e^{i n theta}.
 A set of modes is one real (..., M, 2, nr) planes array: row n - 1 holds
 mode n, plane 0 its real and plane 1 its imaginary part, over the radial
-nodes. :func:`as_planes` turns complex profiles into planes. The real
-field sum_n (c_n e^{i n theta} + c.c.) of a set on the (r, theta) lattice
-is one product with the table of 2 cos(n theta_j) and -2 sin(n theta_j)
-(:func:`synthesis_table`), the matrix-multiplication transform (Boyd,
-Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 10). The zero-mean
-condition over theta excludes the n = 0 mode for streamfunction
-perturbations.
+nodes. The real field sum_n (c_n e^{i n theta} + c.c.) of a set on the
+(r, theta) lattice is one product with the table of 2 cos(n theta_j) and
+-2 sin(n theta_j) (:func:`synthesis_table`), the matrix-multiplication
+transform (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 10).
+The zero-mean condition over theta excludes the n = 0 mode for
+streamfunction perturbations.
 """
 
 from __future__ import annotations
@@ -81,11 +80,6 @@ def synthesis_table(M: int, ntheta: int) -> np.ndarray:
     accuracy."""
     angle = 2.0 * np.pi / ntheta * (np.outer(np.arange(ntheta), np.arange(1, M + 1)) % ntheta)
     return np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=2).reshape(ntheta, 2 * M)
-
-
-def as_planes(rows: np.ndarray) -> np.ndarray:
-    """The real (..., 2, nr) planes (real, imaginary part) of profiles (..., nr)."""
-    return np.stack([np.real(rows), np.imag(rows)], axis=-2)
 
 
 def synthesize_lattice(planes: np.ndarray, ntheta: int) -> np.ndarray:

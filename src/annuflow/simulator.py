@@ -67,7 +67,7 @@ import numpy as np
 
 from .bifurcation import (EigenResult, energy_growth, modal_velocity, mode_energies,
                           velocity_factor)
-from .domain import DomainParams, as_planes, synthesis_table
+from .domain import DomainParams, synthesis_table
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
@@ -230,7 +230,7 @@ class Simulator:
         if len(eig.psi1) != self.grid.N + 1:
             raise GridMismatch("eigenfunction sampled on a different grid")
         planes = np.zeros((self.K, 2, self.grid.N + 1))
-        planes[0] = as_planes(eig.psi1)
+        planes[0, 0] = eig.psi1
         return SimState(0.0, delta * planes)
 
     def _check(self, state: SimState) -> None:

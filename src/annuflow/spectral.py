@@ -187,11 +187,11 @@ def _row_lu(matrix: np.ndarray) -> tuple:
 
 
 def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix x = rhs, whose boundary rows BC_ROWS (e.g. of a shifted
-    :class:`ModePencil`) take homogeneous data. Raises SingularSystem when
-    the row-equilibrated matrix's condition number exceeds COND_LIMIT,
+    """Solve matrix x = rhs (real), whose boundary rows BC_ROWS (e.g. of a
+    shifted :class:`ModePencil`) take homogeneous data. Raises SingularSystem
+    when the row-equilibrated matrix's condition number exceeds COND_LIMIT,
     which typically signals a shift sitting on an eigenvalue."""
-    f = np.array(rhs, dtype=complex)
+    f = np.array(rhs, dtype=float)
     f[BC_ROWS] = 0.0
     solve, cond = _row_lu(matrix)
     if cond() > COND_LIMIT:

@@ -6,9 +6,15 @@ import annuflow as af
 from annuflow.bifurcation import modal_velocity, velocity_factor
 
 
+def as_planes(rows: np.ndarray) -> np.ndarray:
+    """The real (..., 2, nr) planes (real, imaginary part) of complex
+    profiles (..., nr), the layout of every set of modes."""
+    return np.stack([np.real(rows), np.imag(rows)], axis=-2)
+
+
 def rows(planes: np.ndarray) -> np.ndarray:
     """The complex (K, N+1) modal rows of real (K, 2, N+1) planes, the
-    inverse of annuflow.as_planes."""
+    inverse of as_planes."""
     return planes[:, 0] + 1j * planes[:, 1]
 
 
@@ -57,7 +63,7 @@ def eig_099(params135, muc135, grid48):
 def report_099(eig_099, grid48):
     pr, mu, eig = eig_099
     mc = af.solve_G11(pr, mu, eig, grid48)
-    l, _ = af.lyapunov_coeff(eig.psi1, mc, grid48)
+    l = af.lyapunov_coeff(eig.psi1, mc, grid48)
     return af.classify_and_build(pr, eig, l, mc)
 
 

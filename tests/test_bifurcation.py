@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow import as_planes
 from annuflow.bifurcation import velocity_factor
-from conftest import lattice_velocity
+from conftest import as_planes, lattice_velocity
 
 
 class TestLeadingEigenpair:
@@ -34,9 +33,15 @@ class TestLeadingEigenpair:
         _, _, eig = eig_099
         norm = grid48.weights @ np.abs(eig.psi1) ** 2
         assert norm == pytest.approx(1.0, rel=1e-12)
-        slope = grid48.d1[grid48.N, :] @ eig.psi1
-        assert slope.real > 0
-        assert abs(slope.imag) < 1e-9 * abs(slope.real)
+        assert grid48.d1[grid48.N, :] @ eig.psi1 > 0
+
+    @pytest.mark.parametrize("psi", [np.full(49, 1 + 0.5j), np.ones((2, 49))],
+                             ids=["complex", "2-D"])
+    def test_eigen_result_takes_a_real_profile(self, psi):
+        # a complex Psi_1 would lose its imaginary part where it is written
+        # into a plane (init_from_mode), so it is refused where it enters
+        with pytest.raises(af.GridMismatch):
+            af.EigenResult(lambda1=0.1, psi1=psi, mu=1.0)
 
     def test_eigenfunction_satisfies_bcs(self, eig_099, grid48):
         pr, mu, eig = eig_099
@@ -113,7 +118,7 @@ class TestEnergyFunctionals:
         A, B = bf.energy_pencil(params135, muc135, grid48)
         x = psi[1:-1]
         assert (x @ A @ x) / (x @ B @ x) == pytest.approx(
-            bf.energy_rayleigh(params135, muc135, psi.astype(complex), grid48),
+            bf.energy_rayleigh(params135, muc135, psi, grid48),
             rel=1e-9)
         assert np.allclose(A, A.T, rtol=0, atol=1e-12 * np.abs(A).max())
 
@@ -158,27 +163,43 @@ class TestEnergyFunctionals:
 class TestInteraction:
     def test_wavenumbers_add(self, report_099, grid48, advection_reference):
         # the reduction's quadratic terms are modes 2 (= 1 + 1) and
-        # 1 (= -1 + 2) of the simulator's advection of the rows [psi1, g11]
-        psi1, g11 = report_099.psi1, report_099.g11
-        ref = advection_reference(np.array([psi1, g11]), grid48, 2)
-        quad = af.interaction(psi1, 1, psi1, 1, grid48)
-        cross = (af.interaction(np.conj(psi1), -1, g11, 2, grid48)
-                 + af.interaction(g11, 2, np.conj(psi1), -1, grid48))
+        # 1 (= -1 + 2) of the simulator's advection of the rows
+        # [psi1, G11] = [psi1, i g], summed in long double: G(psi1, psi1)
+        # = i h, and the cross terms, with G11 = i g, are -h. Relative to
+        # the reference's max, the vector-form Delta_n reads 1.1e-12 (quad)
+        # and 4.7e-13 (cross), the matrix form 1.2e-12 and 2.8e-13; n in
+        # place of n^2 in Delta_n reads 6.0e-3 (cross), and a flipped sign
+        # of one of h's terms 2.0 (quad)
+        psi1, g = report_099.psi1, report_099.g11
+        ref = advection_reference(np.array([psi1, 1j * g]), grid48, 2,
+                                  dtype=np.clongdouble)
+        quad = 1j * af.interaction(psi1, 1, psi1, 1, grid48)
+        cross = -(af.interaction(psi1, -1, g, 2, grid48)
+                  + af.interaction(g, 2, psi1, -1, grid48))
         scale = np.abs(ref).max()
-        assert np.abs(quad - ref[1]).max() <= 1e-13 * scale
-        assert np.abs(cross - ref[0]).max() <= 1e-13 * scale
+        assert np.abs(quad - ref[1]).max() <= 5e-12 * scale
+        assert np.abs(cross - ref[0]).max() <= 5e-12 * scale
 
     def test_vanishes_on_harmonic_second_argument(self, grid32):
         # Delta_2 r^2 = 0, so the advected vorticity is zero
-        f = np.sin(grid32.nodes).astype(complex)
-        g = (grid32.nodes ** 2).astype(complex)
-        out = af.interaction(f, 1, g, 2, grid32)
+        out = af.interaction(np.sin(grid32.nodes), 1, grid32.nodes ** 2, 2, grid32)
         assert np.abs(out).max() < 1e-6
 
     def test_grid_mismatch(self, grid32):
-        f = np.ones(5, complex)
+        f = np.ones(5)
         with pytest.raises(af.GridMismatch):
             af.interaction(f, 1, f, 1, grid32)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_complex_profile_rejected(self, grid32, which):
+        # the reduction is real: a complex operand would lose its imaginary
+        # part in the G11 solve, so it is refused, in lyapunov_coeff too
+        ops = [np.ones(grid32.N + 1), np.ones(grid32.N + 1)]
+        ops[which] = ops[which] * (1 + 0.5j)
+        with pytest.raises(af.GridMismatch):
+            af.interaction(ops[0], 1, ops[1], 1, grid32)
+        with pytest.raises(af.GridMismatch):
+            af.lyapunov_coeff(*ops, grid32)
 
 
 class TestManifold:
@@ -206,11 +227,9 @@ class TestLyapunovCoefficient:
         assert report_099.l < 0
         assert report_099.classification is af.Classification.SUPERCRITICAL
 
-    def test_imaginary_residue_small(self, eig_099, grid48):
-        pr, mu, eig = eig_099
-        mc = af.solve_G11(pr, mu, eig, grid48)
-        l, resid = af.lyapunov_coeff(eig.psi1, mc, grid48)
-        assert abs(resid) < 1e-8 * abs(l)
+    def test_reduction_is_real(self, report_099):
+        assert report_099.psi1.dtype == report_099.g11.dtype == np.float64
+        assert type(report_099.l) is float
 
     def test_resolution_stable(self, muc135, grid48, grid64):
         mu = 0.99 * muc135
@@ -219,7 +238,7 @@ class TestLyapunovCoefficient:
         for grid in (grid48, grid64):
             eig = af.leading_eigenpair(pr, mu, grid)
             mc = af.solve_G11(pr, mu, eig, grid)
-            ls.append(af.lyapunov_coeff(eig.psi1, mc, grid)[0])
+            ls.append(af.lyapunov_coeff(eig.psi1, mc, grid))
         assert ls[0] == pytest.approx(ls[1], rel=1e-6)
 
     def test_odd_N_matches_even(self, params135, muc135, grid48):
@@ -235,7 +254,7 @@ class TestLyapunovCoefficient:
 class TestClassification:
     def test_degenerate_raises(self, eig_099):
         pr, mu, eig = eig_099
-        g11 = np.zeros(5, complex)
+        g11 = np.zeros(5)
         with pytest.raises(af.DegenerateCoefficient):
             af.classify_and_build(pr, eig, 0.0, g11)
 
@@ -246,7 +265,7 @@ class TestClassification:
         _, _, eig = eig_099
         pr = af.validate(a, 3 * a, alpha)
         tol = 1e-10 / (alpha * a * (2 * a) ** 4)
-        g11 = np.zeros(5, complex)
+        g11 = np.zeros(5)
         for sign in (-1.0, 1.0):
             with pytest.raises(af.DegenerateCoefficient):
                 af.classify_and_build(pr, eig, sign * 0.5 * tol, g11)
@@ -284,16 +303,16 @@ class TestBifurcatedState:
     def test_normalization_invariance(self, eig_099, grid48, report_099):
         # rescaling the eigenfunction must not change the physical state
         pr, mu, eig = eig_099
-        c = 1.7 * np.exp(0.3j)
+        c = -1.7
         scaled = af.EigenResult(lambda1=eig.lambda1,
                                 psi1=c * eig.psi1, mu=mu)
         mc = af.solve_G11(pr, mu, scaled, grid48)
-        l, _ = af.lyapunov_coeff(scaled.psi1, mc, grid48)
+        l = af.lyapunov_coeff(scaled.psi1, mc, grid48)
         rep2 = af.classify_and_build(pr, scaled, l, mc)
         f1 = report_099.psi_s(report_099.amplitude, 64).values
-        # the scaled eigenvector carries an extra phase angle(c) that the
-        # family parameter must cancel
-        f2 = rep2.psi_s(rep2.amplitude * np.exp(-1j * np.angle(c)), 64).values
+        # Psi_1 is real, so the scaled eigenvector's only extra phase is
+        # the sign of c, which the family parameter must cancel
+        f2 = rep2.psi_s(np.sign(c) * rep2.amplitude, 64).values
         assert np.abs(f1 - f2).max() < 1e-8 * np.abs(f1).max()
 
     @pytest.mark.parametrize("ntheta", [4, 7, 64])
@@ -301,7 +320,7 @@ class TestBifurcatedState:
                                           lattice_reference):
         rep = report_099
         s = rep.amplitude * np.exp(0.4j)
-        c = np.array([s * rep.psi1, s**2 * rep.g11])
+        c = np.array([s * rep.psi1, s**2 * 1j * rep.g11])
         n = np.array([[1], [2]])
         vr, vt = lattice_velocity(rep.coeffs(s), grid48, ntheta)
         ref_r = lattice_reference(-1j * n * c / grid48.nodes, ntheta)

@@ -59,8 +59,7 @@ def test_leading_eigenpair_matches_qz(b, factor, N):
     grid = af.build_grid(1, b, N)
     pencil = af.mode_pencil(grid, params, mu, 1)
     lam = af.generalized_eig(pencil, 1e6 * mu / (b - 1) ** 2)[0].real
-    qz = energy_rayleigh(params, mu, af.eigenvector(pencil, lam).astype(complex),
-                         grid)
+    qz = energy_rayleigh(params, mu, af.eigenvector(pencil, lam), grid)
     got = af.leading_eigenpair(params, mu, grid).lambda1
     assert got == pytest.approx(qz, rel=1e-9, abs=0)
 

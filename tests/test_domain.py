@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.domain import RATIO_LIMIT, as_planes, synthesis_table
+from annuflow.domain import RATIO_LIMIT, synthesis_table
+from conftest import as_planes
 
 
 class TestValidate:

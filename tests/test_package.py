@@ -161,6 +161,23 @@ def test_simulator_builds_no_complex_array():
     assert not {"real", "imag", "psi"} & _read_names(source)
 
 
+@pytest.mark.parametrize("name", ["bifurcation.py", "spectral.py"])
+def test_reduction_builds_no_complex_array(name):
+    # Psi_1, g and l are real from the eigenvector to the planes: the
+    # reduction writes no complex literal and reads no complex or conj
+    # name; the phase s of BifurcationReport.coeffs is complex by
+    # definition, so the annotations that say so do not count
+    tree = ast.parse((ROOT / "src" / "annuflow" / name).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, complex)]
+    assert not {"complex", "conj"} & _read_names(ast.unparse(tree))
+
+
 def test_every_export_is_used():
     # a re-exported name is read inside the package, shown in the README
     # or used by the benchmark; otherwise it is dead public surface

@@ -3,8 +3,7 @@ import pytest
 
 import annuflow as af
 import annuflow.simulator
-from annuflow import as_planes
-from conftest import lattice_velocity, rows
+from conftest import as_planes, lattice_velocity, rows
 
 
 @pytest.fixture(scope="module")
