@@ -32,6 +32,8 @@ in thin gaps and refuses gaps below ORACLE_MIN_GAP.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .domain import DomainParams
@@ -55,7 +57,14 @@ def gamma_n(params: DomainParams, n: int) -> float:
     Clenshaw-Curtis rule on [0, X] in x = ln(b/r)."""
     if n < 1:
         raise ValueError("gamma_n is defined for n >= 1")
-    X = np.log1p((params.b - params.a) / params.a)
+    return _gamma(params.a, params.b, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma(a: float, b: float, n: int) -> float:
+    """gamma_n of the radii (a, b), computed once per (a, b, n): a sweep
+    asks for mu_c at every alpha of one b, and the reduction once more."""
+    X = np.log1p((b - a) / a)
     x = X * _NODES
     f = np.exp((2 * n - 2) * (x - X)) * (np.expm1(-2 * n * x) / np.expm1(-2 * n * X)) ** 2
     return float(1.0 / (X * (_WEIGHTS @ f)))

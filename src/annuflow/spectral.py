@@ -10,9 +10,9 @@ boundary conditions enter every mode-n system in one place,
 :func:`mode_pencil`: mu Delta_n^2 with the four slip and stress-free rows
 in BC_ROWS, against Delta_n with those rows zeroed. The generalized
 eigenvalue solve, the boundary value solve and the simulator's implicit
-matrices all start from that pencil. The functions that call a LAPACK
-routine numpy lacks (getrf/gecon, lu_solve, QZ) import scipy.linalg in
-their own body, so building a grid or a pencil loads numpy alone.
+matrices all start from that pencil. The solves run on numpy's LAPACK;
+only :func:`generalized_eig`, which needs QZ and which no command calls,
+imports scipy.linalg, in its own body.
 """
 
 from __future__ import annotations
@@ -114,7 +114,10 @@ def build_grid(a: float, b: float, N: int) -> RadialGrid:
 def laplacian_n(grid: RadialGrid, n: int) -> np.ndarray:
     """The modal Laplacian Delta_n on the grid."""
     r = grid.nodes
-    return grid.d2 + (1.0 / r)[:, None] * grid.d1 - np.diag(n**2 / r**2)
+    lap = (1.0 / r)[:, None] * grid.d1
+    lap += grid.d2
+    lap.flat[::len(lap) + 1] -= n**2 / r**2
+    return lap
 
 
 #: matrix rows that carry the boundary conditions: 0, 1 at r = b, N-1, N at r = a
@@ -146,6 +149,12 @@ class ModePencil:
     matrix: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
 
+    def shifted(self, lam: float) -> np.ndarray:
+        """A new array matrix - lam mass."""
+        out = self.mass * -lam
+        out += self.matrix
+        return out
+
 
 def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
                 n: int) -> ModePencil:
@@ -153,7 +162,8 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
     if not mu > 0:
         raise InvalidPhysics(f"viscosity must be positive, got mu={mu}")
     mass = laplacian_n(grid, n)
-    matrix = mu * (mass @ mass)
+    matrix = mass @ mass
+    matrix *= mu
     matrix[BC_ROWS] = navier_slip_bcs(grid, params, mu)
     mass[BC_ROWS] = 0.0
     for m in (matrix, mass):
@@ -161,44 +171,42 @@ def mode_pencil(grid: RadialGrid, params: DomainParams, mu: float,
     return ModePencil(matrix=matrix, mass=mass)
 
 
-def _row_lu(matrix: np.ndarray) -> tuple:
-    """A solve x = matrix^-1 f on the LU factors of ``matrix`` with every
-    row scaled to unit max-norm, and a function that gives the scaled
-    matrix's infinity-norm condition number (LAPACK gecon on the factors,
-    run only when it is called; 0.65-0.78 times the 2-norm one on
-    thin-gap G11 matrices). Boundary rows are O(1) while interior rows
-    grow like N^8: unscaled, the condition number reflects row scaling
-    rather than a shift near an eigenvalue, and the LU loses the interior
-    digits."""
-    import scipy.linalg as sla
-
-    scale = np.abs(matrix).max(axis=1)
+def _row_scale(matrix: np.ndarray) -> np.ndarray:
+    """The max-norm of each row of ``matrix``, by which the solves below
+    divide it. Boundary rows are O(1) while interior rows grow like N^8:
+    unscaled, the condition number reflects row scaling rather than a
+    shift near an eigenvalue, and the LU loses the interior digits."""
+    scale = np.maximum(matrix.max(axis=1), -matrix.min(axis=1))
     if not np.all(scale > 0):
         raise SingularSystem("operator has an identically zero row")
-    scaled = matrix / scale[:, None]
-    lu, piv, info = sla.get_lapack_funcs("getrf", (scaled,))(scaled)
-
-    def cond() -> float:
-        gecon = sla.get_lapack_funcs("gecon", (lu,))
-        rcond, _ = gecon(lu, np.abs(scaled).sum(axis=1).max(), norm="I")
-        return np.inf if info > 0 or rcond == 0 else 1.0 / rcond
-
-    return (lambda f: sla.lu_solve((lu, piv), f / scale)), cond
+    return scale
 
 
 def solve_bvp(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix x = rhs (real), whose boundary rows BC_ROWS (e.g. of a
-    shifted :class:`ModePencil`) take homogeneous data. Raises SingularSystem
-    when the row-equilibrated matrix's condition number exceeds COND_LIMIT,
-    which typically signals a shift sitting on an eigenvalue."""
+    shifted :class:`ModePencil`) take homogeneous data, with the inverse of
+    the row-scaled matrix S. That inverse also gives S's exact
+    infinity-norm condition number |S| |S^-1|, never below LAPACK gecon's
+    estimate of it (on G11 matrices the estimate is exact to rounding, and
+    0.65-0.78 times the 2-norm number in thin gaps). Raises SingularSystem
+    when it exceeds COND_LIMIT, which typically signals a shift sitting on
+    an eigenvalue."""
     f = np.array(rhs, dtype=float)
     f[BC_ROWS] = 0.0
-    solve, cond = _row_lu(matrix)
-    if cond() > COND_LIMIT:
+    scale = _row_scale(matrix)
+    scaled = matrix / scale[:, None]
+    try:
+        inv = np.linalg.inv(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"boundary value problem is singular: {exc}") from exc
+    x = inv @ (f / scale)
+    cond = (np.abs(scaled, out=scaled).sum(axis=1).max()
+            * np.abs(inv, out=inv).sum(axis=1).max())
+    if not cond <= COND_LIMIT:
         raise SingularSystem(
             "boundary value problem is numerically singular "
             "(shift may sit on an eigenvalue)")
-    return solve(f)
+    return x
 
 
 def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
@@ -225,17 +233,35 @@ def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
 INVERSE_ITERATIONS = 3
 
 
+def _inverse_iteration(pencil: ModePencil, shift: float) -> np.ndarray:
+    scaled = pencil.shifted(shift)
+    scale = _row_scale(scaled)
+    scaled /= scale[:, None]
+    x = np.ones(pencil.mass.shape[0])
+    for _ in range(INVERSE_ITERATIONS):
+        x = np.linalg.solve(scaled, (pencil.mass @ x) / scale)
+        x /= np.abs(x).max()
+    return x
+
+
 def eigenvector(pencil: ModePencil, lam: float) -> np.ndarray:
     """Eigenvector of matrix x = lam mass x for a real eigenvalue ``lam``
     (e.g. the largest of :func:`annuflow.bifurcation.energy_pencil`), by
-    inverse iteration: solves of (matrix - lam mass) x_new = mass x on one
-    LU of the row-equilibrated shifted matrix. Every iterate meets the
-    homogeneous boundary rows."""
-    solve, _ = _row_lu(pencil.matrix - lam * pencil.mass)
-    x = np.ones(pencil.mass.shape[0])
-    for _ in range(INVERSE_ITERATIONS):
-        x = solve(pencil.mass @ x)
-        x /= np.abs(x).max()
+    inverse iteration: solves of (matrix - lam mass) x_new = mass x with the
+    row-equilibrated shifted matrix. Every iterate meets the homogeneous
+    boundary rows. A shift on which the LU meets an exact zero pivot is an
+    eigenvalue to working precision: it is moved by a few ulps of the
+    shifted matrix, and the iteration runs once more."""
+    try:
+        x = _inverse_iteration(pencil, lam)
+    except np.linalg.LinAlgError:
+        nudge = (4.0 * np.finfo(float).eps * np.abs(pencil.matrix).max()
+                 / np.abs(pencil.mass).max())
+        try:
+            x = _inverse_iteration(pencil, lam + nudge)
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(
+                f"shifted matrix singular at {lam} and {lam + nudge}") from exc
     if not np.all(np.isfinite(x)):
         raise EigSolverFailure(f"inverse iteration at {lam} did not converge")
     return x

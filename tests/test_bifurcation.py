@@ -221,6 +221,20 @@ class TestManifold:
         assert np.allclose(lhs[interior], rhs[interior],
                            atol=1e-6 * np.abs(rhs[interior]).max())
 
+    @pytest.mark.parametrize("b,N,singular", [
+        (1.001, 48, True), (1.01, 96, True), (1.001, 24, False), (1.01, 48, False)])
+    def test_thin_gap_at_mu_c_singular_as_n_grows(self, b, N, singular):
+        # the G11 matrix at mu_c loses conditioning as N grows in thin gaps
+        # (its condition number rises past COND_LIMIT), which the exact
+        # condition number of numpy's inverse reports as gecon's estimate did
+        params = af.validate(1.0, b, 5.0)
+        mu, grid = af.mu_c_closed(params), af.build_grid(1.0, b, N)
+        if singular:
+            with pytest.raises(af.SingularSystem):
+                af.bifurcation_report(params, mu, grid)
+        else:
+            assert af.bifurcation_report(params, mu, grid).l < 0
+
 
 class TestLyapunovCoefficient:
     def test_negative_at_reference_point(self, eig_099, report_099):

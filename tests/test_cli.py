@@ -262,6 +262,16 @@ class TestBifurcate:
         assert doc["error"] == "EigSolverFailure"
         assert "wrong sign" in doc["message"]
 
+    def test_thinnest_gap_at_the_default_offset(self, tmp_path, capsys):
+        # b/a = 1.001 at N = 48 exits 0 (l = -3.84e9); a shift on which
+        # numpy's LU meets an exact zero pivot is moved, not reported as a
+        # LinAlgError with exit 2
+        code, doc = run_cli(capsys, "bifurcate", "1", "1.001", "5", "-N", "48",
+                            "-o", str(tmp_path))
+        assert code == 0, doc
+        assert doc["classification"] == "Supercritical"
+        assert doc["l"] == pytest.approx(-3.8396e9, rel=1e-4)
+
     def test_wrong_side_exit_4(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "bifurcate", "1", "3", "5", "--mu", "1.5",
                             "-N", "40", "-o", str(tmp_path))

@@ -89,21 +89,20 @@ def test_module_level_import_detector():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "annuflow").glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    # scipy.linalg is imported by the functions that call it, so a command
-    # that needs no LAPACK routine numpy lacks runs on numpy alone
+    # scipy.linalg is imported only by generalized_eig, which no command
+    # calls, so every command runs on numpy alone
     assert "scipy" not in _module_level_imports(path.read_text())
 
 
 def _loaded_after(code: str) -> str:
-    """The sorted list of scipy.special, scipy.optimize and scipy.linalg
-    modules loaded after running code in a fresh interpreter on this
-    checkout, as printed."""
+    """The sorted list of scipy modules (scipy itself included) loaded
+    after running code in a fresh interpreter on this checkout, as
+    printed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(sorted("
-         "m for m in sys.modules if m.split('.')[:2] in "
-         "(['scipy', 'special'], ['scipy', 'optimize'], ['scipy', 'linalg'])))"],
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
@@ -122,6 +121,26 @@ def test_mu_c_and_grids_run_on_numpy_alone(tmp_path):
             "from annuflow.spectral import build_grid\n"
             f"assert cli.main(['mu-c', '1', '3', '5', '--oracle', '-o', {str(tmp_path)!r}]) == 0\n"
             "build_grid(1, 3, 48)")
+    assert _loaded_after(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "1", "3", "5", "1.2", "-N", "48"],
+    ["bifurcate", "1", "3", "5", "--phases", "1", "-N", "40", "--ntheta", "16"],
+    ["simulate", "--mu", "1.2", "--steps", "20", "--ntheta", "8", "-N", "24"],
+    ["simulate", "--mu", "1.2", "--escape", "1e-3", "--ntheta", "8", "-N", "24",
+     "--dt", "0.005"],
+    ["sweep", "SPEC"],
+], ids=["eigen", "bifurcate", "simulate", "escape", "sweep"])
+def test_commands_run_on_numpy_alone(tmp_path, argv):
+    # the reduction behind every command but mu-c (eigenpair, G11 solve)
+    # runs on numpy's LAPACK: importing scipy.linalg would cost each
+    # command process 0.20-0.28 s, about half of the cli benchmark round
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("alpha_samples = 2\nb_min = 3\nb_max = 6\nb_samples = 2\nN = 32\n")
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    code = (f"import annuflow.cli as cli\n"
+            f"assert cli.main({argv + ['-o', str(tmp_path / 'out')]!r}) == 0\n")
     assert _loaded_after(code) == "[]"
 
 

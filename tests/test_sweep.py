@@ -147,6 +147,24 @@ class TestRescaling:
         assert rows[0].status.startswith("EigSolverFailure")
         assert all(r.status == rows[0].status and r.l is None for r in rows)
 
+    @pytest.mark.parametrize("routine,error", [("inv", "SingularSystem"),
+                                               ("cholesky", "EigSolverFailure")])
+    def test_numpy_linalg_error_is_a_row_status(self, monkeypatch, routine, error):
+        # numpy raises LinAlgError (a ValueError) where LAPACK meets an
+        # exact zero pivot or an indefinite matrix; the reduction reports
+        # it as its typed error, so it fails the b, not the whole sweep
+        real = getattr(np.linalg, routine)
+
+        def fail(a):
+            # the G11 matrix has N + 1 = 33 rows, the energy pencil 31
+            if routine == "inv" and len(a) != 33:
+                return real(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        rows = af.sweep_l(af.SweepSpec(alpha_samples=2, b_samples=1, N=32))
+        assert [r.status.split(":")[0] for r in rows] == [error, error]
+
 
 class TestSignGate:
     def test_wrong_sign_of_lambda1_is_a_failure(self):
