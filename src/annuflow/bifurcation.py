@@ -64,12 +64,16 @@ def modal_velocity(planes: np.ndarray, grid: RadialGrid, factor: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The planes of (v_r, v_theta) = (-i n psi / r, psi') of mode-n planes
     (..., 2, N+1), stacked on a new first axis (into ``out`` if given);
-    ``factor`` is :func:`velocity_factor`. v_theta is one product X d1^T."""
+    ``factor`` is :func:`velocity_factor`. v_theta is one product X d1^T
+    per block of planes shaped like ``factor``: axes that lead factor's
+    hold a batch, and each member gets the bits of its own call (BLAS's
+    rounding depends on a product's row count)."""
     if out is None:
         out = np.empty((2, *planes.shape))
     np.multiply(planes[..., ::-1, :], factor, out=out[0])
     n1 = planes.shape[-1]
-    np.matmul(planes.reshape(-1, n1), grid.d1.T, out=out[1].reshape(-1, n1))
+    lead = planes.shape[:-factor.ndim]
+    np.matmul(planes.reshape(*lead, -1, n1), grid.d1.T, out=out[1].reshape(*lead, -1, n1))
     return out
 
 
@@ -88,7 +92,8 @@ def mode_energies(params: DomainParams, planes: np.ndarray, grid: RadialGrid,
     sign, -i n v_r / r + v_theta / r and -i n v_theta / r - v_r / r.
     """
     vr, vt = v = modal_velocity(planes, grid, factor)
-    (in_vr, in_vt), dv = modal_velocity(v, grid, factor)
+    # factor[None] spans both components of v, so they share one product
+    (in_vr, in_vt), dv = modal_velocity(v, grid, factor[None])
     grads = (*dv, in_vr + vt / grid.nodes, in_vt - vr / grid.nodes)
     vt2 = (vt * vt).sum(axis=-2)
     E3 = ((vr * vr).sum(axis=-2) + vt2) @ grid.weights

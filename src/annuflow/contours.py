@@ -1,10 +1,12 @@
 """Contour rendering of annulus fields as standalone SVG.
 
-A built-in marching-squares tracer extracts level-set segments on the
-polar lattice cell by cell, maps segment endpoints to Cartesian
-coordinates, and writes them as SVG line elements. Eleven evenly spaced
-levels between the field minimum and maximum are drawn, plus the two
-bounding circles for orientation.
+A built-in marching-squares tracer (Lorensen & Cline, SIGGRAPH 1987)
+extracts the level-set segments of one level on the polar lattice from
+whole arrays: every cell is classified, looked up in one edge table and
+interpolated at once, and the endpoints come out in Cartesian
+coordinates. Each level's segments are written as SVG line elements from
+one template. Eleven evenly spaced levels between the field minimum and
+maximum are drawn, plus the two bounding circles for orientation.
 """
 
 from __future__ import annotations
@@ -34,47 +36,46 @@ def contour_levels(values: np.ndarray) -> np.ndarray:
 
 #: a cell's corners 0..3 as lattice offsets (di, dj); edge e joins corners
 #: e and e + 1 (mod 4)
-_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
-#: crossed edge pairs per cell case (bit k: corner k above the level); the
-#: saddles 5 and 10 split as for a centre above the level, swapped otherwise
-_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 0), (1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)], 10: [(0, 1), (2, 3)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
-
-
-def _edge_point(p, f, e, level):
-    """Linear interpolation of the level crossing along edge e of the cell
-    with corner points p and values f; f differs along a crossed edge."""
-    k = (e + 1) % 4
-    t = (level - f[e]) / (f[k] - f[e])
-    return (p[e][0] + t * (p[k][0] - p[e][0]), p[e][1] + t * (p[k][1] - p[e][1]))
+_CORNERS = np.array([(0, 0), (0, 1), (1, 1), (1, 0)])
+#: crossed edge pairs per cell case (bit k: corner k above the level),
+#: padded to two; the saddles 5 and 10 split as for a centre above the
+#: level, and a centre at or below it swaps them
+_SEGMENTS = (
+    (), ((3, 0),), ((0, 1),), ((3, 1),), ((1, 2),), ((3, 0), (1, 2)), ((0, 2),),
+    ((3, 2),), ((2, 3),), ((2, 0),), ((0, 1), (2, 3)), ((2, 1),), ((1, 3),),
+    ((1, 0),), ((0, 3),), (),
+)
+_EDGES = np.array([pairs + ((0, 0),) * (2 - len(pairs)) for pairs in _SEGMENTS])
+_COUNT = np.array([len(pairs) for pairs in _SEGMENTS])
 
 
 def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                     level: float) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+                     level: float) -> np.ndarray:
     """Level-set segments of ``values`` on the curvilinear lattice (xs, ys).
 
     Each lattice cell contributes zero, one, or two straight segments
-    joining interpolated edge crossings; saddle cells are split by the
-    cell-center average. Cells are visited in row-major order. Returns
-    Cartesian endpoint pairs.
+    joining edge crossings, interpolated linearly along the edge; saddle
+    cells are split by the cell-centre average. Every cell is classified
+    and interpolated at once; the segments come in row-major cell order.
+    Returns an (m, 4) array of Cartesian endpoints (x0, y0, x1, y1).
     """
     nr, nt = values.shape
-    case = sum((values[di:nr - 1 + di, dj:nt - 1 + dj] > level) << k
-               for k, (di, dj) in enumerate(_CORNERS))
-    segs = []
-    for i, j in np.argwhere((case > 0) & (case < 15)).tolist():
-        cell = [(i + di, j + dj) for di, dj in _CORNERS]
-        f = [values[c] for c in cell]
-        p = [(xs[c], ys[c]) for c in cell]
-        code = case[i, j]
-        if code in (5, 10) and not 0.25 * sum(f) > level:
-            code = 15 - code
-        segs += [(_edge_point(p, f, e0, level), _edge_point(p, f, e1, level))
-                 for e0, e1 in _SEGMENTS[code]]
-    return segs
+    f = [values[di:nr - 1 + di, dj:nt - 1 + dj] for di, dj in _CORNERS]
+    case = sum((c > level) << k for k, c in enumerate(f))
+    flip = ((case == 5) | (case == 10)) & ~(0.25 * (((f[0] + f[1]) + f[2]) + f[3]) > level)
+    case[flip] = 15 - case[flip]
+    i, j = np.nonzero(_COUNT[case])
+    count = _COUNT[case[i, j]]
+    # each segment's two edges, (m, 2), and the corners every edge joins
+    edge = _EDGES[case[i, j]][np.arange(2) < count[:, None]]
+    i, j = np.repeat(i, count)[:, None], np.repeat(j, count)[:, None]
+    c0, c1 = _CORNERS[edge], _CORNERS[(edge + 1) % 4]
+    p0 = (i + c0[..., 0], j + c0[..., 1])
+    p1 = (i + c1[..., 0], j + c1[..., 1])
+    t = (level - values[p0]) / (values[p1] - values[p0])
+    x = xs[p0] + t * (xs[p1] - xs[p0])
+    y = ys[p0] + t * (ys[p1] - ys[p0])
+    return np.stack([x, y], axis=-1).reshape(-1, 4)
 
 
 def polar_lattice_xy(r: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,13 +96,6 @@ def field_svg(values: np.ndarray, r: np.ndarray) -> str:
     b = float(r.max())
     scale = (size / 2 - 10) / b
     cx = cy = size / 2
-
-    def sx(x):
-        return cx + scale * x
-
-    def sy(y):
-        return cy - scale * y
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -117,11 +111,11 @@ def field_svg(values: np.ndarray, r: np.ndarray) -> str:
         frac = (k + 1) / (len(levels) + 1)
         hue = 240 if frac < 0.5 else 0
         sat = int(100 * abs(2 * frac - 1))
-        color = f"hsl({hue},{sat}%,45%)"
-        for (x0, y0), (x1, y1) in marching_squares(vals, xs, ys, float(level)):
-            lines.append(
-                f'<line x1="{sx(x0):.2f}" y1="{sy(y0):.2f}" '
-                f'x2="{sx(x1):.2f}" y2="{sy(y1):.2f}" '
-                f'stroke="{color}" stroke-width="1"/>')
+        line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                f'stroke="hsl({hue},{sat}%%,45%%)" stroke-width="1"/>')
+        # canvas pixels: x to cx + scale x, y to cy - scale y
+        pix = (marching_squares(vals, xs, ys, float(level)) * (scale, -scale, scale, -scale)
+               + (cx, cy, cx, cy))
+        lines += [line % tuple(q) for q in pix.tolist()]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -6,8 +6,9 @@ significant digits, so round-tripping through text is exact for doubles,
 and None is an empty cell. A field dump holds psi, v_r and v_theta of one
 state, built here from its modal planes, on the (r, theta) lattice,
 row-major with r as the outer index; its cells are all floats, which the
-csv module never quotes, so it is formatted row by row from one template
-into the same bytes. JSON documents, on stdout and on
+csv module never quotes, so it is formatted in one pass from a template
+into the same bytes, each radius and angle formatted once. JSON
+documents, on stdout and on
 disk alike, come from :func:`json_text`: two-space indent, sorted keys,
 one trailing newline, and no NaN or Infinity.
 Every command-level run writes a manifest ``{command, inputs, outputs,
@@ -58,15 +59,16 @@ def write_field_csv(path: str, planes: np.ndarray, grid: RadialGrid,
     nodes x :func:`theta_lattice` (ntheta), r outer, theta in radians; psi
     and :func:`modal_velocity` in one batched :func:`synthesize_lattice`
     call, whose (3, N+1, ntheta) lattices of (psi, v_r, v_theta) it returns."""
-    r, theta = np.meshgrid(grid.nodes, theta_lattice(ntheta), indexing="ij")
     n = np.arange(1, len(planes) + 1)[:, None]
     v = modal_velocity(planes, grid, velocity_factor(grid, n))
     fields = synthesize_lattice(np.concatenate([planes[None], v]), ntheta)
-    row = ",".join(["{:.17g}"] * len(FIELD_HEADER)).format
-    lines = [",".join(FIELD_HEADER)]
-    lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in (r, theta, *fields)))]
+    # each radius and angle is formatted once, into the rows' templates
+    r, theta = ([format(x, ".17g") for x in a.tolist()]
+                for a in (grid.nodes, theta_lattice(ntheta)))
+    rows = "\r\n".join(f"{a},{b},%.17g,%.17g,%.17g" for a in r for b in theta)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(FIELD_HEADER) + "\r\n"
+                 + rows % tuple(np.moveaxis(fields, 0, -1).ravel().tolist()) + "\r\n")
     return fields
 
 

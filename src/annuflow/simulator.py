@@ -57,6 +57,16 @@ check reduces |v| over the angles before it divides by each radius's
 cell sizes. The
 table costs O(K L) per radius against an FFT's O(L log L): up to
 ntheta = 64 the few large products are the faster step.
+
+Planes may carry leading batch axes, (..., K, 2, N+1), for many states of
+one configuration. :meth:`Simulator.step`, :meth:`Simulator.cfl_limit`
+and :meth:`Simulator.kinetic_energy` take such a batch in one pass, and
+each member comes out bit for bit as its own call gives it: every product
+runs once per member, at the member's own size, because BLAS rounds a
+product differently as its row count changes. The energy functionals,
+``max_psi``, ``diagnostics``, ``energy_residual`` and ``run`` sum over
+the modes and read one state; they raise GridMismatch on a batch.
+:func:`escape_experiment` steps all its deltas as one batch.
 """
 
 from __future__ import annotations
@@ -89,11 +99,12 @@ def lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot: time, the real planes (K, 2, N+1) of the modal
-    profiles (row n - 1 holds mode n, plane 0 its real and plane 1 its
-    imaginary part), and the planes of the previous step's advection, of
-    the same shape (None before the first step). Both arrays become
-    read-only; anything but such real planes raises GridMismatch.
+    """Immutable snapshot: time, the real planes (..., K, 2, N+1) of the
+    modal profiles (row n - 1 holds mode n, plane 0 its real and plane 1
+    its imaginary part), and the planes of the previous step's advection,
+    of the same shape (None before the first step). Leading axes, if any,
+    hold a batch of states that share t. Both arrays become read-only;
+    anything but such real planes raises GridMismatch.
     """
 
     t: float
@@ -102,9 +113,9 @@ class SimState:
 
     def __post_init__(self):
         X, prev = self.planes, self.prev_planes
-        if not (isinstance(X, np.ndarray) and X.dtype.kind == "f" and X.ndim == 3
-                and X.shape[1] == 2):
-            raise GridMismatch("a state takes real (K, 2, N+1) planes")
+        if not (isinstance(X, np.ndarray) and X.dtype.kind == "f" and X.ndim >= 3
+                and X.shape[-2] == 2):
+            raise GridMismatch("a state takes real (..., K, 2, N+1) planes")
         if prev is not None and not (isinstance(prev, np.ndarray) and prev.dtype == X.dtype
                                      and prev.shape == X.shape):
             raise GridMismatch("the previous advection takes planes like the state's")
@@ -115,7 +126,7 @@ class SimState:
     def rotated(self, theta0: float) -> "SimState":
         """The state rotated by theta0: mode n picks up e^{i n theta0}, a
         rotation of its two planes by n theta0."""
-        angle = np.arange(1, len(self.planes) + 1) * theta0
+        angle = np.arange(1, self.planes.shape[-3] + 1) * theta0
         c, s = np.cos(angle), np.sin(angle)
         rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
         prev = self.prev_planes
@@ -155,8 +166,9 @@ class Simulator:
     """IMEX stepper for a fixed (params, mu, grid, ntheta, dt) configuration.
 
     Its states carry the K = (ntheta - 1) // 3 modes that the ntheta
-    lattice de-aliases, so 3K + 1 <= ntheta; a state of another shape
-    raises GridMismatch. dt must be positive and finite (ValueError). The
+    lattice de-aliases, so 3K + 1 <= ntheta; a state of another shape, or
+    a batch where a method reads one state, raises GridMismatch. dt must
+    be positive and finite (ValueError). The
     propagators P, Q and W (see the module docstring) are formed once at
     construction; a singular implicit matrix raises SolverFailure there.
     ``nonlinear=False`` drops the advection term entirely, so each mode
@@ -233,55 +245,62 @@ class Simulator:
         planes[0, 0] = eig.psi1
         return SimState(0.0, delta * planes)
 
-    def _check(self, state: SimState) -> None:
-        """GridMismatch unless the state's planes are (K, 2, N+1)."""
-        shape = (self.K, 2, self.grid.N + 1)
-        if state.planes.shape != shape:
-            raise GridMismatch(f"state planes {state.planes.shape} do not match "
-                               f"the simulator's {shape}")
+    def _check(self, state: SimState, batch: bool = False) -> None:
+        """GridMismatch unless the state's planes are (K, 2, N+1), with
+        leading batch axes only where ``batch`` allows them."""
+        shape, got = (self.K, 2, self.grid.N + 1), state.planes.shape
+        if got[-3:] != shape:
+            raise GridMismatch(f"state planes {got} do not match the simulator's {shape}")
+        if len(got) > 3 and not batch:
+            raise GridMismatch(f"this reads one state, not a batch of {got[:-3]}")
 
     # ----------------------------------------------------------- physics
 
     def cfl_limit(self, v: np.ndarray) -> float:
-        """Largest admissible dt for the (2, ntheta, N+1) lattice velocity
-        (v_r, v_theta): 0.5 / max crossing rate, where each component is
-        measured against the cell size it crosses (radial spacing for v_r,
-        local arc length for v_theta). |v| is reduced over theta first:
-        dividing by a positive size keeps the order of rounded values, so
-        the maximum is the full lattice's, bit for bit. Infinite for a
-        zero velocity."""
-        rate = (np.abs(v).max(axis=1) / self._cells).max()
+        """Largest admissible dt for the (2, ..., ntheta, N+1) lattice
+        velocity (v_r, v_theta): 0.5 / max crossing rate, where each
+        component is measured against the cell size it crosses (radial
+        spacing for v_r, local arc length for v_theta). Over a batch (the
+        middle axes) it is the smallest of the members' limits. |v| is
+        reduced over the batch and theta first: dividing by a positive
+        size keeps the order of rounded values, so the maximum is the full
+        lattice's, bit for bit. Infinite for a zero velocity."""
+        rate = (np.abs(v).reshape(2, -1, v.shape[-1]).max(axis=1) / self._cells).max()
         return float(0.5 / rate) if rate > 0 else float("inf")
 
     def step(self, state: SimState) -> SimState:
-        """Advance one dt. Raises CFLViolation when dt exceeds the
-        per-cell advective limit (see :meth:`cfl_limit`) and SolverFailure
-        when the new state is not finite (a blown-up run)."""
-        self._check(state)
+        """Advance one dt, a batch of states in one pass: each member
+        comes out bit for bit as its own step would give it. Raises
+        CFLViolation when dt exceeds the per-cell advective limit of any
+        member (see :meth:`cfl_limit`) and SolverFailure when a new state
+        is not finite (a blown-up run)."""
+        self._check(state, batch=True)
         X, n1, K = state.planes, self.grid.N + 1, self.K
+        batch = X.shape[:-3]
         # the planes of v_r, v_theta and, for the advection, d omega/dr
-        # and -(1/r) d omega/dtheta
-        fields = np.empty((4 if self.nonlinear else 2, K, 2, n1))
+        # and -(1/r) d omega/dtheta; the field axis goes first, so that
+        # each field is contiguous and out= writes into it, not into a copy
+        fields = np.empty((4 if self.nonlinear else 2, *batch, K, 2, n1))
         modal_velocity(X, self.grid, self._factor, out=fields[:2])
         # the radial product X S_n^T, whose sums the advection's 1e-13
         # reference bound was set on
         if self.nonlinear:
             omega = X @ self._St
-            fields[2] = omega[:, :, n1:]
-            np.multiply(omega[:, ::-1, :n1], self._factor, out=fields[3])
-        # synthesized on the lattice, one (ntheta, N+1) array per field
-        f = self._synth @ fields.reshape(len(fields), 2 * K, n1)
+            fields[2] = omega[..., n1:]
+            np.multiply(omega[..., ::-1, :n1], self._factor, out=fields[3])
+        # synthesized on the lattice, one (ntheta, N+1) array per field and member
+        f = self._synth @ fields.reshape(len(fields), *batch, 2 * K, n1)
         limit = self.cfl_limit(f[:2])
         if self.dt > limit:
             raise CFLViolation(
                 f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
         if self.nonlinear:
             # -v . grad omega = v_theta f[3] - v_r d omega/dr
-            nl = (self._analysis @ (f[1] * f[3] - f[0] * f[2])).reshape(K, 2, n1)
+            nl = (self._analysis @ (f[1] * f[3] - f[0] * f[2])).reshape(X.shape)
             prev = state.prev_planes
             force = nl if prev is None else 1.5 * nl - 0.5 * prev
             # P and Q act in one product of [X | F]
-            new = np.concatenate([X, force], axis=2) @ self._PQt
+            new = np.concatenate([X, force], axis=-1) @ self._PQt
         else:
             nl = None
             new = X @ self._PQt[:, :n1]
@@ -294,7 +313,7 @@ class Simulator:
     # -------------------------------------------------------- diagnostics
 
     def _mode_energies(self, state: SimState) -> np.ndarray:
-        """(E3, E1, E2) of each mode of the field, one row per mode."""
+        """(E3, E1, E2) of each mode of one state's field, one row per mode."""
         self._check(state)
         return 4.0 * np.pi * np.column_stack(
             mode_energies(self.params, state.planes, self.grid, self._factor))
@@ -303,11 +322,14 @@ class Simulator:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
         return tuple(self._mode_energies(state).sum(axis=0).tolist())
 
-    def kinetic_energy(self, state: SimState) -> float:
-        """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity planes."""
-        self._check(state)
+    def kinetic_energy(self, state: SimState) -> float | np.ndarray:
+        """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity
+        planes; for a batch, an array of the members' values, each equal
+        bit for bit to that member's own."""
+        self._check(state, batch=True)
         v = modal_velocity(state.planes, self.grid, self._factor)
-        return float((4.0 * np.pi * ((v * v).sum(axis=(0, 2)) @ self.grid.weights)).sum())
+        e = (4.0 * np.pi * ((v * v).sum(axis=(0, -2)) @ self.grid.weights)).sum(axis=-1)
+        return e if e.ndim else float(e)
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
         """Defect of the balance of :class:`Diagnostics` across one step,
@@ -376,13 +398,18 @@ def fit_growth_rate(diags: list[Diagnostics], *,
 
 def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
                       *, eps_thr: float) -> list[tuple[float, float]]:
-    """Escape times: for each delta, the first t with ||v(t)|| >= eps_thr.
+    """Escape times: for each delta, the first t with ||v(t)|| >= eps_thr,
+    in the order of delta_list.
 
-    Raises ValueError unless every delta is positive (the zero state never
-    grows) and eps_thr > 0 has a positive, finite square, and NoEscape
-    without growth (lambda_1 <= 0 at the simulator's mu) or when a delta
-    does not reach the threshold within ESCAPE_MAX_STEPS. The slope of T
-    vs ln(1/delta) estimates 1/lambda_1.
+    All deltas step as one batch; the threshold is tested on the batch
+    before each step, and a member leaves it once it crosses, so each
+    time equals that of the delta's own run. Raises ValueError unless
+    every delta is positive (the zero state never grows) and eps_thr > 0
+    has a positive, finite square, and NoEscape without growth
+    (lambda_1 <= 0 at the simulator's mu) or when a delta does not reach
+    the threshold within ESCAPE_MAX_STEPS (the first such delta in list
+    order is named). A CFL violation or a blow-up in any member stops the
+    batch. The slope of T vs ln(1/delta) estimates 1/lambda_1.
     """
     thr2 = eps_thr * eps_thr
     if not (eps_thr > 0 and 0 < thr2 < np.inf and all(d > 0 for d in delta_list)):
@@ -390,16 +417,28 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
                          f"got {eps_thr}, {delta_list}")
     if eig.lambda1 <= 0:
         raise NoEscape(f"no instability at mu={sim.mu}: lambda1={eig.lambda1}")
-    out = []
-    for delta in delta_list:
-        state, steps = sim.init_from_mode(eig, delta), 0
-        while sim.kinetic_energy(state) < thr2:
-            if steps == ESCAPE_MAX_STEPS:
-                raise NoEscape(f"threshold {eps_thr} not reached from delta={delta} "
-                               f"within {ESCAPE_MAX_STEPS} steps (t={state.t:.1f})")
-            state, steps = sim.step(state), steps + 1
-        out.append((delta, state.t))
-    return out
+    deltas = list(delta_list)
+    if not deltas:
+        return []
+    times = [None] * len(deltas)
+    # live[i] is the position in deltas of the batch's member i
+    live = np.arange(len(deltas))
+    state = SimState(0.0, np.array([sim.init_from_mode(eig, d).planes for d in deltas]))
+    for steps in range(ESCAPE_MAX_STEPS + 1):
+        crossed = ~(sim.kinetic_energy(state) < thr2)
+        for i in live[crossed].tolist():
+            times[i] = state.t
+        live = live[~crossed]
+        if not live.size:
+            return list(zip(deltas, times))
+        if steps == ESCAPE_MAX_STEPS:
+            raise NoEscape(f"threshold {eps_thr} not reached from delta={deltas[live[0]]} "
+                           f"within {ESCAPE_MAX_STEPS} steps (t={state.t:.1f})")
+        if crossed.any():
+            prev = state.prev_planes
+            state = SimState(state.t, state.planes[~crossed],
+                             None if prev is None else prev[~crossed])
+        state = sim.step(state)
 
 
 def escape_slope(table: list[tuple[float, float]]) -> float:

@@ -27,6 +27,23 @@ def lattice_velocity(planes: np.ndarray, grid, ntheta: int) -> np.ndarray:
         modal_velocity(planes, grid, velocity_factor(grid, n)), ntheta)
 
 
+def _row_by_row_field_csv(nodes, theta, fields) -> bytes:
+    """A field dump as one "{:.17g}" template formats it, row by row: the
+    header, then r, theta and the three (N+1, ntheta) lattices of
+    ``fields`` at each (r, theta), r outer, CRLF line ends."""
+    r, th = np.meshgrid(nodes, theta, indexing="ij")
+    row = ",".join(["{:.17g}"] * 5).format
+    lines = ["r,theta,psi,v_r,v_theta"]
+    lines += [row(*v) for v in zip(*(c.ravel().tolist() for c in (r, th, *fields)))]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+@pytest.fixture(scope="session")
+def field_csv_reference():
+    """The per-row formatter whose bytes write_field_csv must reproduce."""
+    return _row_by_row_field_csv
+
+
 @pytest.fixture(scope="session")
 def params135():
     return af.validate(1.0, 3.0, 5.0, 1.0)

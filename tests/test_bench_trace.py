@@ -8,13 +8,15 @@ interpreter and checks that it emits every per-layer metric that
 ``BENCHMARK.json`` names; it reads ``bench/`` and writes nothing there.
 The point solves one leading eigenpair, and dense QZ
 (``generalized_eig``) is not reached. A second case runs ``cli.main`` on
-a ``bifurcate --phases 1`` and a ``simulate --snapshot`` under tracing,
-so the observers that read ``write_field_csv``'s path and ``field_svg``'s
-text see the current signatures.
+a ``bifurcate --phases 1``, a ``simulate --snapshot`` and a
+``simulate --escape`` under tracing, so the observers that read
+``write_field_csv``'s path and ``field_svg``'s text see the current
+signatures, and the marching-squares and step counts keep their meaning.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -47,9 +49,13 @@ absent = spans.install(rec)
 codes = [cli.main(["bifurcate", "1", "3", "5", "--phases", "1", "-N", "24",
                    "--ntheta", "16", "-o", {out!r}]),
          cli.main(["simulate", "--steps", "5", "--ntheta", "8", "-N", "24",
-                   "--mu", "1.2", "--dt", "0.005", "--snapshot", "-o", {out!r}])]
+                   "--mu", "1.2", "--dt", "0.005", "--snapshot", "-o", {out!r}]),
+         cli.main(["simulate", "--mu", "1.2", "--escape", "1e-4,1e-3", "--ntheta", "8",
+                   "-N", "24", "--dt", "0.005", "-o", {out!r} + "/escape"])]
+names = [s[0] for s in rec.spans]
 print(json.dumps({{"codes": codes, "absent": sorted(absent),
-                  "counters": dict(rec.counters)}}))
+                  "counters": dict(rec.counters),
+                  "calls": {{n: names.count(n) for n in set(names)}}}}))
 """
 
 
@@ -103,10 +109,19 @@ def test_traced_sweep_point():
 def test_traced_cli_field_outputs(tmp_path):
     out = run_traced(CLI_SCRIPT.format(bench=os.path.join(ROOT, "bench"),
                                        out=str(tmp_path)))
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 0]
     assert out["absent"] == []
     assert out["counters"]["io.write_field_csv.bytes"] > 0
     assert out["counters"]["contours.field_svg.bytes"] > 0
+    # one marching-squares call per level drawn, so the per-layer count
+    # keeps its meaning: the one phase's SVG draws N_LEVELS levels
+    svg = (tmp_path / "field_phase0.svg").read_text()
+    assert out["calls"]["contours.field_svg"] == 1
+    colours = set(re.findall(r'<line [^>]*stroke="([^"]+)"', svg))
+    assert out["calls"]["contours.marching_squares"] == len(colours) == 11
+    # the escape run steps its batch through the traced step: five steps of
+    # the snapshot run, then the batch's
+    assert out["calls"]["simulator.step"] > 5
 
 
 def test_traced_simulator_layers():

@@ -16,7 +16,8 @@ from annuflow import errors
 from annuflow.bifurcation import DEFAULT_MU_OFFSET
 from annuflow.cli import main
 from annuflow.domain import RATIO_LIMIT
-from annuflow.io import load_schema, read_config, validate_against_schema, write_csv
+from annuflow.io import (load_schema, read_config, validate_against_schema, write_csv,
+                         write_field_csv)
 from annuflow.sweep import SWEEP_HEADER, SweepRow, SweepSpec
 from conftest import rows
 
@@ -44,6 +45,20 @@ def assert_literal_dump(path, planes, grid, ntheta, lattice_reference):
             lattice_reference(np.array([grid.d1 @ c for c in coeffs]), ntheta)]
     for got, ref in zip(fields, refs):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ntheta", [8, 16, 64])
+def test_field_csv_bytes_equal_the_row_by_row_template(tmp_path, ntheta,
+                                                       field_csv_reference):
+    # states from subnormal to 1e300, so that exponents of every width are
+    # formatted, and the zero state
+    grid = af.build_grid(1.0, 3.0, 24)
+    unit = np.random.default_rng(ntheta).standard_normal(((ntheta - 1) // 3, 2, 25))
+    for j, scale in enumerate((1e-310, 1e-150, 1.0, 1e150, 1e300, 0.0)):
+        path = tmp_path / f"f{j}.csv"
+        fields = write_field_csv(str(path), scale * unit, grid, ntheta)
+        assert path.read_bytes() == field_csv_reference(
+            grid.nodes, af.theta_lattice(ntheta), fields)
 
 
 class TestMuC:
@@ -320,6 +335,16 @@ class TestSimulate:
                             "--delta", "0.5", "-o", str(tmp_path))
         assert code == 5
         assert doc["error"] == "CFLViolation"
+
+    def test_escape_cfl_in_one_member_exit_5(self, tmp_path, capsys):
+        # delta = 2 breaks the CFL limit in the first step, while 1e-6 could
+        # step on; the batch stops with the error a run of 2 alone gives
+        code, doc = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-6,2",
+                            "--eps-thr", "1e3", "--dt", "0.05", "--ntheta", "8",
+                            "-N", "24", "-o", str(tmp_path))
+        assert code == 5
+        assert doc["error"] == "CFLViolation"
+        validate_against_schema(doc, "error")
 
     def test_non_finite_state_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(annuflow.simulator, "lu_solve",

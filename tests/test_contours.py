@@ -36,6 +36,13 @@ def test_svg_unchanged_by_one_ulp_of_the_extremes(pattern, which, direction):
     assert field_svg(nudged, r) == base
 
 
+def _pairs(segs):
+    """marching_squares' (m, 4) endpoint rows as the reference walk's
+    ((x0, y0), (x1, y1)) pairs, value for value."""
+    assert segs.shape == (len(segs), 4)
+    return [((x0, y0), (x1, y1)) for x0, y0, x1, y1 in segs.tolist()]
+
+
 def _closed_lattice(values, r):
     """The wrapped field and lattice coordinates that field_svg contours."""
     xs, ys = polar_lattice_xy(r, af.theta_lattice(values.shape[1]))
@@ -65,7 +72,7 @@ def fields(report_099, grid48):
 def test_segments_equal_the_cell_by_cell_walk(fields, name, marching_reference):
     vals, xs, ys = _closed_lattice(*fields[name])
     for level in map(float, contour_levels(vals)):
-        segs = marching_squares(vals, xs, ys, level)
+        segs = _pairs(marching_squares(vals, xs, ys, level))
         assert segs == marching_reference(vals, xs, ys, level)
 
 
@@ -90,7 +97,8 @@ def test_constant_field_draws_no_contour(marching_reference):
     values = np.full((13, 8), 0.7)
     vals, xs, ys = _closed_lattice(values, _R13)
     assert contour_levels(vals).tolist() == [0.7]
-    assert marching_squares(vals, xs, ys, 0.7) == marching_reference(vals, xs, ys, 0.7) == []
+    assert _pairs(marching_squares(vals, xs, ys, 0.7)) == marching_reference(
+        vals, xs, ys, 0.7) == []
     svg = field_svg(values, _R13)
     assert "<line" not in svg
 

@@ -529,3 +529,120 @@ class TestEscape:
             if np.sqrt(sim.energies(st)[0]) > 1e-2:
                 t_rot = st.t
         assert abs(t_rot - t_base) < 1e-6
+
+    @pytest.mark.parametrize("order", [[1e-4, 1e-6, 1e-5], [1e-5, 1e-4, 1e-6]])
+    def test_unsorted_deltas_come_back_in_input_order(self, unstable, order):
+        # one batch, each time equal to the delta's own run
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=8)
+        alone = [af.escape_experiment(sim, eig, [d], eps_thr=1e-2)[0] for d in order]
+        assert af.escape_experiment(sim, eig, order, eps_thr=1e-2) == alone
+        assert [d for d, _ in alone] == order
+
+    def test_step_cap_names_the_first_delta_that_misses(self, unstable, monkeypatch):
+        # 1.0 escapes before the first step, and of the two that miss the
+        # cap the one earlier in the list is named
+        pr, mu, g, eig = unstable
+        monkeypatch.setattr(annuflow.simulator, "ESCAPE_MAX_STEPS", 3)
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        with pytest.raises(af.NoEscape, match=r"delta=2e-06 within 3 steps \(t=0.0\)"):
+            af.escape_experiment(sim, eig, [1.0, 2e-6, 1e-6], eps_thr=1e-2)
+
+    def test_empty_delta_list(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        assert af.escape_experiment(sim, eig, [], eps_thr=1e-2) == []
+
+
+def _random_batch(sim, rng, B):
+    """B states whose every mode is populated, small enough to step."""
+    g = sim.grid
+    shape = (B, sim.K, 2, g.N + 1)
+    return 1e-3 * rng.standard_normal(shape) * np.sin(np.pi * (g.nodes - 1.0) / 2.0)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+    @pytest.mark.parametrize("ntheta", [8, 16, 32])
+    def test_members_equal_their_own_steps(self, unstable, ntheta, nonlinear):
+        # the Euler start (prev_planes None) and the AB2 step after it, bit
+        # for bit, planes and previous advection alike
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=ntheta, nonlinear=nonlinear)
+        X = _random_batch(sim, np.random.default_rng(ntheta), 3)
+        batch = [sim.step(af.SimState(0.0, X))]
+        batch.append(sim.step(batch[0]))
+        for b in range(len(X)):
+            one = sim.step(af.SimState(0.0, X[b].copy()))
+            for got, want in zip(batch, (one, sim.step(one))):
+                assert got.t == want.t
+                assert np.array_equal(got.planes[b], want.planes)
+                if nonlinear:
+                    assert np.array_equal(got.prev_planes[b], want.prev_planes)
+                else:
+                    assert got.prev_planes is None and want.prev_planes is None
+
+    def test_two_batch_axes(self, unstable):
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=16)
+        X = _random_batch(sim, np.random.default_rng(2), 6)
+        flat = sim.step(sim.step(af.SimState(0.0, X)))
+        nested = sim.step(sim.step(af.SimState(0.0, X.reshape(2, 3, *X.shape[1:]))))
+        assert np.array_equal(nested.planes.reshape(X.shape), flat.planes)
+        assert sim.kinetic_energy(nested).shape == (2, 3)
+
+    @pytest.mark.parametrize("ntheta", [8, 16, 32])
+    def test_kinetic_energy_per_member(self, unstable, ntheta):
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=ntheta)
+        X = _random_batch(sim, np.random.default_rng(ntheta), 4)
+        got = sim.kinetic_energy(af.SimState(0.0, X))
+        assert got.shape == (4,)
+        want = [sim.kinetic_energy(af.SimState(0.0, x.copy())) for x in X]
+        assert got.tolist() == want and all(type(e) is float for e in want)
+
+    def test_rotated_turns_each_member_by_its_modes(self, unstable):
+        # the mode count is the planes' third axis from the end, not the
+        # member count
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=16)
+        X = _random_batch(sim, np.random.default_rng(5), 2)
+        turned = af.SimState(0.0, X).rotated(0.3)
+        for b in range(2):
+            assert np.array_equal(turned.planes[b],
+                                  af.SimState(0.0, X[b].copy()).rotated(0.3).planes)
+
+    def test_one_member_over_the_cfl_limit(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.05, ntheta=8)
+        X = np.array([sim.init_from_mode(eig, d).planes for d in (1e-6, 2.0)])
+        sim.step(af.SimState(0.0, X[:1].copy()))
+        with pytest.raises(af.CFLViolation) as exc:
+            sim.step(af.SimState(0.0, X))
+        assert exc.value.exit_code == 5
+
+    def test_one_non_finite_member(self, unstable):
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        X = np.array([sim.init_from_mode(eig, 1e-2).planes] * 3)
+        X[1, 0, 0] = np.nan
+        with pytest.raises(af.SolverFailure) as exc:
+            sim.step(af.SimState(0.0, X))
+        assert exc.value.exit_code == 3
+
+    @pytest.mark.parametrize("method", ["energies", "_mode_energies", "diagnostics",
+                                        "max_psi", "energy_residual", "run"])
+    def test_single_state_readers_refuse_a_batch(self, unstable, method):
+        # each of these sums over the modes' axis; on a batch it would add
+        # up the members
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=8)
+        one = sim.init_from_mode(eig, 1e-2)
+        batch = af.SimState(0.0, np.array([one.planes] * 2))
+        later = af.SimState(0.01, batch.planes)
+        call = {"energy_residual": lambda: sim.energy_residual(batch, later),
+                "run": lambda: sim.run(batch, 2)}.get(
+                    method, lambda: getattr(sim, method)(batch))
+        with pytest.raises(af.GridMismatch, match="one state") as exc:
+            call()
+        assert exc.value.exit_code == 2
