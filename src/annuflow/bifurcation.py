@@ -96,9 +96,14 @@ def mode_energies(params: DomainParams, planes: np.ndarray, grid: RadialGrid,
     (in_vr, in_vt), dv = modal_velocity(v, grid, factor[None])
     grads = (*dv, in_vr + vt / grid.nodes, in_vt - vr / grid.nodes)
     vt2 = (vt * vt).sum(axis=-2)
-    E3 = ((vr * vr).sum(axis=-2) + vt2) @ grid.weights
     E1 = sum((g * g).sum(axis=-2) for g in grads) @ grid.weights + vt2[..., 0]
-    return E3, E1, params.a * vt2[..., -1]
+    return mode_kinetic_energy(v, grid), E1, params.a * vt2[..., -1]
+
+
+def mode_kinetic_energy(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """E3 = int |v|^2 r dr of each mode of the :func:`modal_velocity` planes v."""
+    squares = (v * v).sum(axis=-2)
+    return (squares[0] + squares[1]) @ grid.weights
 
 
 def energy_growth(params: DomainParams, mu: float, E1, E2):

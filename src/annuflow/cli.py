@@ -27,15 +27,8 @@ from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
-from .io import (
-    json_text,
-    read_config,
-    write_csv,
-    write_field_csv,
-    write_json,
-    write_manifest,
-    write_trajectory_csv,
-)
+from .io import (json_text, read_config, write_csv, write_field_csv, write_json,
+                 write_manifest, write_trajectory_csv)
 from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
 from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
@@ -188,7 +181,10 @@ def cmd_simulate(args) -> dict:
     if args.escape:
         deltas = [float(s) for s in args.escape.split(",")]
         table = escape_experiment(sim, eig, deltas, eps_thr=args.eps_thr)
-        slope = escape_slope(table) if len(table) > 1 else None
+        try:
+            slope = escape_slope(table)
+        except ValueError:
+            slope = None
         doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": args.eps_thr,
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": slope,
@@ -201,8 +197,7 @@ def cmd_simulate(args) -> dict:
                            cfg["sample_every"])
     residual_max = max((d.energy_residual for d in diags[1:]), default=0.0)
     try:
-        sat = diags[-1].max_psi if cfg["nonlinear"] else None
-        growth = fit_growth_rate(diags, saturation=None if sat in (None, 0.0) else sat)
+        growth = fit_growth_rate(diags)
     except (SolverFailure, ValueError):
         growth = None
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": cfg["mu"],
@@ -210,8 +205,7 @@ def cmd_simulate(args) -> dict:
            "steps": cfg["steps"], "delta": cfg["delta"],
            "nonlinear": cfg["nonlinear"], "final_t": state.t,
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
-           "growth_rate": growth, "saturation_max_psi": sat,
-           "energy_residual_max": residual_max}
+           "growth_rate": growth, "energy_residual_max": residual_max}
     traj = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, diags)
     outputs = [traj]
@@ -219,7 +213,8 @@ def cmd_simulate(args) -> dict:
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, state.planes, grid, cfg["ntheta"])
         outputs.append(snap)
-    return _finish(out, "simulate", doc, "simulate", cfg, outputs)
+    return _finish(out, "simulate", doc, "simulate",
+                   cfg | {"snapshot": bool(args.snapshot)}, outputs)
 
 
 def _sweep_spec(path: str) -> SweepSpec:

@@ -39,23 +39,20 @@ al., Phys. Rev. Research 2, 023068, 2020).
 The advection is a pseudo-spectral product, computed on the planes with
 no complex arithmetic and no FFT. One product X S_n^T of the planes with
 the per-mode stack S_n = [Delta_n; d1 Delta_n], held transposed, gives
-omega and d omega/dr,
-and bifurcation.modal_velocity gives v_r and v_theta. -i n / r swaps the
-two planes with a sign, so v_r = -i n psi / r and -(1/r) d omega/dtheta
-cost one scaled copy each. The four lattice fields are one product with the
-(L, 2K) table of 2 cos(m theta_l) and -2 sin(m theta_l) of
-:func:`annuflow.domain.synthesis_table` on the L = ntheta angles. They are
-multiplied pointwise, and one product with the (2K, L) analysis table,
-that table transposed and divided by 2L, gives the planes of the forcing
-directly. The product holds modes up to 2K, and on L >= 3K + 1 angles
-none of them aliases onto a mode n <= K: this is the 2/3-rule Galerkin
-truncation (Orszag, J. Atmos. Sci. 28 (1971) 1074; Boyd, Chebyshev and
-Fourier Spectral Methods, 2nd ed., ch. 11). The mean (n = 0) mode is
-dropped the same way, keeping the dynamics inside the zero-mean-swirl
-phase space. The CFL check and ``max_psi`` read the same table; the
-check reduces |v| over the angles before it divides by each radius's
-cell sizes. The
-table costs O(K L) per radius against an FFT's O(L log L): up to
+omega and d omega/dr, and bifurcation.modal_velocity gives v_r and
+v_theta. -i n / r swaps the two planes with a sign, so v_r = -i n psi / r
+and -(1/r) d omega/dtheta cost one scaled copy each. The four lattice
+fields are one product with the (L, 2K) table of 2 cos(m theta_l) and
+-2 sin(m theta_l) of :func:`annuflow.domain.synthesis_table` on the
+L = ntheta angles. They are multiplied pointwise, and one product with the
+(2K, L) analysis table, that table transposed and divided by 2L, gives the
+planes of the forcing directly. The product holds modes up to 2K, and on
+L >= 3K + 1 angles none of them aliases onto a mode n <= K: this is the
+2/3-rule Galerkin truncation (Orszag, J. Atmos. Sci. 28 (1971) 1074; Boyd,
+Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11). The mean
+(n = 0) mode is dropped the same way, keeping the dynamics inside the
+zero-mean-swirl phase space. The CFL check and ``max_psi`` read the same
+table, which costs O(K L) per radius against an FFT's O(L log L): up to
 ntheta = 64 the few large products are the faster step.
 
 Planes may carry leading batch axes, (..., K, 2, N+1), for many states of
@@ -63,9 +60,9 @@ one configuration. :meth:`Simulator.step`, :meth:`Simulator.cfl_limit`
 and :meth:`Simulator.kinetic_energy` take such a batch in one pass, and
 each member comes out bit for bit as its own call gives it: every product
 runs once per member, at the member's own size, because BLAS rounds a
-product differently as its row count changes. The energy functionals,
-``max_psi``, ``diagnostics``, ``energy_residual`` and ``run`` sum over
-the modes and read one state; they raise GridMismatch on a batch.
+product differently as its row count changes. The other energy
+functionals, ``max_psi``, ``diagnostics``, ``energy_residual`` and ``run``
+read one state; they raise GridMismatch on a batch.
 :func:`escape_experiment` steps all its deltas as one batch.
 """
 
@@ -76,7 +73,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bifurcation import (EigenResult, energy_growth, modal_velocity, mode_energies,
-                          velocity_factor)
+                          mode_kinetic_energy, velocity_factor)
 from .domain import DomainParams, synthesis_table
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
@@ -84,6 +81,8 @@ from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
 
 #: ||v|| at or below which fit_growth_rate drops a sample as startup noise
 GROWTH_FLOOR = 1e-8
+#: energy outside the leading mode, per its own, above which fit_growth_rate drops a sample
+DOMINANCE = 1e-6
 #: steps after which escape_experiment gives up on one delta
 ESCAPE_MAX_STEPS = 200_000
 
@@ -138,14 +137,13 @@ class SimState:
 class Diagnostics:
     """Energy functionals and amplitude sampled at one instant.
 
-    E3 is the kinetic energy integral |v|^2; E1 is the gradient energy
-    plus the outer-boundary tangential term; E2 is the inner-boundary
-    tangential term. All are nonnegative; the linear balance is
-    d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2. ``energy_residual``, set by
-    :meth:`Simulator.run` on every sample but the initial one, is that
-    balance's defect across the step that ended here relative to its right
-    side. That side cancels on a plateau, so there the ratio measures the
-    cancellation: the README's saturating run has terms of 5,025 summing to 0.03.
+    E3 is the kinetic energy integral |v|^2, ``mode_energies`` its part in
+    each mode; E1 is the gradient energy plus the outer-boundary tangential
+    term; E2 is the inner-boundary tangential term. All are nonnegative;
+    the linear balance is d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2.
+    ``energy_residual``, set by :meth:`Simulator.run` on every sample but
+    the initial one, is that balance's defect across the step that ended
+    here relative to its right side, which cancels on a plateau (README).
     """
 
     t: float
@@ -168,9 +166,9 @@ class Simulator:
     Its states carry the K = (ntheta - 1) // 3 modes that the ntheta
     lattice de-aliases, so 3K + 1 <= ntheta; a state of another shape, or
     a batch where a method reads one state, raises GridMismatch. dt must
-    be positive and finite (ValueError). The
-    propagators P, Q and W (see the module docstring) are formed once at
-    construction; a singular implicit matrix raises SolverFailure there.
+    be positive and finite (ValueError). The propagators P, Q and W (see
+    the module docstring) are formed once at construction; a singular
+    implicit matrix raises SolverFailure there.
     ``nonlinear=False`` drops the advection term entirely, so each mode
     evolves under its own linear operator (used for rate cross-checks).
     """
@@ -223,9 +221,7 @@ class Simulator:
         # analysis table is copied C-ordered, as BLAS's sums depend on it
         self._synth = synthesis_table(self.K, ntheta)
         self._analysis = (self._synth.T / (2 * ntheta)).copy()
-        # per-node advective cell sizes, one row per velocity component:
-        # radial spacing (distance to the nearer neighbor) for v_r and
-        # local azimuthal arc length for v_theta
+        # the cell sizes of cfl_limit; radially, the distance to the nearer node
         dr = np.abs(np.diff(grid.nodes))
         self._cells = np.stack([np.minimum(np.append(dr, dr[-1]), np.append(dr[0], dr)),
                                 grid.nodes * 2.0 * np.pi / ntheta])
@@ -323,12 +319,14 @@ class Simulator:
         return tuple(self._mode_energies(state).sum(axis=0).tolist())
 
     def kinetic_energy(self, state: SimState) -> float | np.ndarray:
-        """E3 of :meth:`energies` alone, ||v||^2, from the step's velocity
-        planes; for a batch, an array of the members' values, each equal
+        """E3 of :meth:`energies` alone, ||v||^2, bit for bit, without E1
+        and E2; for a batch, an array of the members' values, each equal
         bit for bit to that member's own."""
         self._check(state, batch=True)
         v = modal_velocity(state.planes, self.grid, self._factor)
-        e = (4.0 * np.pi * ((v * v).sum(axis=(0, -2)) @ self.grid.weights)).sum(axis=-1)
+        e = 4.0 * np.pi * mode_kinetic_energy(v, self.grid)
+        # an accumulate adds the modes in order, as energies' row sum does
+        e = np.add.accumulate(e, axis=-1)[..., -1]
         return e if e.ndim else float(e)
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
@@ -377,23 +375,21 @@ class Simulator:
         return state, diags
 
 
-def fit_growth_rate(diags: list[Diagnostics], *,
-                    saturation: float | None = None) -> float:
-    """Least-squares slope of ln ||v|| over the clean exponential window.
-
-    Samples with ||v|| <= GROWTH_FLOOR (startup noise) are dropped; when a
-    saturation scale is given, samples above 1e-3 * saturation (nonlinear
-    contamination) are dropped too.
+def fit_growth_rate(diags: list[Diagnostics]) -> float:
+    """Least-squares slope of ln ||v|| over the samples with ||v|| >
+    GROWTH_FLOOR (below it, startup noise) whose energy outside the most
+    energetic mode is at most DOMINANCE of that mode's. The advection feeds
+    other modes at O(|s|^2) of the mode's amplitude s (the slaved G11 of
+    the reduction), and moves the slope by about twice that energy ratio; a
+    linear run keeps them at exactly 0. SolverFailure below two samples.
     """
     t = np.array([d.t for d in diags])
     v = np.array([d.vnorm for d in diags])
-    keep = v > GROWTH_FLOOR
-    if saturation is not None:
-        keep &= v < 1e-3 * saturation
+    E = np.sort([d.mode_energies for d in diags], axis=1)
+    keep = (v > GROWTH_FLOOR) & (E[:, :-1].sum(axis=1) <= DOMINANCE * E[:, -1])
     if keep.sum() < 2:
         raise SolverFailure("fewer than two samples in the growth-fit window")
-    coef = np.polyfit(t[keep], np.log(v[keep]), 1)
-    return float(coef[0])
+    return float(np.polyfit(t[keep], np.log(v[keep]), 1)[0])
 
 
 def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
@@ -442,9 +438,10 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
 
 
 def escape_slope(table: list[tuple[float, float]]) -> float:
-    """Slope of T_delta against ln(1/delta); compare to 1/lambda_1."""
+    """Slope of T_delta against ln(1/delta); compare to 1/lambda_1. Raises
+    ValueError unless ln(1/delta) takes at least two values."""
     x = np.log(1.0 / np.array([d for d, _ in table]))
     y = np.array([t for _, t in table])
-    if len(x) < 2:
-        raise ValueError("need at least two escape samples")
+    if len(set(x.tolist())) < 2:
+        raise ValueError("need escape samples at two distinct deltas")
     return float(np.polyfit(x, y, 1)[0])

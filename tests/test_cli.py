@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -388,6 +389,53 @@ class TestSimulate:
                             "-N", "24", "-o", str(tmp_path))
         assert code == 2 and doc["error"] == "ValueError"
         validate_against_schema(doc, "error")
+
+    def test_nonlinear_rate_is_the_linear_twins(self, tmp_path, capsys):
+        # the default run decays, and its window is the linear run's
+        rates = []
+        for extra in ([], ["--linear"]):
+            code, doc = run_cli(capsys, "simulate", *extra, "-o", str(tmp_path / "x"))
+            assert code == 0
+            rates.append(doc["growth_rate"])
+        assert rates[0] == pytest.approx(rates[1], rel=1e-6)
+        assert "saturation_max_psi" not in doc
+
+    def test_two_equal_modes_give_no_rate(self, tmp_path, capsys, monkeypatch):
+        # negative control: no sample has a leading mode, so no rate
+        argv = ["simulate", "--mu", "1.2", "--steps", "5", "--sample-every", "1",
+                "--ntheta", "8", "-N", "24", "--dt", "0.005", "-o", str(tmp_path)]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0 and doc["growth_rate"] > 0
+        one_mode = af.Simulator.init_from_mode
+
+        def two_modes(sim, eig, delta):
+            planes = np.repeat(one_mode(sim, eig, delta).planes[:1], 2, axis=0)
+            e1, e2 = sim.diagnostics(af.SimState(0.0, planes.copy())).mode_energies
+            planes[1] *= np.sqrt(e1 / e2)
+            return af.SimState(0.0, planes)
+
+        monkeypatch.setattr(af.Simulator, "init_from_mode", two_modes)
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0 and doc["growth_rate"] is None
+
+    @pytest.mark.parametrize("flag,snapshot", [([], False), (["--snapshot"], True)])
+    def test_manifest_records_snapshot(self, tmp_path, capsys, flag, snapshot):
+        code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--steps", "3", "--ntheta", "8",
+                          "-N", "24", "--dt", "0.005", *flag, "-o", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["inputs"]["snapshot"] is snapshot
+        assert any(p.endswith("snapshot.csv") for p in manifest["outputs"]) is snapshot
+
+    def test_repeated_deltas_give_no_slope(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--mu", "1.2", "--escape", "1e-3,1e-3", "--ntheta",
+                         "8", "-N", "24", "--dt", "0.005", "-o", str(tmp_path)])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == 0 and err == ""
+        assert doc["slope"] is None and len(doc["escape_times"]) == 2
 
     def test_escape_manifest_records_only_what_it_reads(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",

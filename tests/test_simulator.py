@@ -131,6 +131,20 @@ class TestLinearRates:
         rate = af.fit_growth_rate(diags)
         assert rate == pytest.approx(lam2.real, rel=1e-3)
 
+    @pytest.mark.parametrize("setup,delta,dt,steps", [
+        ("stable", 1e-3, 0.01, 1000), ("stable", 1e-4, 0.002, 120),
+        ("unstable", 1e-6, 0.002, 300), ("unstable", 1e-3, 0.005, 1000)])
+    def test_linear_window_is_the_floor(self, request, setup, delta, dt, steps):
+        # every other mode stays exactly 0, so the fit is the floor-only
+        # fit bit for bit; the first run decays far below the floor
+        pr, mu, g, eig = request.getfixturevalue(setup)
+        sim = af.Simulator(pr, g, mu=mu, dt=dt, ntheta=32, nonlinear=False)
+        _, diags = sim.run(sim.init_from_mode(eig, delta), steps, sample_every=10)
+        t = np.array([d.t for d in diags])
+        v = np.array([d.vnorm for d in diags])
+        keep = v > af.simulator.GROWTH_FLOOR
+        assert af.fit_growth_rate(diags) == np.polyfit(t[keep], np.log(v[keep]), 1)[0]
+
     def test_decay_bound_pointwise(self, stable):
         # ||v(t)|| <= ||v0|| e^{lambda1 t} for the nonlinear system
         pr, mu, g, eig = stable
@@ -141,6 +155,43 @@ class TestLinearRates:
             st, diags = sim.run(st, 20, sample_every=20)
             bound = v0 * np.exp(eig.lambda1 * st.t)
             assert np.sqrt(sim.energies(st)[0]) <= bound * (1 + 1e-6)
+
+
+class TestGrowthFit:
+    @pytest.fixture(scope="class")
+    def readme_run(self):
+        """The README simulate settings, cut at t = 0.8: the window, two
+        samples, is the full run's."""
+        pr = af.validate(1, 3, 5, 1.2)
+        g = af.build_grid(1, 3, 48)
+        eig = af.leading_eigenpair(pr, 1.2, g)
+        sim = af.Simulator(pr, g, mu=1.2, dt=0.002, ntheta=32)
+        return eig, sim.run(sim.init_from_mode(eig, 0.05), 400, sample_every=10)[1]
+
+    def test_nonlinear_rate_is_lambda1(self, readme_run):
+        eig, diags = readme_run
+        assert af.fit_growth_rate(diags) == pytest.approx(eig.lambda1, rel=1e-5)
+
+    def test_fit_above_the_floor_alone_misses(self, readme_run):
+        # negative control: the advection moves the slope of the later samples
+        eig, diags = readme_run
+        t = np.array([d.t for d in diags])
+        v = np.array([d.vnorm for d in diags])
+        keep = v > af.simulator.GROWTH_FLOOR
+        rate = np.polyfit(t[keep], np.log(v[keep]), 1)[0]
+        assert rate != pytest.approx(eig.lambda1, rel=1e-5)
+
+    def test_window_follows_the_most_energetic_mode(self):
+        def diags(*energies):
+            return [af.Diagnostics(t=0.1 * k, E3=max(e), E1=1.0, E2=1.0, max_psi=1.0,
+                                   mode_energies=e) for k, e in enumerate(energies)]
+
+        # the leading mode is mode 2, and the last sample leaves the window
+        growing = diags((0.0, 1.0), (1e-7, np.e ** 2), (1e-7, np.e ** 4), (1.0, 1e5))
+        assert af.fit_growth_rate(growing) == pytest.approx(10.0, rel=1e-12)
+        # two modes of equal energy: no sample is in the window
+        with pytest.raises(af.SolverFailure, match="two samples"):
+            af.fit_growth_rate(diags((1.0, 1.0), (2.0, 2.0), (4.0, 4.0)))
 
 
 class TestEnergyBalance:
@@ -224,18 +275,20 @@ class TestEnergyBalance:
         E3, E1, E2 = sim.energies(st)
         assert E3 > 0 and E1 > 0 and E2 > 0
 
-    @pytest.mark.parametrize("ntheta", [8, 32])
+    @pytest.mark.parametrize("ntheta", [8, 32, 64])
     def test_kinetic_energy_is_E3(self, unstable, ntheta, monkeypatch):
+        # one per-mode functional, its modes added in one order: equal bits
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=ntheta)
         rng = np.random.default_rng(ntheta)
-        psi = np.array([(rng.standard_normal() + 1j * rng.standard_normal())
-                        * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.K + 1)])
-        st = af.SimState(0.0, as_planes(psi))
-        E3 = sim.energies(st)[0]
+        states = [af.SimState(0.0, as_planes(np.array([
+            (rng.standard_normal() + 1j * rng.standard_normal()) * 10.0 ** rng.uniform(-3, 3)
+            * np.sin(n * g.nodes) * eig.psi1 for n in range(1, sim.K + 1)])))
+            for _ in range(20)]
+        E3 = [sim.energies(st)[0] for st in states]
         monkeypatch.setattr(af.simulator, "mode_energies",
                             lambda *a, **k: pytest.fail("E1 and E2 formed"))
-        assert sim.kinetic_energy(st) == pytest.approx(E3, rel=1e-15, abs=0)
+        assert [sim.kinetic_energy(st) for st in states] == E3
 
 
 class TestStructure:
@@ -491,6 +544,11 @@ class TestEscape:
         table = af.escape_experiment(sim, eig, [2e-5, 1e-5], eps_thr=1e-2)
         dT = table[1][1] - table[0][1]
         assert dT == pytest.approx(np.log(2) / eig.lambda1, rel=0.05)
+
+    @pytest.mark.parametrize("deltas", [[], [1e-3], [1e-3, 1e-3]])
+    def test_slope_needs_two_distinct_deltas(self, deltas):
+        with pytest.raises(ValueError, match="two distinct deltas"):
+            af.escape_slope([(d, 1.0 + k) for k, d in enumerate(deltas)])
 
     def test_no_escape_raises(self, stable):
         pr, mu, g, eig = stable
