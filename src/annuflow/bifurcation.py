@@ -238,12 +238,6 @@ def _normalize(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return -v if grid.d1[grid.N] @ v < 0 else v
 
 
-def _laplacian(g: np.ndarray, n: int, grid: RadialGrid) -> np.ndarray:
-    """Delta_n g = g'' + g' / r - n^2 g / r^2, without forming the matrix."""
-    r = grid.nodes
-    return grid.d2 @ g + (grid.d1 @ g) / r - n**2 * g / r**2
-
-
 def interaction(f: np.ndarray, nf: int, g: np.ndarray, ng: int,
                 grid: RadialGrid) -> np.ndarray:
     """Advection bilinear form on the real profiles f of mode nf and g of
@@ -254,7 +248,8 @@ def interaction(f: np.ndarray, nf: int, g: np.ndarray, ng: int,
     if any(p.dtype.kind != "f" or p.shape != (grid.N + 1,) for p in (f, g)):
         raise GridMismatch("interaction takes real profiles on its grid")
     r = grid.nodes
-    om = _laplacian(g, ng, grid)
+    # omega = Delta_ng g = g'' + g' / r - ng^2 g / r^2, without the matrix
+    om = grid.d2 @ g + (grid.d1 @ g) / r - ng**2 * g / r**2
     return nf * f / r * (grid.d1 @ om) - ng * (grid.d1 @ f) / r * om
 
 
@@ -281,13 +276,14 @@ def lyapunov_coeff(psi1: np.ndarray, g: np.ndarray, grid: RadialGrid) -> float:
     r-weighted integral of the interaction profiles. Both factors of i
     cancel, so with the brackets h of :func:`interaction`
 
-    l = int (h(Psi_1, -1; g, 2) + h(g, 2; Psi_1, -1)) Psi_1 r dr
-        / -int (Delta_1 Psi_1) Psi_1 r dr.
+    l = int (h(Psi_1, -1; g, 2) + h(g, 2; Psi_1, -1)) Psi_1 r dr / E3,
+
+    with E3 = <Psi_1, Psi_1> by :func:`mode_kinetic_energy`.
     """
     total = interaction(psi1, -1, g, 2, grid) + interaction(g, 2, psi1, -1, grid)
     num = grid.weights @ (total * psi1)
-    den = -(grid.weights @ (_laplacian(psi1, 1, grid) * psi1))
-    return float(num / den)
+    v = modal_velocity(np.stack([psi1, np.zeros_like(psi1)]), grid, velocity_factor(grid, 1))
+    return float(num / mode_kinetic_energy(v, grid))
 
 
 class Classification(str, Enum):

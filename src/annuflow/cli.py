@@ -29,7 +29,7 @@ from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
 from .io import (json_text, read_config, write_csv, write_field_csv, write_json,
                  write_manifest, write_trajectory_csv)
-from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
+from .simulator import GROWTH_FLOOR, Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
 from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
 
@@ -75,16 +75,15 @@ def cmd_eigen(args) -> dict:
     params = validate(args.a, args.b, args.alpha, args.mu)
     grid = build_grid(params.a, params.b, args.N)
     eig = leading_eigenpair(params, args.mu, grid)
-    samples = [{"r": float(r), "re": float(v.real), "im": float(v.imag)}
-               for r, v in zip(grid.nodes, eig.psi1)]
+    profile = list(zip(grid.nodes.tolist(), eig.psi1.tolist()))
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": args.mu,
-           "N": args.N, "lambda1": eig.lambda1, "psi1_samples": samples}
+           "N": args.N, "lambda1": eig.lambda1,
+           "psi1_samples": [{"r": r, "psi": v} for r, v in profile]}
     out = _outdir(args)
     outputs = []
     if args.profile_csv:
         path = os.path.join(out, args.profile_csv)
-        write_csv(path, ["r", "psi1_re", "psi1_im"],
-                  ((s["r"], s["re"], s["im"]) for s in samples))
+        write_csv(path, ["r", "psi1"], profile)
         outputs.append(path)
     return _finish(out, "eigen", doc, "eigen", _inputs(args), outputs)
 
@@ -195,7 +194,8 @@ def cmd_simulate(args) -> dict:
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
-    residual_max = max((d.energy_residual for d in diags[1:]), default=0.0)
+    # below GROWTH_FLOOR the state is rounding, which no balance describes
+    residuals = [d.energy_residual for d in diags[1:] if d.vnorm > GROWTH_FLOOR]
     try:
         growth = fit_growth_rate(diags)
     except (SolverFailure, ValueError):
@@ -205,7 +205,7 @@ def cmd_simulate(args) -> dict:
            "steps": cfg["steps"], "delta": cfg["delta"],
            "nonlinear": cfg["nonlinear"], "final_t": state.t,
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
-           "growth_rate": growth, "energy_residual_max": residual_max}
+           "growth_rate": growth, "energy_residual_max": max(residuals, default=None)}
     traj = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, diags)
     outputs = [traj]

@@ -24,17 +24,17 @@ pencil's), rhs = Delta_n + dt mu / 2 Delta_n^2, and Z the identity with
 the boundary rows zeroed. The step applies precomputed propagators
 instead of solving: psi^{k+1} = P psi^k + Q F^k with P = lhs^-1 Z rhs and
 Q = dt lhs^-1 Z. All K of them come from one batched LU solve
-(:func:`lu_solve`, numpy's LAPACK gesv: an LU factorization with partial
-pivoting and its two triangular solves) of the stacked lhs against
-[Z rhs | I], which gives P and lhs^-1 together, so the simulator needs no
-scipy. The products meet the boundary rows A_bc psi = 0 only to about
-1e-9 of max|psi|, so each step re-imposes them exactly by
-psi -= W (A_bc psi), W = lhs^-1 E_bc, with E_bc the boundary columns of
-the identity (so A_bc W = I). Being real, the propagators act on both
-planes of a mode at once, transposed: P and Q in one product
-[X | F] [P^T; Q^T] of the planes X and forcing F side by side, then
-X - (X A_bc^T) W^T. Dedalus steps its linear part the same way (Burns et
-al., Phys. Rev. Research 2, 023068, 2020).
+(:func:`lu_solve`, numpy's LAPACK gesv) of the stacked lhs against
+[Z rhs | I], which gives P and lhs^-1 together. The products meet the
+boundary rows A_bc psi = 0 only to about 1e-9 of max|psi|, so each step
+re-imposes them exactly by psi -= W (A_bc psi), W = lhs^-1 E_bc, with
+E_bc the boundary columns of the identity (so A_bc W = I); A_bc, the
+rows of :func:`annuflow.spectral.navier_slip_bcs`, is one block for every
+mode. Being real, the propagators act on both planes of a mode at once,
+transposed: P and Q in one product [X | F] [P^T; Q^T] of the planes X
+and forcing F side by side, then X - (X A_bc^T) W^T. Dedalus steps its
+linear part the same way (Burns et al., Phys. Rev. Research 2, 023068,
+2020).
 
 The advection is a pseudo-spectral product, computed on the planes with
 no complex arithmetic and no FFT. One product X S_n^T of the planes with
@@ -76,7 +76,7 @@ from .bifurcation import (EigenResult, energy_growth, modal_velocity, mode_energ
                           mode_kinetic_energy, velocity_factor)
 from .domain import DomainParams, synthesis_table
 from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
-from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil
+from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil, navier_slip_bcs
 
 
 #: ||v|| at or below which fit_growth_rate drops a sample as startup noise
@@ -143,7 +143,7 @@ class Diagnostics:
     the linear balance is d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2.
     ``energy_residual``, set by :meth:`Simulator.run` on every sample but
     the initial one, is that balance's defect across the step that ended
-    here relative to its right side, which cancels on a plateau (README).
+    here relative to the size of its terms, mu E1 + |alpha - mu/a| E2.
     """
 
     t: float
@@ -197,7 +197,8 @@ class Simulator:
         B = np.array([p.mass for p in pencils])
         lhs = B - 0.5 * self.dt * A
         # unit-scale boundary rows: scaled by dt/2, the LU meets them 1,000x worse
-        lhs[:, BC_ROWS] = A[:, BC_ROWS]
+        bcs = navier_slip_bcs(grid, params, self.mu)
+        lhs[:, BC_ROWS] = bcs
         rhs = B + 0.5 * self.dt * A
         rhs[:, BC_ROWS] = 0.0
         # one batched solve against [Z rhs | I] gives P and lhs^-1
@@ -215,7 +216,7 @@ class Simulator:
         # sol is now [P | Q]; [P^T; Q^T] acts on [X | F] in one product, and
         # the linear step reads its P^T half
         self._PQt = sol.transpose(0, 2, 1).copy()
-        self._A_bct = A[:, BC_ROWS].transpose(0, 2, 1)
+        self._A_bct = bcs.T
         self._factor = velocity_factor(grid, np.arange(1, self.K + 1)[:, None])
         # synthesis (ntheta, 2K) and analysis (2K, ntheta) tables; the
         # analysis table is copied C-ordered, as BLAS's sums depend on it
@@ -330,9 +331,10 @@ class Simulator:
         return e if e.ndim else float(e)
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
-        """Defect of the balance of :class:`Diagnostics` across one step,
-        relative to its right side (:func:`energy_growth`) averaged over the
-        two endpoint states (matching the scheme's second-order accuracy)."""
+        """Defect of the balance of :class:`Diagnostics` across one step
+        relative to the size of its right side's terms, mu E1 +
+        |alpha - mu/a| E2, which does not cancel on a plateau as their sum
+        does; E1 and E2 are averaged over the two endpoint states."""
         dt = after.t - before.t
         if dt <= 0:
             raise GridMismatch("states are not consecutive")
@@ -341,9 +343,10 @@ class Simulator:
     def _balance_defect(self, before: tuple, after: tuple, dt: float) -> float:
         """:meth:`energy_residual` from the (E3, E1, E2) of both states."""
         (e0, E1a, E2a), (e1, E1b, E2b) = before, after
-        rhs = 0.5 * (energy_growth(self.params, self.mu, E1a, E2a)
-                     + energy_growth(self.params, self.mu, E1b, E2b))
-        return abs(0.5 * (e1 - e0) / dt - rhs) / (abs(rhs) + 1e-300)
+        E1, E2, p = 0.5 * (E1a + E1b), 0.5 * (E2a + E2b), self.params
+        size = self.mu * E1 + abs(p.alpha - self.mu / p.a) * E2
+        defect = 0.5 * (e1 - e0) / dt - energy_growth(p, self.mu, E1, E2)
+        return abs(defect) / (size + 1e-300)
 
     def max_psi(self, state: SimState) -> float:
         """max |psi| on the ntheta lattice, by the step's table."""

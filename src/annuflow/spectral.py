@@ -214,7 +214,8 @@ def generalized_eig(pencil: ModePencil, cap: float) -> np.ndarray:
     real part. The zero boundary rows of ``mass`` park the spurious
     eigenvalues at infinity; anything with |lambda| above ``cap`` is
     discarded as row-replacement debris. :func:`eigenvector` gives the
-    eigenvector of any of them."""
+    eigenvector of any of them. It needs scipy, which only the ``test``
+    extra installs: no command calls it."""
     import scipy.linalg as sla
 
     try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import annuflow as af
-from annuflow.bifurcation import velocity_factor
+from annuflow.bifurcation import modal_velocity, mode_kinetic_energy, velocity_factor
 from conftest import as_planes, lattice_velocity
 
 
@@ -244,6 +244,20 @@ class TestLyapunovCoefficient:
     def test_reduction_is_real(self, report_099):
         assert report_099.psi1.dtype == report_099.g11.dtype == np.float64
         assert type(report_099.l) is float
+
+    def test_denominator_is_the_kinetic_energy(self, report_099, grid48):
+        # <Psi_1, Psi_1> is Psi_1's E3, the one mode_kinetic_energy; the
+        # Laplacian form -int (Delta_1 Psi_1) Psi_1 r dr, equal by parts,
+        # agrees to rounding
+        psi, g = report_099.psi1, report_099.g11
+        num = grid48.weights @ ((af.interaction(psi, -1, g, 2, grid48)
+                                 + af.interaction(g, 2, psi, -1, grid48)) * psi)
+        planes = np.stack([psi, np.zeros_like(psi)])
+        E3 = mode_kinetic_energy(modal_velocity(planes, grid48, velocity_factor(grid48, 1)),
+                                 grid48)
+        assert report_099.l == num / E3
+        by_parts = -(grid48.weights @ ((af.laplacian_n(grid48, 1) @ psi) * psi))
+        assert E3 == pytest.approx(by_parts, rel=1e-12)
 
     def test_resolution_stable(self, muc135, grid48, grid64):
         mu = 0.99 * muc135

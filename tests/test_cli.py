@@ -152,6 +152,24 @@ class TestEigen:
         assert len(doc["psi1_samples"]) == 49
         validate_against_schema(doc, "eigen")
 
+    def test_real_profile_written_once(self, tmp_path, capsys):
+        # psi1_samples and the profile CSV carry the real Psi_1 in one
+        # column each, with no imaginary column
+        code, doc = run_cli(capsys, "eigen", "1", "3", "5", "1.2", "-N", "24",
+                            "--profile-csv", "p.csv", "-o", str(tmp_path))
+        assert code == 0
+        grid = af.build_grid(1, 3, 24)
+        eig = af.leading_eigenpair(af.validate(1, 3, 5, 1.2), 1.2, grid)
+        pairs = [[s["r"], s["psi"]] for s in doc["psi1_samples"]]
+        assert pairs == np.column_stack([grid.nodes, eig.psi1]).tolist()
+        with open(tmp_path / "p.csv") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["r", "psi1"]
+        assert [[float(x) for x in row] for row in table[1:]] == pairs
+        doc["psi1_samples"][0]["im"] = 0.0
+        with pytest.raises(Exception, match="im"):
+            validate_against_schema(doc, "eigen")
+
     def test_near_zero_at_critical(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "eigen", "1", "3", "5",
                             "1.3403712354824624", "-N", "64", "-o", str(tmp_path))
@@ -296,6 +314,22 @@ class TestBifurcate:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("flags", [[], ["--linear"]], ids=["default", "linear"])
+    def test_default_run_balances_energy(self, tmp_path, capsys, flags):
+        # the balance's defect over the size of its terms, on the samples
+        # above GROWTH_FLOOR, reads 9.3e-4 on both; over the right side and
+        # on every sample it read 0.99999, as the state fell to rounding
+        code, doc = run_cli(capsys, "simulate", *flags, "-o", str(tmp_path))
+        assert code == 0
+        assert 0 < doc["energy_residual_max"] < 1e-2
+
+    def test_no_sample_above_the_floor_no_residual(self, tmp_path, capsys):
+        code, doc = run_cli(capsys, "simulate", "--delta", "0", "--steps", "5",
+                            "--ntheta", "8", "-N", "24", "-o", str(tmp_path))
+        assert code == 0
+        assert doc["energy_residual_max"] is None
+        validate_against_schema(doc, "simulate")
+
     def test_linear_decay_preset(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "simulate", "--steps", "200", "--dt", "0.005",
                             "--ntheta", "8", "-N", "32", "--linear",

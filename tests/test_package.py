@@ -35,6 +35,19 @@ def test_pyproject_reads_the_package_version(capsys):
     assert capsys.readouterr().out.strip() == af.__version__
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    # every command runs on numpy alone; scipy serves generalized_eig and
+    # the tests' references, so it comes with the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(reqs):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in reqs]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names bound by module-level imports that the module never reads."""
     tree = ast.parse(source)

@@ -519,6 +519,16 @@ class TestStructure:
             psi = rows(st.planes)
             assert np.abs(psi @ bc.T).max() <= 1e-10 * np.abs(psi).max()
 
+    def test_one_boundary_block_for_every_mode(self, unstable):
+        # the boundary rows do not depend on n, so the re-imposition keeps
+        # one (N+1, 4) block of them, not K copies
+        pr, mu, g, _ = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=16)
+        bc = af.navier_slip_bcs(g, pr, mu)
+        for n in range(1, sim.K + 1):
+            assert np.array_equal(af.mode_pencil(g, pr, mu, n).matrix[af.BC_ROWS], bc)
+        assert np.array_equal(sim._A_bct, bc.T)
+
 
 class TestEscape:
     def test_immediate_escape(self, unstable):
