@@ -317,8 +317,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flags", [[], ["--linear"]], ids=["default", "linear"])
     def test_default_run_balances_energy(self, tmp_path, capsys, flags):
         # the balance's defect over the size of its terms, on the samples
-        # above GROWTH_FLOOR, reads 9.3e-4 on both; over the right side and
-        # on every sample it read 0.99999, as the state fell to rounding
+        # above GROWTH_FLOOR, reads 9.3e-4 on both: the run decays to
+        # rounding, which the floor leaves out
         code, doc = run_cli(capsys, "simulate", *flags, "-o", str(tmp_path))
         assert code == 0
         assert 0 < doc["energy_residual_max"] < 1e-2
