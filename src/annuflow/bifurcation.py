@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .critical import mu_c_closed
-from .domain import DomainParams, PhysicalField, synthesize_physical
+from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
 from .spectral import RadialGrid, eigenvector, mode_pencil, solve_bvp
 
@@ -75,6 +75,15 @@ def modal_velocity(planes: np.ndarray, grid: RadialGrid, factor: np.ndarray,
     lead = planes.shape[:-factor.ndim]
     np.matmul(planes.reshape(*lead, -1, n1), grid.d1.T, out=out[1].reshape(*lead, -1, n1))
     return out
+
+
+def field_lattices(planes: np.ndarray, grid: RadialGrid, ntheta: int) -> np.ndarray:
+    """The (3, N+1, ntheta) psi, v_r and v_theta lattices of the state whose
+    modal planes are ``planes`` (row n - 1 holds mode n): psi and
+    :func:`modal_velocity` in one batched :func:`synthesize_lattice` call."""
+    n = np.arange(1, len(planes) + 1)[:, None]
+    v = modal_velocity(planes, grid, velocity_factor(grid, n))
+    return synthesize_lattice(np.concatenate([planes[None], v]), ntheta)
 
 
 def mode_energies(params: DomainParams, planes: np.ndarray, grid: RadialGrid,

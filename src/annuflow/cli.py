@@ -22,7 +22,8 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__
-from .bifurcation import DEFAULT_MU_OFFSET, bifurcation_report, leading_eigenpair
+from .bifurcation import (DEFAULT_MU_OFFSET, bifurcation_report, field_lattices,
+                          leading_eigenpair)
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import validate
@@ -109,27 +110,13 @@ def cmd_bifurcate(args) -> dict:
     outputs = []
     for j in range(args.phases):
         planes = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
+        fields = field_lattices(planes, grid, args.ntheta)
         base = os.path.join(out, f"field_phase{j}")
-        psi = write_field_csv(base + ".csv", planes, grid, args.ntheta)[0]
+        write_field_csv(base + ".csv", fields, grid.nodes)
         with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(psi, grid.nodes))
+            fh.write(field_svg(fields[0], grid.nodes))
         outputs += [base + ".csv", base + ".svg"]
     return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
-
-
-def _read_typed(path: str, casts: dict) -> dict:
-    """The key = value file at path, each value cast by its entry in casts;
-    a key without an entry raises InvalidPhysics, and a value that does not
-    cast a ValueError naming the file and the key."""
-    vals = {}
-    for key, val in read_config(path).items():
-        if key not in casts:
-            raise InvalidPhysics(f"unknown config key {key!r}")
-        try:
-            vals[key] = casts[key](val)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {key} = {val!r}: {exc}") from exc
-    return vals
 
 
 def _boolean(text: str) -> bool:
@@ -154,7 +141,7 @@ def _sim_config(args) -> dict:
     """The simulate inputs: defaults, then the config file, then the flags."""
     cfg = {k: default for k, (_, default) in SIM_INPUTS.items()}
     if args.config:
-        cfg.update(_read_typed(args.config, {k: c for k, (c, _) in SIM_INPUTS.items()}))
+        cfg.update(read_config(args.config, {k: c for k, (c, _) in SIM_INPUTS.items()}))
     cfg.update((k, getattr(args, k)) for k in SIM_INPUTS
                if getattr(args, k, None) is not None)
     if args.linear:
@@ -211,7 +198,7 @@ def cmd_simulate(args) -> dict:
     outputs = [traj]
     if args.snapshot:
         snap = os.path.join(out, "snapshot.csv")
-        write_field_csv(snap, state.planes, grid, cfg["ntheta"])
+        write_field_csv(snap, field_lattices(state.planes, grid, cfg["ntheta"]), grid.nodes)
         outputs.append(snap)
     return _finish(out, "simulate", doc, "simulate",
                    cfg | {"snapshot": bool(args.snapshot)}, outputs)
@@ -220,16 +207,14 @@ def cmd_simulate(args) -> dict:
 def _sweep_spec(path: str) -> SweepSpec:
     """The spec file as a SweepSpec; an end missing from a range keeps
     SweepSpec's default."""
-    vals = _read_typed(path, {
+    vals = read_config(path, {
         "a": float, "alpha_min": float, "alpha_max": float, "alpha_samples": int,
         "b_min": float, "b_max": float, "b_samples": int, "mu_offset": float,
         "N": int})
     kwargs = {k: v for k, v in vals.items() if not k.endswith(("_min", "_max"))}
     for axis in ("alpha", "b"):
-        if f"{axis}_min" in vals or f"{axis}_max" in vals:
-            lo, hi = getattr(SweepSpec, f"{axis}_range")
-            kwargs[f"{axis}_range"] = (vals.get(f"{axis}_min", lo),
-                                       vals.get(f"{axis}_max", hi))
+        lo, hi = getattr(SweepSpec, f"{axis}_range")
+        kwargs[f"{axis}_range"] = (vals.get(f"{axis}_min", lo), vals.get(f"{axis}_max", hi))
     return SweepSpec(**kwargs)
 
 
@@ -264,18 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: $ANNUFLOW_OUTDIR or .)")
 
     sp = sub.add_parser("mu-c", help="critical viscosity")
-    sp.add_argument("a", type=float)
-    sp.add_argument("b", type=float)
-    sp.add_argument("alpha", type=float)
+    for name in ("a", "b", "alpha"):
+        sp.add_argument(name, type=float)
     sp.add_argument("--oracle", action="store_true",
                     help="also compute the determinant-root cross-check")
     add_outdir(sp)
     sp.set_defaults(func=cmd_mu_c)
 
     sp = sub.add_parser("eigen", help="leading eigenpair")
-    sp.add_argument("a", type=float)
-    sp.add_argument("b", type=float)
-    sp.add_argument("alpha", type=float)
+    for name in ("a", "b", "alpha"):
+        sp.add_argument(name, type=float)
     sp.add_argument("mu", type=float)
     sp.add_argument("-N", type=int, default=64)
     sp.add_argument("--profile-csv", default=None,
@@ -284,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser("bifurcate", help="center-manifold reduction and states")
-    sp.add_argument("a", type=float)
-    sp.add_argument("b", type=float)
-    sp.add_argument("alpha", type=float)
+    for name in ("a", "b", "alpha"):
+        sp.add_argument(name, type=float)
     sp.add_argument("--mu", type=float, default=None,
                     help=f"viscosity (default: mu_c * (1 + {DEFAULT_MU_OFFSET:g}))")
     sp.add_argument("--phases", type=int, default=0,

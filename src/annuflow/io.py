@@ -1,19 +1,17 @@
-"""Run output: every CSV table, JSON document and manifest annuflow writes.
+"""Run files: every CSV table, JSON document and manifest annuflow writes,
+and the config files it reads; no field is computed here.
 
 CSV tables use the csv module's default dialect (comma-separated, fields
 quoted where they need it, CRLF line ends). Numbers are printed with 17
 significant digits, so round-tripping through text is exact for doubles,
-and None is an empty cell. A field dump holds psi, v_r and v_theta of one
-state, built here from its modal planes, on the (r, theta) lattice,
-row-major with r as the outer index; its cells are all floats, which the
-csv module never quotes, so it is formatted in one pass from a template
-into the same bytes, each radius and angle formatted once. JSON
-documents, on stdout and on
-disk alike, come from :func:`json_text`: two-space indent, sorted keys,
-one trailing newline, and no NaN or Infinity.
-Every command-level run writes a manifest ``{command, inputs, outputs,
-version}`` recording what is needed to reproduce its outputs
-bit-identically.
+and None is an empty cell. A field dump's cells, the lattices a command
+computed, are all floats, which the csv module never quotes, so it is
+formatted in one pass from a template into the same bytes, each radius
+and angle formatted once. JSON documents, on stdout and on disk alike,
+come from :func:`json_text`: two-space indent, sorted keys, one trailing
+newline, and no NaN or Infinity. Every command-level run writes a
+manifest ``{command, inputs, outputs, version}`` recording what is
+needed to reproduce its outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -26,13 +24,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bifurcation import modal_velocity, velocity_factor
-from .domain import synthesize_lattice, theta_lattice
-from .simulator import Diagnostics
-from .spectral import RadialGrid
-
-FIELD_HEADER = ["r", "theta", "psi", "v_r", "v_theta"]
-TRAJECTORY_HEADER_FIXED = ["t", "E3", "E1", "E2", "max_psi"]
+from .domain import theta_lattice
+from .errors import InvalidPhysics
 
 
 def _cell(x) -> str:
@@ -47,37 +40,28 @@ def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
     """A header row, then one row per item of rows: numbers at .17g,
     None as an empty cell, strings as they are."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_cell(x) for x in row] for row in rows)
+        csv.writer(fh).writerows([_cell(x) for x in row] for row in [header, *rows])
 
 
-def write_field_csv(path: str, planes: np.ndarray, grid: RadialGrid,
-                    ntheta: int) -> np.ndarray:
-    """Dump the state whose modal planes are ``planes`` (row n - 1 holds
-    mode n): one (r, theta, psi, v_r, v_theta) row per point of the grid
-    nodes x :func:`theta_lattice` (ntheta), r outer, theta in radians; psi
-    and :func:`modal_velocity` in one batched :func:`synthesize_lattice`
-    call, whose (3, N+1, ntheta) lattices of (psi, v_r, v_theta) it returns."""
-    n = np.arange(1, len(planes) + 1)[:, None]
-    v = modal_velocity(planes, grid, velocity_factor(grid, n))
-    fields = synthesize_lattice(np.concatenate([planes[None], v]), ntheta)
+def write_field_csv(path: str, fields: np.ndarray, r: np.ndarray) -> None:
+    """Dump the (3, nr, ntheta) lattices ``fields`` of (psi, v_r, v_theta)
+    over the radii r x :func:`theta_lattice` (ntheta): one (r, theta, psi,
+    v_r, v_theta) row per point, r outer, theta in radians."""
     # each radius and angle is formatted once, into the rows' templates
     r, theta = ([format(x, ".17g") for x in a.tolist()]
-                for a in (grid.nodes, theta_lattice(ntheta)))
+                for a in (r, theta_lattice(fields.shape[-1])))
     rows = "\r\n".join(f"{a},{b},%.17g,%.17g,%.17g" for a in r for b in theta)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(FIELD_HEADER) + "\r\n"
+        fh.write("r,theta,psi,v_r,v_theta\r\n"
                  + rows % tuple(np.moveaxis(fields, 0, -1).ravel().tolist()) + "\r\n")
-    return fields
 
 
-def write_trajectory_csv(path: str, diags: list[Diagnostics]) -> None:
-    """One row per diagnostics sample: fixed columns then per-mode energies."""
+def write_trajectory_csv(path: str, diags: list) -> None:
+    """One row per Diagnostics sample: fixed columns then per-mode energies."""
     if not diags:
         raise ValueError("empty trajectory")
-    n_modes = len(diags[0].mode_energies)
-    header = TRAJECTORY_HEADER_FIXED + [f"E_mode{n}" for n in range(1, n_modes + 1)]
+    modes = range(1, len(diags[0].mode_energies) + 1)
+    header = ["t", "E3", "E1", "E2", "max_psi"] + [f"E_mode{n}" for n in modes]
     write_csv(path, header, ([d.t, d.E3, d.E1, d.E2, d.max_psi, *d.mode_energies]
                              for d in diags))
 
@@ -108,8 +92,7 @@ def write_manifest(path: str, command: str, inputs: dict,
 
 def load_schema(name: str) -> dict:
     """Load one of the shipped JSON schemas by basename (without .json)."""
-    text = resources.files("annuflow").joinpath(f"schemas/{name}.json").read_text()
-    return json.loads(text)
+    return json.loads(resources.files("annuflow").joinpath(f"schemas/{name}.json").read_text())
 
 
 def validate_against_schema(doc: dict, name: str) -> None:
@@ -122,9 +105,12 @@ def validate_against_schema(doc: dict, name: str) -> None:
     jsonschema.validate(doc, load_schema(name))
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment, blank lines skipped."""
-    out: dict[str, str] = {}
+def read_config(path: str, casts: dict) -> dict:
+    """Flat key = value file, '#' starting a comment, each value cast by its
+    key's entry in casts. A line without '=' raises ValueError, then a key
+    without an entry InvalidPhysics, and a value that does not cast a
+    ValueError naming the file and the key."""
+    text: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -133,5 +119,13 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            text[key.strip()] = val.strip()
+    out = {}
+    for key, val in text.items():
+        if key not in casts:
+            raise InvalidPhysics(f"unknown config key {key!r}")
+        try:
+            out[key] = casts[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key} = {val!r}: {exc}") from exc
     return out

@@ -87,6 +87,12 @@ DOMINANCE = 1e-6
 ESCAPE_MAX_STEPS = 200_000
 
 
+def _sum_modes(e: np.ndarray) -> np.ndarray:
+    """e summed over its last axis in mode order: the one sum of energies,
+    diagnostics and kinetic_energy, so that their E3 agree bit for bit."""
+    return np.add.accumulate(e, axis=-1)[..., -1]
+
+
 def lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """lhs^-1 rhs for a stack of square matrices and right-hand sides,
     by one batched LU solve; SolverFailure when a matrix is singular."""
@@ -265,20 +271,29 @@ class Simulator:
         rate = (np.abs(v).reshape(2, -1, v.shape[-1]).max(axis=1) / self._cells).max()
         return float(0.5 / rate) if rate > 0 else float("inf")
 
-    def step(self, state: SimState) -> SimState:
+    def _velocity(self, X: np.ndarray) -> np.ndarray:
+        """The step's field planes of X, field axis first so that out=
+        writes into each: v_r and v_theta by :func:`modal_velocity`, then,
+        if nonlinear, room for d omega/dr and -(1/r) d omega/dtheta."""
+        fields = np.empty((4 if self.nonlinear else 2, *X.shape))
+        modal_velocity(X, self.grid, self._factor, out=fields[:2])
+        return fields
+
+    def _kinetic(self, fields: np.ndarray) -> float | np.ndarray:
+        """:meth:`kinetic_energy` from the :meth:`_velocity` planes."""
+        e = _sum_modes(4.0 * np.pi * mode_kinetic_energy(fields[:2], self.grid))
+        return e if e.ndim else float(e)
+
+    def step(self, state: SimState, *, _fields: np.ndarray | None = None) -> SimState:
         """Advance one dt, a batch of states in one pass: each member
         comes out bit for bit as its own step would give it. Raises
         CFLViolation when dt exceeds the per-cell advective limit of any
         member (see :meth:`cfl_limit`) and SolverFailure when a new state
-        is not finite (a blown-up run)."""
+        is not finite (a blown-up run). ``_fields`` (private) is
+        :meth:`_velocity` of the planes if the escape run has formed it."""
         self._check(state, batch=True)
         X, n1, K = state.planes, self.grid.N + 1, self.K
-        batch = X.shape[:-3]
-        # the planes of v_r, v_theta and, for the advection, d omega/dr
-        # and -(1/r) d omega/dtheta; the field axis goes first, so that
-        # each field is contiguous and out= writes into it, not into a copy
-        fields = np.empty((4 if self.nonlinear else 2, *batch, K, 2, n1))
-        modal_velocity(X, self.grid, self._factor, out=fields[:2])
+        fields = self._velocity(X) if _fields is None else _fields
         # the radial product X S_n^T, whose sums the advection's 1e-13
         # reference bound was set on
         if self.nonlinear:
@@ -286,7 +301,7 @@ class Simulator:
             fields[2] = omega[..., n1:]
             np.multiply(omega[..., ::-1, :n1], self._factor, out=fields[3])
         # synthesized on the lattice, one (ntheta, N+1) array per field and member
-        f = self._synth @ fields.reshape(len(fields), *batch, 2 * K, n1)
+        f = self._synth @ fields.reshape(*fields.shape[:-3], 2 * K, n1)
         limit = self.cfl_limit(f[:2])
         if self.dt > limit:
             raise CFLViolation(
@@ -310,25 +325,21 @@ class Simulator:
     # -------------------------------------------------------- diagnostics
 
     def _mode_energies(self, state: SimState) -> np.ndarray:
-        """(E3, E1, E2) of each mode of one state's field, one row per mode."""
+        """(E3, E1, E2) of each mode of one state's field, one column per mode."""
         self._check(state)
-        return 4.0 * np.pi * np.column_stack(
+        return 4.0 * np.pi * np.array(
             mode_energies(self.params, state.planes, self.grid, self._factor))
 
     def energies(self, state: SimState) -> tuple[float, float, float]:
         """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
-        return tuple(self._mode_energies(state).sum(axis=0).tolist())
+        return tuple(_sum_modes(self._mode_energies(state)).tolist())
 
     def kinetic_energy(self, state: SimState) -> float | np.ndarray:
         """E3 of :meth:`energies` alone, ||v||^2, bit for bit, without E1
         and E2; for a batch, an array of the members' values, each equal
         bit for bit to that member's own."""
         self._check(state, batch=True)
-        v = modal_velocity(state.planes, self.grid, self._factor)
-        e = 4.0 * np.pi * mode_kinetic_energy(v, self.grid)
-        # an accumulate adds the modes in order, as energies' row sum does
-        e = np.add.accumulate(e, axis=-1)[..., -1]
-        return e if e.ndim else float(e)
+        return self._kinetic(self._velocity(state.planes))
 
     def energy_residual(self, before: SimState, after: SimState) -> float:
         """Defect of the balance of :class:`Diagnostics` across one step
@@ -355,9 +366,9 @@ class Simulator:
 
     def diagnostics(self, state: SimState) -> Diagnostics:
         per_mode = self._mode_energies(state)
-        E3, E1, E2 = per_mode.sum(axis=0).tolist()
+        E3, E1, E2 = _sum_modes(per_mode).tolist()
         return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2, max_psi=self.max_psi(state),
-                           mode_energies=tuple(per_mode[:, 0].tolist()))
+                           mode_energies=tuple(per_mode[0].tolist()))
 
     def run(self, state: SimState, nsteps: int,
             sample_every: int = 1) -> tuple[SimState, list[Diagnostics]]:
@@ -424,7 +435,9 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
     live = np.arange(len(deltas))
     state = SimState(0.0, np.array([sim.init_from_mode(eig, d).planes for d in deltas]))
     for steps in range(ESCAPE_MAX_STEPS + 1):
-        crossed = ~(sim.kinetic_energy(state) < thr2)
+        # the threshold reads the velocity planes that the step then uses
+        fields = sim._velocity(state.planes)
+        crossed = ~(sim._kinetic(fields) < thr2)
         for i in live[crossed].tolist():
             times[i] = state.t
         live = live[~crossed]
@@ -437,7 +450,8 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
             prev = state.prev_planes
             state = SimState(state.t, state.planes[~crossed],
                              None if prev is None else prev[~crossed])
-        state = sim.step(state)
+            fields = fields[:, ~crossed]
+        state = sim.step(state, _fields=fields)
 
 
 def escape_slope(table: list[tuple[float, float]]) -> float:

@@ -14,7 +14,7 @@ import annuflow.cli
 import annuflow.critical
 import annuflow.simulator
 from annuflow import errors
-from annuflow.bifurcation import DEFAULT_MU_OFFSET
+from annuflow.bifurcation import DEFAULT_MU_OFFSET, field_lattices
 from annuflow.cli import main
 from annuflow.domain import RATIO_LIMIT
 from annuflow.io import (load_schema, read_config, validate_against_schema, write_csv,
@@ -57,7 +57,8 @@ def test_field_csv_bytes_equal_the_row_by_row_template(tmp_path, ntheta,
     unit = np.random.default_rng(ntheta).standard_normal(((ntheta - 1) // 3, 2, 25))
     for j, scale in enumerate((1e-310, 1e-150, 1.0, 1e150, 1e300, 0.0)):
         path = tmp_path / f"f{j}.csv"
-        fields = write_field_csv(str(path), scale * unit, grid, ntheta)
+        fields = field_lattices(scale * unit, grid, ntheta)
+        write_field_csv(str(path), fields, grid.nodes)
         assert path.read_bytes() == field_csv_reference(
             grid.nodes, af.theta_lattice(ntheta), fields)
 
@@ -236,15 +237,15 @@ class TestBifurcate:
 
     def test_synthesizes_each_phase_once(self, tmp_path, capsys, monkeypatch):
         # the SVG draws the psi lattice that the field CSV wrote
-        import annuflow.io
-        synth = annuflow.io.synthesize_lattice
+        import annuflow.bifurcation
+        synth = annuflow.bifurcation.synthesize_lattice
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return synth(*args, **kwargs)
 
-        monkeypatch.setattr(annuflow.io, "synthesize_lattice", counted)
+        monkeypatch.setattr(annuflow.bifurcation, "synthesize_lattice", counted)
         monkeypatch.setattr(annuflow.cli, "synthesize_lattice", counted, raising=False)
         code, _ = run_cli(capsys, "bifurcate", "1", "3", "5", "--phases", "3",
                           "-N", "24", "--ntheta", "16", "-o", str(tmp_path))
@@ -825,13 +826,13 @@ class TestConfigParsing:
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nkey = 1 # trailing\nother = two\n")
-        assert read_config(str(path)) == {"key": "1", "other": "two"}
+        assert read_config(str(path), {"key": int, "other": str}) == {"key": 1, "other": "two"}
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("garbage line\n")
         with pytest.raises(ValueError):
-            read_config(str(path))
+            read_config(str(path), {})
 
 
 class TestSchemas:

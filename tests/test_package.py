@@ -252,6 +252,32 @@ def test_only_io_writes_csv_and_json(path):
     assert _output_writes(path.read_text()) == []
 
 
+def _package_imports(source: str) -> set[str]:
+    """The annuflow modules, or for ``from . import x`` the names x, that
+    source imports; ``annuflow.x`` and ``.x`` alike read x."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["annuflow" if node.level else None, node.module]))
+            names += [f"{module}.{a.name}" for a in node.names]
+    return {n.split(".")[1] for n in names if n.startswith("annuflow.")}
+
+
+def test_package_import_detector():
+    src = "from . import __version__\nfrom .domain import f\nimport annuflow.simulator\n" \
+          "from annuflow.spectral import g\nfrom numpy import array\n"
+    assert _package_imports(src) == {"__version__", "domain", "simulator", "spectral"}
+
+
+def test_io_imports_no_physics():
+    # io formats what the commands computed and parses config files: from
+    # the package it reads the version, the theta lattice and the errors
+    source = (ROOT / "src" / "annuflow" / "io.py").read_text()
+    assert _package_imports(source) <= {"errors", "domain", "__version__"}
+
+
 def _documented_codes(text: str) -> set[int]:
     """The numbers in the sentence of text that starts 'Exit codes:'."""
     sentence = re.search(r"Exit codes:(.*?)\.(\s|$)", text, re.S).group(1)

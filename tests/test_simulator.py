@@ -548,6 +548,28 @@ class TestEscape:
                             lambda *a, **k: pytest.fail("E1 and E2 formed"))
         assert af.escape_experiment(sim, eig, [1e-4], eps_thr=1e-3) == [(1e-4, st.t)]
 
+    def test_velocity_formed_once_per_step(self, unstable, monkeypatch):
+        # the threshold reads the velocity planes that the step then uses:
+        # one modal_velocity per threshold test, and a test before each step
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=8)
+        calls = {"velocity": 0, "step": 0}
+        velocity, step = annuflow.simulator.modal_velocity, sim.step
+
+        def counted_velocity(*args, **kwargs):
+            calls["velocity"] += 1
+            return velocity(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(annuflow.simulator, "modal_velocity", counted_velocity)
+        monkeypatch.setattr(sim, "step", counted_step)
+        af.escape_experiment(sim, eig, [1e-4, 1e-5], eps_thr=1e-2)
+        assert calls["step"] > 100
+        assert calls["velocity"] == calls["step"] + 1
+
     def test_halving_delta_shifts_time(self, unstable):
         pr, mu, g, eig = unstable
         sim = af.Simulator(pr, g, mu=mu, dt=0.005, ntheta=8)
