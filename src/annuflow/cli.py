@@ -27,10 +27,10 @@ from .bifurcation import (DEFAULT_MU_OFFSET, bifurcation_report, field_lattices,
 from .contours import field_svg
 from .critical import mu_c_closed, mu_c_oracle
 from .domain import validate
-from .errors import AnnuflowError, InvalidPhysics, NoBranch, SolverFailure
+from .errors import AnnuflowError, InvalidPhysics, NoBranch
 from .io import (json_text, read_config, write_csv, write_field_csv, write_json,
                  write_manifest, write_trajectory_csv)
-from .simulator import GROWTH_FLOOR, Simulator, escape_experiment, escape_slope, fit_growth_rate
+from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
 from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
 
@@ -133,8 +133,10 @@ SIM_INPUTS = {"a": (float, 1.0), "b": (float, 3.0), "alpha": (float, 5.0),
               "dt": (float, 0.01), "steps": (int, 1000), "delta": (float, 1e-3),
               "nonlinear": (_boolean, True), "sample_every": (int, 10)}
 
-#: simulate flags that an escape run does not read
-ESCAPE_UNREAD = ("steps", "delta", "sample_every", "snapshot")
+#: simulate flags that each run does not read
+UNREAD = {"escape": ("steps", "delta", "sample_every", "snapshot"), "time": ("eps_thr",)}
+#: the escape threshold on ||v|| without --eps-thr
+ESCAPE_EPS_THR = 1e-2
 
 
 def _sim_config(args) -> dict:
@@ -150,9 +152,10 @@ def _sim_config(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    unread = [k for k in ESCAPE_UNREAD if getattr(args, k) is not None]
-    if args.escape and unread:
-        raise InvalidPhysics("the escape run does not read " + ", ".join(
+    run = "escape" if args.escape else "time"
+    unread = [k for k in UNREAD[run] if getattr(args, k) is not None]
+    if unread:
+        raise InvalidPhysics(f"the {run} run does not read " + ", ".join(
             "--" + k.replace("_", "-") for k in unread))
     cfg = _sim_config(args)
     params = validate(cfg["a"], cfg["b"], cfg["alpha"], cfg["mu"])
@@ -166,33 +169,26 @@ def cmd_simulate(args) -> dict:
 
     if args.escape:
         deltas = [float(s) for s in args.escape.split(",")]
-        table = escape_experiment(sim, eig, deltas, eps_thr=args.eps_thr)
-        try:
-            slope = escape_slope(table)
-        except ValueError:
-            slope = None
-        doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": args.eps_thr,
+        eps_thr = ESCAPE_EPS_THR if args.eps_thr is None else args.eps_thr
+        table = escape_experiment(sim, eig, deltas, eps_thr=eps_thr)
+        doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": eps_thr,
                "escape_times": [{"delta": d, "T": t} for d, t in table],
-               "slope": slope,
+               "slope": escape_slope(table),
                "inverse_lambda1": 1.0 / eig.lambda1}
-        read = {k: v for k, v in cfg.items() if k not in ESCAPE_UNREAD}
+        read = {k: v for k, v in cfg.items() if k not in UNREAD["escape"]}
         return _finish(out, "escape", doc, "simulate",
-                       read | {"escape": args.escape, "eps_thr": args.eps_thr}, [])
+                       read | {"escape": args.escape, "eps_thr": eps_thr}, [])
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
-    # below GROWTH_FLOOR the state is rounding, which no balance describes
-    residuals = [d.energy_residual for d in diags[1:] if d.vnorm > GROWTH_FLOOR]
-    try:
-        growth = fit_growth_rate(diags)
-    except (SolverFailure, ValueError):
-        growth = None
+    residuals = [d.energy_residual for d in diags if d.energy_residual is not None]
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": cfg["mu"],
            "N": cfg["N"], "ntheta": cfg["ntheta"], "dt": cfg["dt"],
            "steps": cfg["steps"], "delta": cfg["delta"],
            "nonlinear": cfg["nonlinear"], "final_t": state.t,
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
-           "growth_rate": growth, "energy_residual_max": max(residuals, default=None)}
+           "growth_rate": fit_growth_rate(diags),
+           "energy_residual_max": max(residuals, default=None)}
     traj = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, diags)
     outputs = [traj]
@@ -290,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dump the final field as CSV")
     sp.add_argument("--escape", default=None,
                     help="comma-separated deltas for an escape-time experiment")
-    sp.add_argument("--eps-thr", dest="eps_thr", type=float, default=1e-2,
-                    help="escape threshold on the velocity L2 norm")
+    sp.add_argument("--eps-thr", dest="eps_thr", type=float, default=None,
+                    help=f"escape threshold on ||v|| (default {ESCAPE_EPS_THR:g})")
     add_outdir(sp)
     sp.set_defaults(func=cmd_simulate)
 

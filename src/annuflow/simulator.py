@@ -79,7 +79,7 @@ from .errors import CFLViolation, GridMismatch, NoEscape, SolverFailure
 from .spectral import BC_ROWS, RadialGrid, laplacian_n, mode_pencil, navier_slip_bcs
 
 
-#: ||v|| at or below which fit_growth_rate drops a sample as startup noise
+#: ||v|| at or below which a sample is rounding: no growth fit, no energy residual
 GROWTH_FLOOR = 1e-8
 #: energy outside the leading mode, per its own, above which fit_growth_rate drops a sample
 DOMINANCE = 1e-6
@@ -147,8 +147,8 @@ class Diagnostics:
     each mode; E1 is the gradient energy plus the outer-boundary tangential
     term; E2 is the inner-boundary tangential term. All are nonnegative;
     the linear balance is d/dt (E3/2) = -mu E1 + (alpha - mu/a) E2.
-    ``energy_residual``, set by :meth:`Simulator.run` on every sample but
-    the initial one, is that balance's defect across the step that ended
+    ``energy_residual``, set by :meth:`Simulator.run` on the later samples
+    above GROWTH_FLOOR, is that balance's defect across the step that ended
     here relative to the size of its terms, mu E1 + |alpha - mu/a| E2.
     """
 
@@ -374,8 +374,8 @@ class Simulator:
             sample_every: int = 1) -> tuple[SimState, list[Diagnostics]]:
         """Advance nsteps, sampling diagnostics every sample_every steps
         and after the last (the initial state is always sampled). Each
-        sample but the initial one carries the energy residual of the step
-        that ended there."""
+        later sample with ||v|| > GROWTH_FLOOR carries the energy residual
+        of the step that ended there; below it the state is rounding."""
         if nsteps < 0 or sample_every < 1:
             raise ValueError(f"need nsteps >= 0 and sample_every >= 1, got "
                              f"{nsteps} and {sample_every}")
@@ -384,25 +384,27 @@ class Simulator:
             prev, state = state, self.step(state)
             if k % sample_every == 0 or k == nsteps:
                 d = self.diagnostics(state)
-                diags.append(replace(d, energy_residual=self._balance_defect(
-                    self.energies(prev), (d.E3, d.E1, d.E2), d.t - prev.t)))
+                if d.vnorm > GROWTH_FLOOR:
+                    d = replace(d, energy_residual=self._balance_defect(
+                        self.energies(prev), (d.E3, d.E1, d.E2), d.t - prev.t))
+                diags.append(d)
         return state, diags
 
 
-def fit_growth_rate(diags: list[Diagnostics]) -> float:
+def fit_growth_rate(diags: list[Diagnostics]) -> float | None:
     """Least-squares slope of ln ||v|| over the samples with ||v|| >
     GROWTH_FLOOR (below it, startup noise) whose energy outside the most
     energetic mode is at most DOMINANCE of that mode's. The advection feeds
     other modes at O(|s|^2) of the mode's amplitude s (the slaved G11 of
     the reduction), and moves the slope by about twice that energy ratio; a
-    linear run keeps them at exactly 0. SolverFailure below two samples.
+    linear run keeps them at exactly 0. None below two samples.
     """
     t = np.array([d.t for d in diags])
     v = np.array([d.vnorm for d in diags])
     E = np.sort([d.mode_energies for d in diags], axis=1)
     keep = (v > GROWTH_FLOOR) & (E[:, :-1].sum(axis=1) <= DOMINANCE * E[:, -1])
     if keep.sum() < 2:
-        raise SolverFailure("fewer than two samples in the growth-fit window")
+        return None
     return float(np.polyfit(t[keep], np.log(v[keep]), 1)[0])
 
 
@@ -454,11 +456,10 @@ def escape_experiment(sim: Simulator, eig: EigenResult, delta_list: list[float],
         state = sim.step(state, _fields=fields)
 
 
-def escape_slope(table: list[tuple[float, float]]) -> float:
-    """Slope of T_delta against ln(1/delta); compare to 1/lambda_1. Raises
-    ValueError unless ln(1/delta) takes at least two values."""
+def escape_slope(table: list[tuple[float, float]]) -> float | None:
+    """Slope of T_delta against ln(1/delta); compare to 1/lambda_1. None
+    unless ln(1/delta) takes at least two values."""
     x = np.log(1.0 / np.array([d for d, _ in table]))
-    y = np.array([t for _, t in table])
     if len(set(x.tolist())) < 2:
-        raise ValueError("need escape samples at two distinct deltas")
-    return float(np.polyfit(x, y, 1)[0])
+        return None
+    return float(np.polyfit(x, [t for _, t in table], 1)[0])

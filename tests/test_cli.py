@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import astuple
 
+import jsonschema
 import numpy as np
 import pytest
 from mpmath import mp
@@ -391,6 +392,32 @@ class TestSimulate:
         assert doc["error"] == "SolverFailure"
         validate_against_schema(doc, "error")
 
+    def test_default_run_evaluates_no_energies_below_the_floor(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 101 samples, 17 of them above GROWTH_FLOOR: the initial evaluation,
+        # one per sample, and one for the state before each sample above it
+        calls, runs = [], []
+        energies, run = annuflow.simulator.mode_energies, af.Simulator.run
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return energies(*args, **kwargs)
+
+        def recorded(sim, *args, **kwargs):
+            runs.append(run(sim, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(annuflow.simulator, "mode_energies", counted)
+        monkeypatch.setattr(af.Simulator, "run", recorded)
+        code, doc = run_cli(capsys, "simulate", "-o", str(tmp_path))
+        assert code == 0
+        diags = runs[0][1]
+        above = [d.vnorm > annuflow.simulator.GROWTH_FLOOR for d in diags]
+        assert (len(diags), sum(above[1:]), len(calls)) == (101, 17, 118)
+        assert [d.energy_residual is not None for d in diags] == [False] + above[1:]
+        assert doc["energy_residual_max"] == max(d.energy_residual for d in diags[1:]
+                                                 if d.energy_residual is not None)
+
     def test_energies_twice_per_sample(self, tmp_path, capsys, monkeypatch):
         # one initial evaluation, then the sample and the state before it
         calls = []
@@ -471,6 +498,11 @@ class TestSimulate:
         doc = json.loads(out)
         assert code == 0 and err == ""
         assert doc["slope"] is None and len(doc["escape_times"]) == 2
+        validate_against_schema(doc, "escape")
+        # negative control: the schema requires the escape times
+        del doc["escape_times"]
+        with pytest.raises(jsonschema.ValidationError, match="escape_times"):
+            validate_against_schema(doc, "escape")
 
     def test_escape_manifest_records_only_what_it_reads(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",
@@ -479,7 +511,16 @@ class TestSimulate:
         assert code == 0
         inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
         assert inputs["escape"] == "1e-3" and inputs["dt"] == 0.005
+        assert inputs["eps_thr"] == 1e-2  # the default, resolved
         assert not {"steps", "delta", "sample_every"} & inputs.keys()
+
+    def test_time_run_rejects_the_escape_threshold(self, tmp_path, capsys):
+        code, doc = run_cli(capsys, "simulate", "--eps-thr", "5", "--steps", "3",
+                            "-N", "16", "--ntheta", "8", "-o", str(tmp_path))
+        assert code == 2
+        assert doc == {"error": "InvalidPhysics",
+                       "message": "the time run does not read --eps-thr"}
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("flag", [["--steps", "5"], ["--delta", "0.3"],
                                       ["--sample-every", "2"], ["--snapshot"]],

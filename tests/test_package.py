@@ -278,6 +278,15 @@ def test_io_imports_no_physics():
     assert _package_imports(source) <= {"errors", "domain", "__version__"}
 
 
+def test_cli_imports_no_simulator_constant():
+    # the simulator owns its sample rules (GROWTH_FLOOR, DOMINANCE):
+    # simulate reports what it returns and applies none of them again
+    tree = ast.parse((ROOT / "src" / "annuflow" / "cli.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "simulator" for a in node.names]
+    assert names and [n for n in names if n.isupper()] == []
+
+
 def _documented_codes(text: str) -> set[int]:
     """The numbers in the sentence of text that starts 'Exit codes:'."""
     sentence = re.search(r"Exit codes:(.*?)\.(\s|$)", text, re.S).group(1)

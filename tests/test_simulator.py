@@ -189,9 +189,8 @@ class TestGrowthFit:
         # the leading mode is mode 2, and the last sample leaves the window
         growing = diags((0.0, 1.0), (1e-7, np.e ** 2), (1e-7, np.e ** 4), (1.0, 1e5))
         assert af.fit_growth_rate(growing) == pytest.approx(10.0, rel=1e-12)
-        # two modes of equal energy: no sample is in the window
-        with pytest.raises(af.SolverFailure, match="two samples"):
-            af.fit_growth_rate(diags((1.0, 1.0), (2.0, 2.0), (4.0, 4.0)))
+        # two modes of equal energy: no sample is in the window, so no rate
+        assert af.fit_growth_rate(diags((1.0, 1.0), (2.0, 2.0), (4.0, 4.0))) is None
 
 
 class TestEnergyBalance:
@@ -579,8 +578,7 @@ class TestEscape:
 
     @pytest.mark.parametrize("deltas", [[], [1e-3], [1e-3, 1e-3]])
     def test_slope_needs_two_distinct_deltas(self, deltas):
-        with pytest.raises(ValueError, match="two distinct deltas"):
-            af.escape_slope([(d, 1.0 + k) for k, d in enumerate(deltas)])
+        assert af.escape_slope([(d, 1.0 + k) for k, d in enumerate(deltas)]) is None
 
     def test_no_escape_raises(self, stable):
         pr, mu, g, eig = stable
