@@ -82,7 +82,7 @@ def cmd_eigen(args) -> dict:
            "psi1_samples": [{"r": r, "psi": v} for r, v in profile]}
     out = _outdir(args)
     outputs = []
-    if args.profile_csv:
+    if args.profile_csv is not None:
         path = os.path.join(out, args.profile_csv)
         write_csv(path, ["r", "psi1"], profile)
         outputs.append(path)
@@ -133,31 +133,32 @@ SIM_INPUTS = {"a": (float, 1.0), "b": (float, 3.0), "alpha": (float, 5.0),
               "dt": (float, 0.01), "steps": (int, 1000), "delta": (float, 1e-3),
               "nonlinear": (_boolean, True), "sample_every": (int, 10)}
 
-#: simulate flags that each run does not read
-UNREAD = {"escape": ("steps", "delta", "sample_every", "snapshot"), "time": ("eps_thr",)}
 #: the escape threshold on ||v|| without --eps-thr
 ESCAPE_EPS_THR = 1e-2
+#: the simulate inputs that only one run reads
+RUN_INPUTS = {"time": ("steps", "delta", "sample_every", "snapshot"), "escape": ("eps_thr",)}
 
 
-def _sim_config(args) -> dict:
-    """The simulate inputs: defaults, then the config file, then the flags."""
+def _sim_config(args, run: str) -> dict:
+    """What the run reads, and its manifest's inputs: the defaults, then the
+    config file, then the flags given. An input given for the other run is
+    InvalidPhysics."""
     cfg = {k: default for k, (_, default) in SIM_INPUTS.items()}
-    if args.config:
-        cfg.update(read_config(args.config, {k: c for k, (c, _) in SIM_INPUTS.items()}))
-    cfg.update((k, getattr(args, k)) for k in SIM_INPUTS
-               if getattr(args, k, None) is not None)
-    if args.linear:
-        cfg["nonlinear"] = False
-    return cfg
-
-
-def cmd_simulate(args) -> dict:
-    run = "escape" if args.escape else "time"
-    unread = [k for k in UNREAD[run] if getattr(args, k) is not None]
+    cfg |= {"snapshot": False, "eps_thr": ESCAPE_EPS_THR}
+    given = {} if args.config is None else read_config(
+        args.config, {k: c for k, (c, _) in SIM_INPUTS.items()})
+    given |= {k: v for k in cfg if (v := getattr(args, k)) is not None}
+    other = RUN_INPUTS["escape" if run == "time" else "time"]
+    unread = [k for k in other if k in given]
     if unread:
         raise InvalidPhysics(f"the {run} run does not read " + ", ".join(
             "--" + k.replace("_", "-") for k in unread))
-    cfg = _sim_config(args)
+    return {k: v for k, v in (cfg | given).items() if k not in other}
+
+
+def cmd_simulate(args) -> dict:
+    run = "time" if args.escape is None else "escape"
+    cfg = _sim_config(args, run)
     params = validate(cfg["a"], cfg["b"], cfg["alpha"], cfg["mu"])
     if cfg["mu"] is None:
         cfg["mu"] = 2.0 * mu_c_closed(params)
@@ -167,17 +168,14 @@ def cmd_simulate(args) -> dict:
     eig = leading_eigenpair(params, cfg["mu"], grid)
     out = _outdir(args)
 
-    if args.escape:
+    if run == "escape":
         deltas = [float(s) for s in args.escape.split(",")]
-        eps_thr = ESCAPE_EPS_THR if args.eps_thr is None else args.eps_thr
-        table = escape_experiment(sim, eig, deltas, eps_thr=eps_thr)
-        doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": eps_thr,
+        table = escape_experiment(sim, eig, deltas, eps_thr=cfg["eps_thr"])
+        doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": cfg["eps_thr"],
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": escape_slope(table),
                "inverse_lambda1": 1.0 / eig.lambda1}
-        read = {k: v for k, v in cfg.items() if k not in UNREAD["escape"]}
-        return _finish(out, "escape", doc, "simulate",
-                       read | {"escape": args.escape, "eps_thr": eps_thr}, [])
+        return _finish(out, "escape", doc, "simulate", cfg | {"escape": args.escape}, [])
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
@@ -192,12 +190,11 @@ def cmd_simulate(args) -> dict:
     traj = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, diags)
     outputs = [traj]
-    if args.snapshot:
+    if cfg["snapshot"]:
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, field_lattices(state.planes, grid, cfg["ntheta"]), grid.nodes)
         outputs.append(snap)
-    return _finish(out, "simulate", doc, "simulate",
-                   cfg | {"snapshot": bool(args.snapshot)}, outputs)
+    return _finish(out, "simulate", doc, "simulate", cfg, outputs)
 
 
 def _sweep_spec(path: str) -> SweepSpec:
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         if key != "nonlinear":
             flag = "-N" if key == "N" else "--" + key.replace("_", "-")
             sp.add_argument(flag, dest=key, type=cast, default=None)
-    sp.add_argument("--linear", action="store_true",
+    sp.add_argument("--linear", dest="nonlinear", action="store_const", const=False,
                     help="disable the nonlinear term")
     sp.add_argument("--snapshot", action="store_true", default=None,
                     help="dump the final field as CSV")

@@ -172,6 +172,15 @@ class TestEigen:
         with pytest.raises(Exception, match="im"):
             validate_against_schema(doc, "eigen")
 
+    def test_empty_profile_name_exit_2(self, tmp_path, capsys):
+        # an empty name once read as no profile: exit 0 and no CSV
+        code, doc = run_cli(capsys, "eigen", "1", "3", "5", "1.2", "-N", "24",
+                            "--profile-csv", "", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "IsADirectoryError"
+        validate_against_schema(doc, "error")
+        assert list(tmp_path.iterdir()) == []
+
     def test_near_zero_at_critical(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "eigen", "1", "3", "5",
                             "1.3403712354824624", "-N", "64", "-o", str(tmp_path))
@@ -522,14 +531,34 @@ class TestSimulate:
                        "message": "the time run does not read --eps-thr"}
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--steps", "5"], ["--delta", "0.3"],
-                                      ["--sample-every", "2"], ["--snapshot"]],
-                             ids=["steps", "delta", "sample-every", "snapshot"])
-    def test_escape_rejects_unread_flag(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("given,named", [
+        (["--steps", "5"], "--steps"), (["--delta", "0.3"], "--delta"),
+        (["--sample-every", "2"], "--sample-every"), (["--snapshot"], "--snapshot"),
+        ("steps = 5", "--steps"), ("delta = 0.3", "--delta"),
+        ("sample_every = 2", "--sample-every"),
+        ("steps = 5\ndelta = 0.3", "--steps, --delta")],
+        ids=["steps", "delta", "sample-every", "snapshot", "config-steps",
+             "config-delta", "config-sample-every", "config-steps-delta"])
+    def test_escape_rejects_unread_flag(self, tmp_path, capsys, given, named):
+        # a config key is refused like its flag, and named as the flag
+        if isinstance(given, str):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(given + "\n")
+            given = ["--config", str(cfg)]
         code, doc = run_cli(capsys, "simulate", "--mu", "1.2", "--escape", "1e-3",
-                            *flag, "--ntheta", "8", "-N", "24", "-o", str(tmp_path))
+                            *given, "--ntheta", "8", "-N", "24", "-o", str(tmp_path))
         assert code == 2
-        assert doc["error"] == "InvalidPhysics" and flag[0] in doc["message"]
+        assert doc == {"error": "InvalidPhysics",
+                       "message": f"the escape run does not read {named}"}
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--escape", "--config"])
+    def test_empty_value_exit_2(self, tmp_path, capsys, flag):
+        # an empty --escape once ran a time run, and an empty --config read no file
+        code, doc = run_cli(capsys, "simulate", flag, "", "--mu", "1.2", "--ntheta", "8",
+                            "-N", "24", "--dt", "0.005", "-o", str(tmp_path))
+        assert code == 2
+        validate_against_schema(doc, "error")
         assert not (tmp_path / "manifest.json").exists()
 
     def test_config_file(self, tmp_path, capsys):
