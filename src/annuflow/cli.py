@@ -159,6 +159,10 @@ def _sim_config(args, run: str) -> dict:
 def cmd_simulate(args) -> dict:
     run = "time" if args.escape is None else "escape"
     cfg = _sim_config(args, run)
+    try:
+        deltas = [float(s) for s in args.escape.split(",")] if run == "escape" else None
+    except ValueError as exc:
+        raise InvalidPhysics(f"--escape {args.escape!r}: {exc}") from exc
     params = validate(cfg["a"], cfg["b"], cfg["alpha"], cfg["mu"])
     if cfg["mu"] is None:
         cfg["mu"] = 2.0 * mu_c_closed(params)
@@ -169,7 +173,6 @@ def cmd_simulate(args) -> dict:
     out = _outdir(args)
 
     if run == "escape":
-        deltas = [float(s) for s in args.escape.split(",")]
         table = escape_experiment(sim, eig, deltas, eps_thr=cfg["eps_thr"])
         doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": cfg["eps_thr"],
                "escape_times": [{"delta": d, "T": t} for d, t in table],

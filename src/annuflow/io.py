@@ -107,9 +107,9 @@ def validate_against_schema(doc: dict, name: str) -> None:
 
 def read_config(path: str, casts: dict) -> dict:
     """Flat key = value file, '#' starting a comment, each value cast by its
-    key's entry in casts. A line without '=' raises ValueError, then a key
-    without an entry InvalidPhysics, and a value that does not cast a
-    ValueError naming the file and the key."""
+    key's entry in casts. A line without '=' or a key given twice raises
+    ValueError, then a key without an entry InvalidPhysics, and a value
+    that does not cast a ValueError naming the file and the key."""
     text: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -118,8 +118,10 @@ def read_config(path: str, casts: dict) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = line.split("=", 1)
-            text[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in text:
+                raise ValueError(f"{path}:{lineno}: {key} given twice")
+            text[key] = val
     out = {}
     for key, val in text.items():
         if key not in casts:

@@ -51,18 +51,18 @@ L >= 3K + 1 angles none of them aliases onto a mode n <= K: this is the
 2/3-rule Galerkin truncation (Orszag, J. Atmos. Sci. 28 (1971) 1074; Boyd,
 Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11). The mean
 (n = 0) mode is dropped the same way, keeping the dynamics inside the
-zero-mean-swirl phase space. The CFL check and ``max_psi`` read the same
-table, which costs O(K L) per radius against an FFT's O(L log L): up to
-ntheta = 64 the few large products are the faster step.
+zero-mean-swirl phase space. The CFL check and ``Diagnostics.max_psi``
+read the same table, which costs O(K L) per radius against an FFT's
+O(L log L): up to ntheta = 64 the few large products are the faster step.
 
 Planes may carry leading batch axes, (..., K, 2, N+1), for many states of
 one configuration. :meth:`Simulator.step`, :meth:`Simulator.cfl_limit`
 and :meth:`Simulator.kinetic_energy` take such a batch in one pass, and
 each member comes out bit for bit as its own call gives it: every product
 runs once per member, at the member's own size, because BLAS rounds a
-product differently as its row count changes. The other energy
-functionals, ``max_psi``, ``diagnostics``, ``energy_residual`` and ``run``
-read one state; they raise GridMismatch on a batch.
+product differently as its row count changes. ``diagnostics``, the one
+reading of a state, and ``energies``, ``energy_residual`` and ``run``,
+which read it, take one state; they raise GridMismatch on a batch.
 :func:`escape_experiment` steps all its deltas as one batch.
 """
 
@@ -88,7 +88,7 @@ ESCAPE_MAX_STEPS = 200_000
 
 
 def _sum_modes(e: np.ndarray) -> np.ndarray:
-    """e summed over its last axis in mode order: the one sum of energies,
+    """e summed over its last axis in mode order: the one sum of
     diagnostics and kinetic_energy, so that their E3 agree bit for bit."""
     return np.add.accumulate(e, axis=-1)[..., -1]
 
@@ -324,18 +324,25 @@ class Simulator:
 
     # -------------------------------------------------------- diagnostics
 
-    def _mode_energies(self, state: SimState) -> np.ndarray:
-        """(E3, E1, E2) of each mode of one state's field, one column per mode."""
+    def diagnostics(self, state: SimState) -> Diagnostics:
+        """The one reading of one state: its energies, each mode's E3, and
+        max |psi| on the ntheta lattice by the step's table."""
         self._check(state)
-        return 4.0 * np.pi * np.array(
+        per_mode = 4.0 * np.pi * np.array(
             mode_energies(self.params, state.planes, self.grid, self._factor))
+        E3, E1, E2 = _sum_modes(per_mode).tolist()
+        max_psi = np.abs(self._synth @ state.planes.reshape(2 * self.K, -1)).max()
+        return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2, max_psi=float(max_psi),
+                           mode_energies=tuple(per_mode[0].tolist()))
 
     def energies(self, state: SimState) -> tuple[float, float, float]:
-        """(E3, E1, E2) for the pairs-convention field sum_n (c_n e^{in t} + c.c.)."""
-        return tuple(_sum_modes(self._mode_energies(state)).tolist())
+        """(E3, E1, E2) of :meth:`diagnostics`, for the pairs-convention
+        field sum_n (c_n e^{in t} + c.c.)."""
+        d = self.diagnostics(state)
+        return d.E3, d.E1, d.E2
 
     def kinetic_energy(self, state: SimState) -> float | np.ndarray:
-        """E3 of :meth:`energies` alone, ||v||^2, bit for bit, without E1
+        """E3 of :meth:`diagnostics` alone, ||v||^2, bit for bit, without E1
         and E2; for a batch, an array of the members' values, each equal
         bit for bit to that member's own."""
         self._check(state, batch=True)
@@ -346,29 +353,16 @@ class Simulator:
         relative to the size of its right side's terms, mu E1 +
         |alpha - mu/a| E2, which does not cancel on a plateau as their sum
         does; E1 and E2 are averaged over the two endpoint states."""
-        dt = after.t - before.t
-        if dt <= 0:
+        if after.t - before.t <= 0:
             raise GridMismatch("states are not consecutive")
-        return self._balance_defect(self.energies(before), self.energies(after), dt)
+        return self._balance_defect(self.diagnostics(before), self.diagnostics(after))
 
-    def _balance_defect(self, before: tuple, after: tuple, dt: float) -> float:
-        """:meth:`energy_residual` from the (E3, E1, E2) of both states."""
-        (e0, E1a, E2a), (e1, E1b, E2b) = before, after
-        E1, E2, p = 0.5 * (E1a + E1b), 0.5 * (E2a + E2b), self.params
+    def _balance_defect(self, d0: Diagnostics, d1: Diagnostics) -> float:
+        """:meth:`energy_residual` from the diagnostics of both states."""
+        E1, E2, p = 0.5 * (d0.E1 + d1.E1), 0.5 * (d0.E2 + d1.E2), self.params
         size = self.mu * E1 + abs(p.alpha - self.mu / p.a) * E2
-        defect = 0.5 * (e1 - e0) / dt - energy_growth(p, self.mu, E1, E2)
+        defect = 0.5 * (d1.E3 - d0.E3) / (d1.t - d0.t) - energy_growth(p, self.mu, E1, E2)
         return abs(defect) / (size + 1e-300)
-
-    def max_psi(self, state: SimState) -> float:
-        """max |psi| on the ntheta lattice, by the step's table."""
-        self._check(state)
-        return float(np.abs(self._synth @ state.planes.reshape(2 * self.K, -1)).max())
-
-    def diagnostics(self, state: SimState) -> Diagnostics:
-        per_mode = self._mode_energies(state)
-        E3, E1, E2 = _sum_modes(per_mode).tolist()
-        return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2, max_psi=self.max_psi(state),
-                           mode_energies=tuple(per_mode[0].tolist()))
 
     def run(self, state: SimState, nsteps: int,
             sample_every: int = 1) -> tuple[SimState, list[Diagnostics]]:
@@ -386,7 +380,7 @@ class Simulator:
                 d = self.diagnostics(state)
                 if d.vnorm > GROWTH_FLOOR:
                     d = replace(d, energy_residual=self._balance_defect(
-                        self.energies(prev), (d.E3, d.E1, d.E2), d.t - prev.t))
+                        self.diagnostics(prev), d))
                 diags.append(d)
         return state, diags
 

@@ -561,6 +561,21 @@ class TestSimulate:
         validate_against_schema(doc, "error")
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_malformed_escape_list_fails_before_the_setup(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the deltas were once parsed after the grid, the simulator and the
+        # eigenpair, and failed with a bare ValueError
+        def no_grid(*args):
+            raise AssertionError("the escape list is parsed after the grid is built")
+
+        monkeypatch.setattr(annuflow.cli, "build_grid", no_grid)
+        code, doc = run_cli(capsys, "simulate", "--escape", "1e-3,,1e-4", "--mu", "1.2",
+                            "--ntheta", "8", "-N", "24", "--dt", "0.005", "-o", str(tmp_path))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics"
+        assert doc["message"].startswith("--escape '1e-3,,1e-4': ")
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 4.0\nsteps = 50\ndt = 0.005\nntheta = 8\n"
@@ -729,6 +744,19 @@ SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"
         "b_min = 3\nb_max = 6\nb_samples = 2\nN = 32\n")
 
 
+@pytest.mark.parametrize("argv,text,line,key", [
+    (["simulate", "--config"], "steps = 3\nsteps = 5\n", 2, "steps"),
+    (["sweep"], "N = 24\n" + SPEC, 8, "N")], ids=["simulate", "sweep"])
+def test_key_given_twice_exit_2(tmp_path, capsys, argv, text, line, key):
+    # the later value once won: the run took 5 steps, the sweep N = 32
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, doc = run_cli(capsys, *argv, str(cfg), "-o", str(tmp_path))
+    assert code == 2
+    assert doc == {"error": "ValueError", "message": f"{cfg}:{line}: {key} given twice"}
+    assert not {"manifest.json", "sweep_manifest.json"} & set(os.listdir(tmp_path))
+
+
 @pytest.mark.parametrize("argv,manifest", [
     (["mu-c", "1", "3", "5", "--oracle"], "manifest.json"),
     (["eigen", "1", "3", "5", "1.2", "-N", "24", "--profile-csv", "p.csv"],
@@ -864,13 +892,13 @@ class TestSweepCommands:
         inputs = json.loads((out / "sweep_manifest.json").read_text())["inputs"]
         assert inputs["alpha_range"] == [7.0, SweepSpec.alpha_range[1]]
 
-    def test_sweep_infinite_alpha_max_exit_2(self, spec_file, tmp_path, capsys):
+    def test_sweep_infinite_alpha_max_exit_2(self, tmp_path, capsys):
         # an infinite upper end once wrote nan/inf alpha rows to sweep.csv and
         # then failed on the manifest, leaving a CSV without one
-        with open(spec_file, "a") as fh:
-            fh.write("alpha_max = inf\n")
+        spec = tmp_path / "inf.cfg"
+        spec.write_text(SPEC.replace("alpha_max = 10", "alpha_max = inf"))
         out = tmp_path / "out"
-        code, doc = run_cli(capsys, "sweep", spec_file, "-o", str(out))
+        code, doc = run_cli(capsys, "sweep", str(spec), "-o", str(out))
         assert code == 2
         assert doc["error"] == "InvalidPhysics"
         assert not (out / "sweep.csv").exists()
@@ -903,6 +931,14 @@ class TestConfigParsing:
         path.write_text("garbage line\n")
         with pytest.raises(ValueError):
             read_config(str(path), {})
+
+    def test_key_given_twice(self, tmp_path):
+        # the later value once won without a word
+        path = tmp_path / "c.cfg"
+        path.write_text("steps = 3\n# again\nsteps = 5\n")
+        with pytest.raises(ValueError) as exc:
+            read_config(str(path), {"steps": int})
+        assert str(exc.value) == f"{path}:3: steps given twice"
 
 
 class TestSchemas:

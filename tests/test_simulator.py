@@ -76,8 +76,7 @@ class TestConstruction:
         other_modes = af.Simulator(pr, g, mu=mu, dt=0.01, ntheta=16)
         for other in (other_grid, other_modes):
             st = other.zero_state()
-            for read in (sim.step, sim.energies, sim.kinetic_energy, sim.max_psi,
-                         sim.diagnostics):
+            for read in (sim.step, sim.energies, sim.kinetic_energy, sim.diagnostics):
                 with pytest.raises(af.GridMismatch) as exc:
                     read(st)
                 assert exc.value.exit_code == 2
@@ -379,7 +378,8 @@ class TestStructure:
             shape = (sim.K, g.N + 1)
             st = af.SimState(0.0, as_planes(rng.standard_normal(shape)
                                             + 1j * rng.standard_normal(shape)))
-            assert sim.max_psi(st) == np.abs(af.synthesize_lattice(st.planes, ntheta)).max()
+            assert (sim.diagnostics(st).max_psi
+                    == np.abs(af.synthesize_lattice(st.planes, ntheta)).max())
 
     @pytest.mark.parametrize("ntheta", [8, 32])
     def test_step_does_no_fft(self, unstable, ntheta, monkeypatch):
@@ -718,8 +718,7 @@ class TestBatch:
             sim.step(af.SimState(0.0, X))
         assert exc.value.exit_code == 3
 
-    @pytest.mark.parametrize("method", ["energies", "_mode_energies", "diagnostics",
-                                        "max_psi", "energy_residual", "run"])
+    @pytest.mark.parametrize("method", ["energies", "diagnostics", "energy_residual", "run"])
     def test_single_state_readers_refuse_a_batch(self, unstable, method):
         # each of these sums over the modes' axis; on a batch it would add
         # up the members
