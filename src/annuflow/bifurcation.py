@@ -38,7 +38,7 @@ import numpy as np
 from .critical import mu_c_closed
 from .domain import DomainParams, PhysicalField, synthesize_lattice, synthesize_physical
 from .errors import DegenerateCoefficient, EigSolverFailure, GridMismatch
-from .spectral import RadialGrid, eigenvector, mode_pencil, solve_bvp
+from .spectral import RadialGrid, chebyshev_tail, eigenvector, mode_pencil, solve_bvp
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,11 @@ def energy_pencil(params: DomainParams, mu: float,
 #: read 2.1e-6 at most (N = 48, b/a = 3, 0.1 mu_c), and b/a = 1000 at
 #: N = 48 and 96, at and just above mu_c, reads 0.5 to 13
 EIGEN_CONSISTENCY_RTOL = 1e-5
+
+#: largest accepted Chebyshev tail of Psi_1 and of g, a flag and not an
+#: error bound: b/a = 15 at N = 48 reads 1.1e-10, and b/a = 30 reads 3.7e-8
+#: at N = 48, where l is 1.2e-3 off, and 1.3e-10 at N = 64
+TAIL_LIMIT = 1e-9
 
 
 def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> EigenResult:
@@ -352,8 +357,15 @@ def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
 
 def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
-    """The one reduction chain: eigenpair, G11, l, classification."""
+    """The one reduction chain: eigenpair, G11, l, classification; a
+    Chebyshev tail of Psi_1 or g above TAIL_LIMIT is EigSolverFailure."""
     eig = leading_eigenpair(params, mu, grid)
     g11 = solve_G11(params, mu, eig, grid)
+    for name, profile in (("Psi_1", eig.psi1), ("g", g11)):
+        tail = chebyshev_tail(profile)
+        if tail > TAIL_LIMIT:
+            raise EigSolverFailure(
+                f"the Chebyshev tail of {name} is {tail:.3g}, above {TAIL_LIMIT:g}: "
+                f"the N = {grid.N} grid does not resolve the problem")
     l = lyapunov_coeff(eig.psi1, g11, grid)
     return classify_and_build(params, eig, l, g11)

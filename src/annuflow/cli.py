@@ -106,11 +106,12 @@ def cmd_bifurcate(args) -> dict:
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
+    lattices = [
+        field_lattices(report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases)),
+                       grid, args.ntheta) for j in range(args.phases)]
     out = _outdir(args)
     outputs = []
-    for j in range(args.phases):
-        planes = report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases))
-        fields = field_lattices(planes, grid, args.ntheta)
+    for j, fields in enumerate(lattices):
         base = os.path.join(out, f"field_phase{j}")
         write_field_csv(base + ".csv", fields, grid.nodes)
         with open(base + ".svg", "w") as fh:
@@ -170,15 +171,14 @@ def cmd_simulate(args) -> dict:
     sim = Simulator(params, grid, mu=cfg["mu"], dt=cfg["dt"], ntheta=cfg["ntheta"],
                     nonlinear=cfg["nonlinear"])
     eig = leading_eigenpair(params, cfg["mu"], grid)
-    out = _outdir(args)
-
     if run == "escape":
         table = escape_experiment(sim, eig, deltas, eps_thr=cfg["eps_thr"])
         doc = {"mu": cfg["mu"], "lambda1": eig.lambda1, "eps_thr": cfg["eps_thr"],
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": escape_slope(table),
                "inverse_lambda1": 1.0 / eig.lambda1}
-        return _finish(out, "escape", doc, "simulate", cfg | {"escape": args.escape}, [])
+        return _finish(_outdir(args), "escape", doc, "simulate",
+                       cfg | {"escape": args.escape}, [])
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
@@ -190,9 +190,9 @@ def cmd_simulate(args) -> dict:
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
            "growth_rate": fit_growth_rate(diags),
            "energy_residual_max": max(residuals, default=None)}
-    traj = os.path.join(out, "trajectory.csv")
-    write_trajectory_csv(traj, diags)
-    outputs = [traj]
+    out = _outdir(args)
+    outputs = [os.path.join(out, "trajectory.csv")]
+    write_trajectory_csv(outputs[0], diags)
     if cfg["snapshot"]:
         snap = os.path.join(out, "snapshot.csv")
         write_field_csv(snap, field_lattices(state.planes, grid, cfg["ntheta"]), grid.nodes)

@@ -76,6 +76,25 @@ def _clencurt_weights(N: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=16)
+def _cheb_transform(N: int) -> np.ndarray:
+    """The map from values f_j on the Gauss-Lobatto nodes to the coefficients
+    of sum_k c_k T_k, c_k = 2 / (N e_k) sum_j f_j cos(pi j k / N) / e_j with
+    e_0 = e_N = 2 and 1 otherwise; computed once per N and read-only."""
+    n = np.arange(N + 1)
+    e = np.hstack([2.0, np.ones(N - 1), 2.0])
+    m = np.cos(np.pi * np.outer(n, n) / N) * (2.0 / N) / np.outer(e, e)
+    m.setflags(write=False)
+    return m
+
+
+def chebyshev_tail(values: np.ndarray) -> float:
+    """The largest of the last four |Chebyshev coefficients| of a profile
+    on the nodes, over its largest one: how far the grid resolves it."""
+    c = np.abs(_cheb_transform(len(values) - 1) @ values)
+    return float(c[-4:].max() / c.max())
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Collocation grid r_0 = b > ... > r_N = a with derivative operators.

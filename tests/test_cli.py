@@ -725,19 +725,47 @@ def test_failed_write_prints_only_the_error(tmp_path, capsys, argv, taken):
     validate_against_schema(doc, "error")
 
 
-@pytest.mark.parametrize("argv", [
-    ["bifurcate", "1", "3", "5", "--phases", "-1"],
-    ["simulate", "--steps", "-5"],
-    ["simulate", "--escape", "1e-3", "--eps-thr", "-1"],
-    ["simulate", "--escape", "1e-3,0"],
-], ids=["phases", "steps", "eps-thr", "escape-delta"])
-def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,exit_code", [
+    (["bifurcate", "1", "3", "5", "--phases", "-1"], 2),
+    (["bifurcate", "1", "3", "5", "--ntheta", "3", "--phases", "1"], 2),
+    (["simulate", "--steps", "-5"], 2),
+    (["simulate", "--delta", "-1"], 2),
+    (["simulate", "--sample-every", "0"], 2),
+    (["simulate", "--escape", "1e-3", "--eps-thr", "-1"], 2),
+    (["simulate", "--escape", "1e-3,0"], 2),
+    # the run stops at its first step on the CFL limit 4.709e-2
+    (["simulate", "--delta", "1", "--dt", "0.5", "--steps", "5"], 5),
+], ids=["phases", "ntheta", "steps", "delta", "sample-every", "eps-thr",
+        "escape-delta", "cfl"])
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv, exit_code):
+    # a command makes its output directory only after its work succeeded
     if argv[0] == "simulate":
         argv = argv + ["--mu", "1.2", "--ntheta", "8", "-N", "24"]
-    code, doc = run_cli(capsys, *argv, "-o", str(tmp_path))
-    assert code == 2
+    out = tmp_path / "out"
+    code, doc = run_cli(capsys, *argv, "-o", str(out))
+    assert code == exit_code
     validate_against_schema(doc, "error")
-    assert not (tmp_path / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_unresolved_chebyshev_tail_exit_3(tmp_path, capsys):
+    # at b/a = 30, N = 48 gives an l 1.2e-3 off that lambda1's gates pass;
+    # the Chebyshev tails of Psi_1 and g, 1.8e-8 and 3.7e-8, refuse it.
+    # N = 64 resolves it, with l within 2e-5 of N = 96's
+    out = tmp_path / "out"
+    code, doc = run_cli(capsys, "bifurcate", "1", "30", "5", "-N", "48", "-o", str(out))
+    assert code == 3
+    assert doc["error"] == "EigSolverFailure"
+    assert "Chebyshev tail" in doc["message"]
+    assert not out.exists()
+    ls = {}
+    for N in ("64", "96"):
+        code, doc = run_cli(capsys, "bifurcate", "1", "30", "5", "-N", N,
+                            "-o", str(tmp_path / N))
+        assert code == 0
+        ls[N] = doc["l"]
+    assert ls["96"] == pytest.approx(-8.26398e-6, rel=1e-5)
+    assert ls["64"] == pytest.approx(ls["96"], rel=2e-5)
 
 
 SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"

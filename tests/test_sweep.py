@@ -139,12 +139,17 @@ class TestRescaling:
         af.sweep_l(small_spec)
         assert len(calls) == small_spec.b_samples
 
-    def test_failed_reduction_fails_every_alpha(self):
+    @pytest.mark.parametrize("b,cause", [(1000.0, ""), (30.0, "Chebyshev tail")],
+                             ids=["1000", "30"])
+    def test_failed_reduction_fails_every_alpha(self, b, cause):
+        # N = 48 resolves neither b: at b = 1000 lambda1's gates refuse it,
+        # at b = 30 the Chebyshev tail of the reduction's profiles does
         spec = af.SweepSpec(alpha_range=(5.0, 15.0), alpha_samples=3,
-                            b_range=(1000.0, 1000.0), b_samples=1, N=48)
+                            b_range=(b, b), b_samples=1, N=48)
         rows = af.sweep_l(spec)
         assert len(rows) == 3
         assert rows[0].status.startswith("EigSolverFailure")
+        assert cause in rows[0].status
         assert all(r.status == rows[0].status and r.l is None for r in rows)
 
     @pytest.mark.parametrize("routine,error", [("inv", "SingularSystem"),
