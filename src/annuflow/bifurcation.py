@@ -184,7 +184,9 @@ EIGEN_CONSISTENCY_RTOL = 1e-5
 
 #: largest accepted Chebyshev tail of Psi_1 and of g, a flag and not an
 #: error bound: b/a = 15 at N = 48 reads 1.1e-10, and b/a = 30 reads 3.7e-8
-#: at N = 48, where l is 1.2e-3 off, and 1.3e-10 at N = 64
+#: at N = 48, where l is 1.2e-3 off, and 1.3e-10 at N = 64. It judges the
+#: profile, not lambda_1: b/a = 2 at N = 16 and 0.9 to 1.1 mu_c reads 2e-9
+#: to 5e-9 and is refused, though its lambda_1 is at most 5e-11 off
 TAIL_LIMIT = 1e-9
 
 
@@ -200,12 +202,12 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
     so EigSolverFailure is raised when the polished lambda_1 has not the
     sign of mu_c - mu (mu_c_closed is exact to rounding; never at mu = mu_c)
     or differs from the pencil's by more than EIGEN_CONSISTENCY_RTOL: the
-    grid does not resolve the problem.
+    grid does not resolve the problem. After those two gates, a Chebyshev
+    tail of Psi_1 above TAIL_LIMIT is EigSolverFailure too (:func:`_resolved`).
     """
     lam = _top_eigenvalue(*energy_pencil(params, mu, grid))
     pencil = mode_pencil(grid, params, mu, 1)
     psi = _normalize(eigenvector(pencil, lam), grid)
-    psi.setflags(write=False)
     polished = energy_rayleigh(params, mu, psi, grid)
     muc = mu_c_closed(params)
     if polished * (muc - mu) < 0:
@@ -217,7 +219,19 @@ def leading_eigenpair(params: DomainParams, mu: float, grid: RadialGrid) -> Eige
         raise EigSolverFailure(
             f"collocation lambda1 = {polished} disagrees with the energy "
             f"pencil's {lam}: the N = {grid.N} grid does not resolve the problem")
-    return EigenResult(lambda1=polished, psi1=psi, mu=mu)
+    return EigenResult(lambda1=polished, psi1=_resolved("Psi_1", psi), mu=mu)
+
+
+def _resolved(name: str, profile: np.ndarray) -> np.ndarray:
+    """The profile, made read-only, when its Chebyshev tail is at most
+    TAIL_LIMIT; EigSolverFailure naming the tail, the limit and N if not."""
+    tail = chebyshev_tail(profile)
+    if tail > TAIL_LIMIT:
+        raise EigSolverFailure(
+            f"the Chebyshev tail of {name} is {tail:.3g}, above {TAIL_LIMIT:g}: "
+            f"the N = {len(profile) - 1} grid does not resolve the problem")
+    profile.setflags(write=False)
+    return profile
 
 
 def _top_eigenvalue(A: np.ndarray, B: np.ndarray) -> float:
@@ -272,11 +286,11 @@ def solve_G11(params: DomainParams, mu: float, eig: EigenResult,
     """The real g of the quadratic center-manifold coefficient G11 = i g
     (g12 = 0 and g22 = conj(G11)): mu Delta_2^2 g - 2 lambda_1 Delta_2 g =
     -h(Psi_1, Psi_1), the :func:`interaction` bracket, with the mode-2
-    pencil's boundary rows."""
+    pencil's boundary rows; a Chebyshev tail of g above TAIL_LIMIT is
+    EigSolverFailure (:func:`_resolved`)."""
     quad = interaction(eig.psi1, 1, eig.psi1, 1, grid)
-    g = solve_bvp(mode_pencil(grid, params, mu, 2).shifted(2.0 * eig.lambda1), -quad)
-    g.setflags(write=False)
-    return g
+    return _resolved("g", solve_bvp(
+        mode_pencil(grid, params, mu, 2).shifted(2.0 * eig.lambda1), -quad))
 
 
 def lyapunov_coeff(psi1: np.ndarray, g: np.ndarray, grid: RadialGrid) -> float:
@@ -357,15 +371,8 @@ def classify_and_build(params: DomainParams, eig: EigenResult, l: float,
 
 def bifurcation_report(params: DomainParams, mu: float,
                        grid: RadialGrid) -> BifurcationReport:
-    """The one reduction chain: eigenpair, G11, l, classification; a
-    Chebyshev tail of Psi_1 or g above TAIL_LIMIT is EigSolverFailure."""
+    """The one reduction chain: eigenpair, G11, l, classification."""
     eig = leading_eigenpair(params, mu, grid)
     g11 = solve_G11(params, mu, eig, grid)
-    for name, profile in (("Psi_1", eig.psi1), ("g", g11)):
-        tail = chebyshev_tail(profile)
-        if tail > TAIL_LIMIT:
-            raise EigSolverFailure(
-                f"the Chebyshev tail of {name} is {tail:.3g}, above {TAIL_LIMIT:g}: "
-                f"the N = {grid.N} grid does not resolve the problem")
     l = lyapunov_coeff(eig.psi1, g11, grid)
     return classify_and_build(params, eig, l, g11)

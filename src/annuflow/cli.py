@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: mu-c, eigen, bifurcate, simulate, sweep. Each command writes
-its files into the output directory, among them a manifest sufficient to
-reproduce the run, and returns its report; :func:`main` prints exactly one
-JSON document: the report, or the error document if anything failed,
-writing the files included.
+Subcommands: mu-c, eigen, bifurcate, simulate, sweep. Each command
+computes, and :func:`_finish` makes the output directory and writes every
+file of the run, among them a manifest sufficient to reproduce it, and
+returns the report; :func:`main` prints exactly one JSON document: the
+report, or the error document if anything failed, writing the files
+included.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure (a non-finite
 simulator state included), 4 degenerate or nonexistent bifurcation branch,
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .critical import mu_c_closed, mu_c_oracle
 from .domain import validate
 from .errors import AnnuflowError, InvalidPhysics, NoBranch
 from .io import (json_text, read_config, write_csv, write_field_csv, write_json,
-                 write_manifest, write_trajectory_csv)
+                 write_manifest, write_text, write_trajectory_csv)
 from .simulator import Simulator, escape_experiment, escape_slope, fit_growth_rate
 from .spectral import build_grid
 from .sweep import SWEEP_HEADER, SweepSpec, sweep_l
@@ -43,18 +45,28 @@ def _inputs(args, **resolved) -> dict:
 
 
 def _outdir(args) -> str:
-    out = args.outdir or os.environ.get("ANNUFLOW_OUTDIR", ".")
+    return args.outdir or os.environ.get("ANNUFLOW_OUTDIR", ".")
+
+
+def _finish(args, name: str, doc: dict, inputs: dict, writers=()) -> dict:
+    """The run's one write: make the output directory, call each
+    (file name, writer) pair's writer with its path, then write the report
+    as name.json and the manifest; return the report. A file name that is
+    empty, . or .., has a directory part or repeats another is
+    InvalidPhysics, and then nothing is made."""
+    names = [f for f, _ in writers] + [f"{name}.json", "manifest.json"]
+    for i, f in enumerate(names):
+        if f in ("", ".", "..") or os.path.basename(f) != f:
+            raise InvalidPhysics(f"output {f!r} is not a file name in the output directory")
+        if f in names[:i]:
+            raise InvalidPhysics(f"output {f!r} would overwrite another output of the run")
+    out = _outdir(args)
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _finish(out: str, name: str, doc: dict, command: str, inputs: dict,
-            outputs: list[str]) -> dict:
-    """Write the report as name.json and the manifest; return the report."""
-    path = os.path.join(out, f"{name}.json")
-    write_json(path, doc)
-    write_manifest(os.path.join(out, "manifest.json"), command, inputs,
-                   outputs + [path])
+    paths = [os.path.join(out, f) for f in names]
+    for path, (_, write) in zip(paths, writers):
+        write(path)
+    write_json(paths[-2], doc)
+    write_manifest(paths[-1], args.command, inputs, paths[:-1])
     return doc
 
 
@@ -69,7 +81,7 @@ def cmd_mu_c(args) -> dict:
         doc["mu_c_oracle"] = mu_c_oracle(params)
         doc["discrepancy"] = (abs(doc["mu_c_oracle"] - doc["mu_c_closed"])
                               / doc["mu_c_closed"])
-    return _finish(_outdir(args), "mu_c", doc, "mu-c", _inputs(args), [])
+    return _finish(args, "mu_c", doc, _inputs(args))
 
 
 def cmd_eigen(args) -> dict:
@@ -80,13 +92,9 @@ def cmd_eigen(args) -> dict:
     doc = {"a": params.a, "b": params.b, "alpha": params.alpha, "mu": args.mu,
            "N": args.N, "lambda1": eig.lambda1,
            "psi1_samples": [{"r": r, "psi": v} for r, v in profile]}
-    out = _outdir(args)
-    outputs = []
-    if args.profile_csv is not None:
-        path = os.path.join(out, args.profile_csv)
-        write_csv(path, ["r", "psi1"], profile)
-        outputs.append(path)
-    return _finish(out, "eigen", doc, "eigen", _inputs(args), outputs)
+    writers = [] if args.profile_csv is None else [
+        (args.profile_csv, partial(write_csv, header=["r", "psi1"], rows=profile))]
+    return _finish(args, "eigen", doc, _inputs(args), writers)
 
 
 def cmd_bifurcate(args) -> dict:
@@ -106,18 +114,14 @@ def cmd_bifurcate(args) -> dict:
            "mu_c": muc, "N": args.N, "lambda1": report.lambda1, "l": report.l,
            "classification": report.classification.value,
            "amplitude": report.amplitude, "phases": args.phases}
-    lattices = [
-        field_lattices(report.coeffs(report.amplitude * np.exp(2j * np.pi * j / args.phases)),
-                       grid, args.ntheta) for j in range(args.phases)]
-    out = _outdir(args)
-    outputs = []
-    for j, fields in enumerate(lattices):
-        base = os.path.join(out, f"field_phase{j}")
-        write_field_csv(base + ".csv", fields, grid.nodes)
-        with open(base + ".svg", "w") as fh:
-            fh.write(field_svg(fields[0], grid.nodes))
-        outputs += [base + ".csv", base + ".svg"]
-    return _finish(out, "bifurcate", doc, "bifurcate", _inputs(args, mu=mu), outputs)
+    writers = []
+    for j in range(args.phases):
+        s = report.amplitude * np.exp(2j * np.pi * j / args.phases)
+        fields = field_lattices(report.coeffs(s), grid, args.ntheta)
+        base, svg = f"field_phase{j}", field_svg(fields[0], grid.nodes)
+        writers += [(base + ".csv", partial(write_field_csv, fields=fields, r=grid.nodes)),
+                    (base + ".svg", partial(write_text, text=svg))]
+    return _finish(args, "bifurcate", doc, _inputs(args, mu=mu), writers)
 
 
 def _boolean(text: str) -> bool:
@@ -177,8 +181,7 @@ def cmd_simulate(args) -> dict:
                "escape_times": [{"delta": d, "T": t} for d, t in table],
                "slope": escape_slope(table),
                "inverse_lambda1": 1.0 / eig.lambda1}
-        return _finish(_outdir(args), "escape", doc, "simulate",
-                       cfg | {"escape": args.escape}, [])
+        return _finish(args, "escape", doc, cfg | {"escape": args.escape})
 
     state, diags = sim.run(sim.init_from_mode(eig, cfg["delta"]), cfg["steps"],
                            cfg["sample_every"])
@@ -190,14 +193,11 @@ def cmd_simulate(args) -> dict:
            "final_E3": diags[-1].E3, "final_max_psi": diags[-1].max_psi,
            "growth_rate": fit_growth_rate(diags),
            "energy_residual_max": max(residuals, default=None)}
-    out = _outdir(args)
-    outputs = [os.path.join(out, "trajectory.csv")]
-    write_trajectory_csv(outputs[0], diags)
+    writers = [("trajectory.csv", partial(write_trajectory_csv, diags=diags))]
     if cfg["snapshot"]:
-        snap = os.path.join(out, "snapshot.csv")
-        write_field_csv(snap, field_lattices(state.planes, grid, cfg["ntheta"]), grid.nodes)
-        outputs.append(snap)
-    return _finish(out, "simulate", doc, "simulate", cfg, outputs)
+        fields = field_lattices(state.planes, grid, cfg["ntheta"])
+        writers.append(("snapshot.csv", partial(write_field_csv, fields=fields, r=grid.nodes)))
+    return _finish(args, "simulate", doc, cfg, writers)
 
 
 def _sweep_spec(path: str) -> SweepSpec:
@@ -224,6 +224,7 @@ def cmd_sweep(args) -> dict:
             if json.load(fh).get("inputs") == spec.to_dict():
                 return {"status": "resume-noop", "csv": csv_path}
     rows = sweep_l(spec)
+    os.makedirs(out, exist_ok=True)
     write_csv(csv_path, SWEEP_HEADER, map(astuple, rows))
     write_manifest(man_path, "sweep", spec.to_dict(), [csv_path])
     classes = sorted({r.classification for r in rows if r.status == "ok"})

@@ -1,5 +1,5 @@
-"""Run files: every CSV table, JSON document and manifest annuflow writes,
-and the config files it reads; no field is computed here.
+"""Run files: every CSV table, JSON document, manifest and SVG text
+annuflow writes, and the config files it reads; no field is computed here.
 
 CSV tables use the csv module's default dialect (comma-separated, fields
 quoted where they need it, CRLF line ends). Numbers are printed with 17
@@ -72,11 +72,15 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(path: str, doc: dict) -> None:
-    """Write json_text(doc); the file is not created when that raises."""
-    text = json_text(doc)
+def write_text(path: str, text: str) -> None:
+    """Write text as it is, such as the SVG drawing a command rendered."""
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write json_text(doc); the file is not created when that raises."""
+    write_text(path, json_text(doc))
 
 
 def write_manifest(path: str, command: str, inputs: dict,

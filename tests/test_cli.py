@@ -173,13 +173,28 @@ class TestEigen:
             validate_against_schema(doc, "eigen")
 
     def test_empty_profile_name_exit_2(self, tmp_path, capsys):
-        # an empty name once read as no profile: exit 0 and no CSV
+        # an empty name once read as no profile: exit 0 and no CSV; then
+        # it failed only at the write, with IsADirectoryError
         code, doc = run_cli(capsys, "eigen", "1", "3", "5", "1.2", "-N", "24",
                             "--profile-csv", "", "-o", str(tmp_path))
         assert code == 2
-        assert doc["error"] == "IsADirectoryError"
+        assert doc["error"] == "InvalidPhysics"
         validate_against_schema(doc, "error")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["eigen.json", "manifest.json", "sub/p.csv", None],
+                             ids=["report", "manifest", "subdirectory", "absolute"])
+    def test_profile_name_outside_the_run_exit_2(self, tmp_path, capsys, name):
+        # the report or the manifest once overwrote the CSV, and the run
+        # exited 0; sub/p.csv failed with FileNotFoundError after making
+        # -o; an absolute path wrote the CSV outside -o
+        elsewhere = tmp_path / "p.csv"
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "eigen", "1", "3", "5", "1.2", "-N", "24",
+                            "--profile-csv", name or str(elsewhere), "-o", str(out))
+        assert code == 2
+        assert doc["error"] == "InvalidPhysics"
+        assert not out.exists() and not elsewhere.exists()
 
     def test_near_zero_at_critical(self, tmp_path, capsys):
         code, doc = run_cli(capsys, "eigen", "1", "3", "5",
@@ -710,10 +725,15 @@ def test_exit_code_by_error(capsys, monkeypatch, exc, code):
     (["eigen", "1", "3", "5", "1.2", "-N", "24"], None),
     (["simulate", "--steps", "2", "--ntheta", "8", "-N", "24", "--mu", "1.2"],
      "trajectory.csv"),
-], ids=["mu-c", "eigen", "simulate"])
-def test_failed_write_prints_only_the_error(tmp_path, capsys, argv, taken):
+    (["bifurcate", "1", "3", "5", "--phases", "1", "-N", "24", "--ntheta", "16"],
+     "field_phase0.svg"),
+    (["sweep", "sweep.cfg"], None),
+], ids=["mu-c", "eigen", "simulate", "bifurcate", "sweep"])
+def test_failed_write_prints_only_the_error(tmp_path, capsys, monkeypatch, argv, taken):
     # -o names a file, or a directory sits where an output file goes;
     # run_cli fails unless stdout is exactly one JSON document
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(SPEC)
     out = tmp_path / "out"
     if taken is None:
         out.write_text("")
@@ -766,6 +786,24 @@ def test_unresolved_chebyshev_tail_exit_3(tmp_path, capsys):
         ls[N] = doc["l"]
     assert ls["96"] == pytest.approx(-8.26398e-6, rel=1e-5)
     assert ls["64"] == pytest.approx(ls["96"], rel=2e-5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "1", "30", "5", "2.1", "-N", "48"],
+    ["simulate", "--b", "30", "-N", "32", "--steps", "1", "--ntheta", "8"],
+    ["simulate", "--b", "30", "-N", "48", "--mu", "2.0", "--escape", "1e-3",
+     "--ntheta", "8", "--dt", "0.05"],
+], ids=["eigen", "simulate", "escape"])
+def test_unresolved_psi1_tail_exit_3(tmp_path, capsys, argv):
+    # leading_eigenpair checks Psi_1's tail, so eigen and simulate refuse
+    # what bifurcate does: tails 1.8e-8, 3.9e-7 and 2.9e-8, where each of
+    # these runs once exited 0
+    out = tmp_path / "out"
+    code, doc = run_cli(capsys, *argv, "-o", str(out))
+    assert code == 3
+    assert doc["error"] == "EigSolverFailure"
+    assert "Chebyshev tail of Psi_1" in doc["message"]
+    assert not out.exists()
 
 
 SPEC = ("alpha_min = 5\nalpha_max = 10\nalpha_samples = 2\n"

@@ -225,7 +225,9 @@ def test_every_export_is_used():
 
 
 def _output_writes(source: str) -> list[str]:
-    """Imports of csv and calls of json.dump or json.dumps in source."""
+    """Imports of csv, calls of json.dump or json.dumps, and open(...)
+    calls whose mode, the second positional argument or mode=, holds w, a
+    or x, in source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -237,6 +239,12 @@ def _output_writes(source: str) -> list[str]:
               and node.func.value.id == "json"
               and node.func.attr in ("dump", "dumps")):
             found.append(f"json.{node.func.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open"):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = next((m.value for m in modes if isinstance(m, ast.Constant)), "")
+            if set(mode) & set("wax"):
+                found.append(f"open {mode}")
     return found
 
 
@@ -244,6 +252,9 @@ def test_output_write_detector():
     src = "import csv, json\nfrom csv import writer\njson.dump({}, fh)\n" \
           "json.load(fh)\ntext = json.dumps({})\n"
     assert _output_writes(src) == ["csv", "csv", "json.dump", "json.dumps"]
+    src = "open(p)\nopen(p, 'w')\nopen(p, 'rb')\nopen(p, mode='a')\n" \
+          "open(p, 'r', newline='')\nopen(p, mode='xb')\nfh.open(p, 'w')\n"
+    assert _output_writes(src) == ["open w", "open a", "open xb"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io.py"],
