@@ -8,16 +8,20 @@ report, or the error document if anything failed, writing the files
 included.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure (a non-finite
-simulator state included), 4 degenerate or nonexistent bifurcation branch,
-5 CFL violation. Each error class in :mod:`annuflow.errors` carries its code.
+simulator state or energy included), 4 degenerate or nonexistent
+bifurcation branch, 5 CFL violation. Each error class in
+:mod:`annuflow.errors` carries its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import astuple
 from functools import partial
 
@@ -50,10 +54,14 @@ def _outdir(args) -> str:
 
 def _finish(args, name: str, doc: dict, inputs: dict, writers=()) -> dict:
     """The run's one write: make the output directory, call each
-    (file name, writer) pair's writer with its path, then write the report
+    (file name, writer) pair's writer with a path, then write the report
     as name.json and the manifest; return the report. A file name that is
     empty, . or .., has a directory part or repeats another is
-    InvalidPhysics, and then nothing is made."""
+    InvalidPhysics, and an output path that is a directory
+    IsADirectoryError; then nothing is made. The files are written into a
+    new directory inside the output directory and moved into place only
+    when all are written; on any error that directory goes, and the
+    output directory too if this made it."""
     names = [f for f, _ in writers] + [f"{name}.json", "manifest.json"]
     for i, f in enumerate(names):
         if f in ("", ".", "..") or os.path.basename(f) != f:
@@ -61,12 +69,25 @@ def _finish(args, name: str, doc: dict, inputs: dict, writers=()) -> dict:
         if f in names[:i]:
             raise InvalidPhysics(f"output {f!r} would overwrite another output of the run")
     out = _outdir(args)
-    os.makedirs(out, exist_ok=True)
     paths = [os.path.join(out, f) for f in names]
-    for path, (_, write) in zip(paths, writers):
-        write(path)
-    write_json(paths[-2], doc)
-    write_manifest(paths[-1], args.command, inputs, paths[:-1])
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    made = not os.path.exists(out)
+    os.makedirs(out, exist_ok=True)
+    tmp = tempfile.mkdtemp(dir=out)
+    try:
+        temps = [os.path.join(tmp, f) for f in names]
+        for path, (_, write) in zip(temps, writers):
+            write(path)
+        write_json(temps[-2], doc)
+        write_manifest(temps[-1], args.command, inputs, paths[:-1])
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        shutil.rmtree(out if made else tmp, ignore_errors=True)
+        raise
+    os.rmdir(tmp)
     return doc
 
 

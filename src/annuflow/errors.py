@@ -5,8 +5,8 @@ when it stops with that error:
 
     2  invalid input (``AnnuflowError`` and every class not listed below)
     3  solver failure: EigSolverFailure, SolverFailure (including a
-       non-finite simulator state), SingularSystem, NoBracket, ThinGap,
-       NoEscape
+       non-finite simulator state or energy), SingularSystem, NoBracket,
+       ThinGap, NoEscape
     4  degenerate or nonexistent bifurcation branch: DegenerateCoefficient,
        NoBranch
     5  CFL violation: CFLViolation
@@ -48,7 +48,7 @@ class EigSolverFailure(AnnuflowError):
 
 
 class SolverFailure(AnnuflowError):
-    """Implicit step solve failed or produced a non-finite state."""
+    """Implicit step solve failed, or a simulator state or its energy is not finite."""
 
     exit_code = 3
 

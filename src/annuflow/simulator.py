@@ -176,7 +176,8 @@ class Simulator:
     the module docstring) are formed once at construction; a singular
     implicit matrix raises SolverFailure there.
     ``nonlinear=False`` drops the advection term entirely, so each mode
-    evolves under its own linear operator (used for rate cross-checks).
+    evolves under its own linear operator (used for rate cross-checks)
+    and a step has no CFL limit (see :meth:`step`).
     """
 
     def __init__(self, params: DomainParams, grid: RadialGrid, *,
@@ -286,38 +287,44 @@ class Simulator:
 
     def step(self, state: SimState, *, _fields: np.ndarray | None = None) -> SimState:
         """Advance one dt, a batch of states in one pass: each member
-        comes out bit for bit as its own step would give it. Raises
-        CFLViolation when dt exceeds the per-cell advective limit of any
-        member (see :meth:`cfl_limit`) and SolverFailure when a new state
-        is not finite (a blown-up run). ``_fields`` (private) is
-        :meth:`_velocity` of the planes if the escape run has formed it."""
+        comes out bit for bit as its own step would give it. A nonlinear
+        step raises CFLViolation when dt exceeds the per-cell advective
+        limit of any member (see :meth:`cfl_limit`). A linear step is the
+        propagator P alone: it forms no velocity and has no CFL limit, so
+        a growing run steps until it leaves float range. Either raises
+        SolverFailure when a new state is not finite (a blown-up run).
+        ``_fields`` (private) is :meth:`_velocity` of the planes if the
+        escape run has formed it; a linear step ignores it."""
         self._check(state, batch=True)
         X, n1, K = state.planes, self.grid.N + 1, self.K
-        fields = self._velocity(X) if _fields is None else _fields
-        # the radial product X S_n^T, whose sums the advection's 1e-13
-        # reference bound was set on
         if self.nonlinear:
+            fields = self._velocity(X) if _fields is None else _fields
+            # the radial product X S_n^T, whose sums the advection's 1e-13
+            # reference bound was set on
             omega = X @ self._St
             fields[2] = omega[..., n1:]
             np.multiply(omega[..., ::-1, :n1], self._factor, out=fields[3])
-        # synthesized on the lattice, one (ntheta, N+1) array per field and member
-        f = self._synth @ fields.reshape(*fields.shape[:-3], 2 * K, n1)
-        limit = self.cfl_limit(f[:2])
-        if self.dt > limit:
-            raise CFLViolation(
-                f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
-        if self.nonlinear:
+            # synthesized on the lattice, one (ntheta, N+1) array per field and member
+            f = self._synth @ fields.reshape(*fields.shape[:-3], 2 * K, n1)
+            limit = self.cfl_limit(f[:2])
+            if self.dt > limit:
+                raise CFLViolation(
+                    f"dt={self.dt} exceeds advective CFL limit {limit:.3e}")
             # -v . grad omega = v_theta f[3] - v_r d omega/dr
             nl = (self._analysis @ (f[1] * f[3] - f[0] * f[2])).reshape(X.shape)
             prev = state.prev_planes
             force = nl if prev is None else 1.5 * nl - 0.5 * prev
             # P and Q act in one product of [X | F]
             new = np.concatenate([X, force], axis=-1) @ self._PQt
+            # re-impose the boundary rows, which the products meet only to ~1e-9
+            new -= (new @ self._A_bct) @ self._Wt
         else:
             nl = None
-            new = X @ self._PQt[:, :n1]
-        # re-impose the boundary rows, which the products meet only to ~1e-9
-        new -= (new @ self._A_bct) @ self._Wt
+            # no CFL limit stops a growing linear run: the check below
+            # reports its overflow, without numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = X @ self._PQt[:, :n1]
+                new -= (new @ self._A_bct) @ self._Wt
         if not np.isfinite(new).all():
             raise SolverFailure(f"non-finite state at t={state.t + self.dt:.6g}")
         return SimState(state.t + self.dt, new, nl)
@@ -326,11 +333,15 @@ class Simulator:
 
     def diagnostics(self, state: SimState) -> Diagnostics:
         """The one reading of one state: its energies, each mode's E3, and
-        max |psi| on the ntheta lattice by the step's table."""
+        max |psi| on the ntheta lattice by the step's table. SolverFailure
+        when an energy is not finite: a state that grew past float range."""
         self._check(state)
-        per_mode = 4.0 * np.pi * np.array(
-            mode_energies(self.params, state.planes, self.grid, self._factor))
-        E3, E1, E2 = _sum_modes(per_mode).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_mode = 4.0 * np.pi * np.array(
+                mode_energies(self.params, state.planes, self.grid, self._factor))
+            E3, E1, E2 = _sum_modes(per_mode).tolist()
+        if not np.isfinite([E3, E1, E2]).all():
+            raise SolverFailure(f"the energies of the state at t={state.t:.6g} overflow")
         max_psi = np.abs(self._synth @ state.planes.reshape(2 * self.K, -1)).max()
         return Diagnostics(t=state.t, E3=E3, E1=E1, E2=E2, max_psi=float(max_psi),
                            mode_energies=tuple(per_mode[0].tolist()))

@@ -397,6 +397,38 @@ class TestSimulate:
         assert code == 5
         assert doc["error"] == "CFLViolation"
 
+    @pytest.mark.parametrize("flags,exit_code", [(["--linear"], 0), ([], 5)],
+                             ids=["linear", "nonlinear"])
+    def test_linear_run_has_no_cfl_stop(self, tmp_path, capsys, flags, exit_code):
+        # at dt 0.01 the README run outgrows its CFL limit (9.998e-3); its
+        # linear twin has no advection, so no limit, and fits lambda1 to
+        # Crank-Nicolson's error (1.8e-5)
+        code, doc = run_cli(capsys, "simulate", *flags, "--mu", "1.2", "--delta", "0.05",
+                            "--dt", "0.01", "--steps", "4000", "-N", "48",
+                            "-o", str(tmp_path / "out"))
+        assert code == exit_code
+        if exit_code:
+            assert doc["error"] == "CFLViolation"
+            return
+        params = af.validate(1, 3, 5, 1.2)
+        eig = af.leading_eigenpair(params, 1.2, af.build_grid(1, 3, 48))
+        assert doc["growth_rate"] == pytest.approx(eig.lambda1, rel=1e-4)
+
+    @pytest.mark.parametrize("steps,sample_every,message", [
+        ("6000", "100", "the energies of the state at t="),
+        ("12000", "100000", "non-finite state at t=")], ids=["energies", "state"])
+    def test_linear_overflow_exit_3(self, tmp_path, capsys, steps, sample_every, message):
+        # a growing linear run steps until its energies, or between samples
+        # its planes, leave float range; warnings are errors under pytest,
+        # so no RuntimeWarning escapes on the way
+        out = tmp_path / "out"
+        code, doc = run_cli(capsys, "simulate", "--linear", "--mu", "1.2", "--delta", "0.05",
+                            "--dt", "0.05", "--steps", steps, "--sample-every", sample_every,
+                            "--ntheta", "8", "-N", "24", "-o", str(out))
+        assert code == 3
+        assert doc["error"] == "SolverFailure" and doc["message"].startswith(message)
+        assert not out.exists()
+
     def test_escape_cfl_in_one_member_exit_5(self, tmp_path, capsys):
         # delta = 2 breaks the CFL limit in the first step, while 1e-6 could
         # step on; the batch stops with the error a run of 2 alone gives
@@ -743,6 +775,11 @@ def test_failed_write_prints_only_the_error(tmp_path, capsys, monkeypatch, argv,
     assert code == 2
     assert doc["error"] in ("FileExistsError", "IsADirectoryError")
     validate_against_schema(doc, "error")
+    # and -o is left as it was: no file of the run, written or temporary
+    if taken is None:
+        assert out.read_text() == ""
+    else:
+        assert [p.name for p in out.iterdir()] == [taken]
 
 
 @pytest.mark.parametrize("argv,exit_code", [

@@ -297,6 +297,19 @@ class TestStructure:
         with pytest.raises(af.CFLViolation):
             sim.step(st)
 
+    def test_linear_step_has_no_cfl_limit(self, unstable, monkeypatch):
+        # the dt at which test_cfl_violation_raised stops: a linear step
+        # is the propagator alone, and forms no velocity to limit it
+        pr, mu, g, eig = unstable
+        sim = af.Simulator(pr, g, mu=mu, dt=50.0, ntheta=8, nonlinear=False)
+        for target, name in ((af.Simulator, "cfl_limit"),
+                             (annuflow.simulator, "modal_velocity")):
+            monkeypatch.setattr(target, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+        st = sim.step(sim.step(sim.init_from_mode(eig, 1.0)))
+        assert st.t == 100.0 and st.prev_planes is None
+        assert np.isfinite(st.planes).all()
+
     @pytest.mark.parametrize("ntheta,modes", [(8, 2), (32, 1)])
     def test_cfl_check_reads_lattice_velocity(self, unstable, ntheta, modes):
         # the step's limit is lattice_velocity's on the ntheta lattice, to
